@@ -10,7 +10,11 @@ import argparse
 import contextlib
 import csv
 import json
+import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import farey, ferro, spectral, zeta
@@ -87,13 +91,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         )
     s = None
     if args.command == "partition":
+        if not (math.isfinite(args.s_re) and math.isfinite(args.s_im)):
+            raise ValueError("s must be finite")
         s = complex(args.s_re, args.s_im)
         if s.real <= 2:
             raise ValueError("partition requires Re(s) > 2")
         if not 0.0 <= args.t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
-    if args.command == "verify" and args.level < 1:
-        raise ValueError("verify needs level >= 1")
+    if args.command == "verify":
+        if args.level < 1:
+            raise ValueError("verify needs level >= 1")
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise ValueError("tolerance must be finite and nonnegative")
     return RunConfig(
         command=args.command,
         level=args.level,
@@ -110,11 +119,37 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 @contextlib.contextmanager
 def _output(path):
+    """Yield the output stream; a regular file at path changes only if the body succeeds.
+
+    The file is written under a temporary name in the target's directory and
+    renamed over it at the end, so a failed run leaves no partial file and any
+    earlier file untouched.  A symlink is followed, and an existing file keeps
+    its mode.  Devices and pipes (say /dev/stdout) cannot be renamed over and
+    are written directly.
+    """
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        return
+    target = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fareyspin-", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_generate(config: RunConfig, stream) -> int:

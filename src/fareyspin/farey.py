@@ -128,14 +128,18 @@ def _refine(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def extended_row(k: int, max_level: int | None = None) -> FareyRow:
-    """Build the level-k row bottom-up by the mediant recursion."""
+def _check_cap(k: int, max_level: int | None) -> None:
     _check_level(k)
     cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
     if k > cap:
         raise LevelTooLargeError(
             f"level {k} exceeds the materialization cap {cap}; raise max_level to override"
         )
+
+
+def extended_row(k: int, max_level: int | None = None) -> FareyRow:
+    """Build the level-k row bottom-up by the mediant recursion."""
+    _check_cap(k, max_level)
     num = np.array([0, 1], dtype=np.int64)
     den = np.array([1, 1], dtype=np.int64)
     for _ in range(k):
@@ -144,6 +148,29 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
     num.setflags(write=False)
     den.setflags(write=False)
     return FareyRow(k, num, den)
+
+
+def _row_blocks(k: int, j: int, max_level: int | None = None):
+    """Yield the level-k row without its right endpoint as (numerators,
+    denominators) blocks of 2^j entries, in index order, 0 <= j <= k.
+
+    The j-fold mediant refinement between the neighbours x/y and x'/y' at
+    entries c and c+1 of the level-(k-j) row is the level-j row with
+    n/d -> ((d-n)*x + n*x') / ((d-n)*y + n*y'), and d - n is the level-j
+    numerator read backwards.  So block c needs only those two neighbours and
+    the level-j numerators, and the full level-k row is never held.  The cap
+    applies to k as if the row were materialized.
+    """
+    _check_cap(k, max_level)
+    base = extended_row(j).numerators
+    head, tail = base[:-1], base[:0:-1]
+    coarse = extended_row(k - j)
+    nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
+    for c in range(1 << (k - j)):
+        yield (
+            nums[c] * tail + nums[c + 1] * head,
+            dens[c] * tail + dens[c + 1] * head,
+        )
 
 
 def farey_value(k: int, s: int) -> Fraction:

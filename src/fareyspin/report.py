@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -20,6 +22,13 @@ class CheckReport:
     passed: bool
     margin: float | Fraction | None = None
     witness: int | None = None
+
+    def __post_init__(self):
+        # Float checks compare numpy scalars; store plain Python types so every
+        # report serializes the same way.  Fraction margins stay exact.
+        object.__setattr__(self, "passed", bool(self.passed))
+        if isinstance(self.margin, np.floating):
+            object.__setattr__(self, "margin", float(self.margin))
 
     def to_dict(self) -> dict:
         if self.margin is None:

@@ -8,7 +8,9 @@ over all 2^k configurations interpolates, as k grows, between
 zeta(s-1)/zeta(s) at t = 0 and 1/zeta(s) at t = 1 for Re(s) > 2.  Appending
 zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
-by a closed-form tail.  zeta itself is evaluated by an Euler-Maclaurin oracle
+by a closed-form tail.  The sum streams the row in blocks of 2^20 entries,
+each built on demand from two neighbours of a coarser row, so it never holds
+the full level-k row.  zeta itself is evaluated by an Euler-Maclaurin oracle
 that is independent of the Farey machinery.
 """
 from __future__ import annotations
@@ -21,13 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .farey import extended_row
+from .farey import _row_blocks, extended_row
 from .report import CheckReport
 
-# Deterministic chunk boundaries: partial sums are compensated per chunk
-# (math.fsum) and combined with one more compensated pass, so results are
-# reproducible and accurate to a few ulps regardless of level.
-_CHUNK = 1 << 20
+# Deterministic chunks of 2^_CHUNK_LEVEL entries: partial sums are compensated
+# per chunk (math.fsum) and combined with one more compensated pass, so results
+# are reproducible and accurate to a few ulps regardless of level.
+_CHUNK_LEVEL = 20
 
 
 def totient_sieve(n_max: int) -> np.ndarray:
@@ -165,14 +167,10 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    row = extended_row(k, max_level)
-    num, den = row.numerators, row.denominators
-    size = 1 << k
     real_parts, imag_parts = [], []
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        h = den[lo:hi].astype(np.float64)
-        phase = 2j * np.pi * t * (1.0 - num[lo:hi] / h)
+    for num, den in _row_blocks(k, min(k, _CHUNK_LEVEL), max_level):
+        h = den.astype(np.float64)
+        phase = 2j * np.pi * t * (1.0 - num / h)
         terms = np.exp(phase - s * np.log(h))
         real_parts.append(math.fsum(terms.real.tolist()))
         imag_parts.append(math.fsum(terms.imag.tolist()))

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -131,6 +133,27 @@ class TestVerify:
             cli.main(["verify", "-k", "0"])
         assert exc.value.code == 2
 
+    def test_float_levels_in_json(self, capsys):
+        # levels above the exact cap run the float checks
+        code, out = run(["verify", "-k", "13"], capsys)
+        reports = json.loads(out)
+        assert code == 0
+        assert any(r["level"] == 13 for r in reports)
+        assert all(r["pass"] is True for r in reports)
+
+    def test_float_levels_in_csv(self, capsys):
+        code, out = run(["verify", "-k", "13", "--format", "csv"], capsys)
+        rows = parse_csv(out)
+        assert code == 0
+        assert any(r["level"] == "13" for r in rows)
+        assert all(r["pass"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-k", "2", "--tolerance", value])
+        assert exc.value.code == 2
+
 
 class TestPartition:
     def test_record_fields_at_t_one(self, capsys):
@@ -168,6 +191,14 @@ class TestPartition:
             cli.main(["partition", "-k", "4", "--s-re", "3", "--t", "1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "s_args", [["--s-re", "nan"], ["--s-re", "inf"], ["--s-re", "3", "--s-im", "inf"]]
+    )
+    def test_non_finite_s_is_usage_error(self, s_args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["partition", "-k", "4", *s_args])
+        assert exc.value.code == 2
+
 
 class TestUsage:
     def test_unknown_subcommand(self):
@@ -187,3 +218,55 @@ class TestUsage:
         monkeypatch.setattr(cli.farey, "extended_row", boom)
         assert cli.main(["generate", "-k", "2"]) == 1
         assert "synthetic failure" in capsys.readouterr().err
+
+
+class TestOutFile:
+    @staticmethod
+    def fail_midway(monkeypatch):
+        def partial_then_fail(row, stream):
+            stream.write("index,numerator\n0,")
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cli.farey, "write_row_csv", partial_then_fail)
+
+    def test_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        self.fail_midway(monkeypatch)
+        assert cli.main(["generate", "-k", "2", "--out", str(tmp_path / "row.csv")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_existing_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "row.csv"
+        target.write_bytes(b"earlier output\n")
+        self.fail_midway(monkeypatch)
+        assert cli.main(["generate", "-k", "2", "--out", str(target)]) == 1
+        assert target.read_bytes() == b"earlier output\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_success_replaces_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "row.csv"
+        target.write_bytes(b"earlier output\n")
+        assert cli.main(["generate", "-k", "0", "--out", str(target)]) == 0
+        assert target.read_text() == "index,numerator,denominator,value\n0,0,1,0.0\n1,1,1,1.0\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_success_keeps_mode_and_symlink(self, tmp_path, capsys):
+        target = tmp_path / "row.csv"
+        target.write_bytes(b"earlier output\n")
+        target.chmod(0o600)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert cli.main(["generate", "-k", "0", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("index,")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_pipe_is_written_directly(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["generate", "-k", "0", "--out", str(fifo)]) == 0
+            assert os.read(reader, 4096).startswith(b"index,")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)

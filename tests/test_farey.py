@@ -18,7 +18,7 @@ from fareyspin import (
     verify_row,
     write_row_csv,
 )
-from fareyspin.farey import FareyRow
+from fareyspin.farey import FareyRow, _row_blocks
 
 # Reference rows 0..4, frozen from the mediant construction by hand.
 ROWS = {
@@ -148,6 +148,24 @@ class TestExtendedRow:
     def test_negative_level(self):
         with pytest.raises(ValueError):
             extended_row(-1)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("k", range(0, 15))
+    def test_blocks_concatenate_to_row(self, k):
+        row = extended_row(k)
+        for j in range(k + 1):
+            blocks = list(_row_blocks(k, j))
+            assert len(blocks) == 1 << (k - j)
+            assert all(len(num) == len(den) == 1 << j for num, den in blocks)
+            assert np.array_equal(np.concatenate([b[0] for b in blocks]), row.numerators[:-1])
+            assert np.array_equal(np.concatenate([b[1] for b in blocks]), row.denominators[:-1])
+
+    def test_level_cap_applies_to_the_whole_row(self):
+        with pytest.raises(LevelTooLargeError):
+            next(_row_blocks(27, 20))
+        with pytest.raises(LevelTooLargeError):
+            next(_row_blocks(7, 3, max_level=6))
 
 
 class TestFareyValue:

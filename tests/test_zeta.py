@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fareyspin import (
+    LevelTooLargeError,
     check_endpoint_identities,
     denominator_histogram,
     extended_row,
@@ -18,6 +19,25 @@ from fareyspin import (
 )
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
+
+
+def materialized_partition_value(k, s, t):
+    """Z_k(s, t) summed over the fully materialized level-k row in chunks of
+    2^20 entries: the reference the streamed partition sum must match bit for bit."""
+    s = complex(s)
+    row = extended_row(k)
+    num, den = row.numerators, row.denominators
+    size = 1 << k
+    chunk = 1 << 20
+    real_parts, imag_parts = [], []
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        h = den[lo:hi].astype(np.float64)
+        phase = 2j * np.pi * t * (1.0 - num[lo:hi] / h)
+        terms = np.exp(phase - s * np.log(h))
+        real_parts.append(math.fsum(terms.real.tolist()))
+        imag_parts.append(math.fsum(terms.imag.tolist()))
+    return complex(math.fsum(real_parts), math.fsum(imag_parts))
 
 
 class TestSieves:
@@ -186,6 +206,35 @@ class TestPartitionSum:
         a = partition_sum(10, 4 + 1j, 0.3).value
         b = partition_sum(10, 4 + 1j, 0.3).value
         assert a == b
+
+
+class TestStreamedPartitionSum:
+    # real and complex s, at both endpoints of t and inside; k = 21, 22 span
+    # several 2^20-entry chunks
+    @pytest.mark.parametrize("k", [0, 1, 5, 19, 20, 21, 22])
+    def test_bit_identical_to_materialized_row(self, k):
+        for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
+            assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
+
+    def test_never_builds_a_row_above_the_chunk_level(self, monkeypatch):
+        import fareyspin.farey as farey
+
+        levels = []
+        build = farey.extended_row
+
+        def spy(k, max_level=None):
+            levels.append(k)
+            return build(k, max_level)
+
+        monkeypatch.setattr(farey, "extended_row", spy)
+        partition_sum(21, 3, 0.0)
+        assert sorted(levels) == [1, 20]
+
+    def test_level_cap_unchanged(self):
+        with pytest.raises(LevelTooLargeError):
+            partition_sum(7, 3, 0, max_level=6)
+        with pytest.raises(LevelTooLargeError):
+            partition_sum(27, 3, 0)
 
 
 class TestMoebiusDirichlet:
