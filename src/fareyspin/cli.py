@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -18,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import farey, ferro, spectral, zeta
-from .report import all_passed
+from .report import all_passed, write_records
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_format):
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.add_argument("--out", metavar="PATH", default=None, help="output file (default: stdout)")
-        p.add_argument("--max-level", type=int, default=None, help="row materialization cap override")
+        p.add_argument("--max-level", type=int, default=None, help="level cap override")
 
     p = sub.add_parser("generate", help="emit the extended level-k row of fractions")
     p.add_argument("-k", "--level", type=int, required=True)
@@ -82,6 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.level < 0:
         raise ValueError("level must be nonnegative")
+    top = farey.INT64_PRODUCT_MAX_LEVEL if args.command == "verify" else farey.INT64_MAX_LEVEL
+    if args.level > top:
+        raise ValueError(f"{args.command} is int64-exact only up to level {top}")
     mode = getattr(args, "mode", None)
     if mode is None and args.command == "spectrum":
         mode = "exact" if args.level <= spectral.K_EXACT else "float"
@@ -157,14 +159,7 @@ def cmd_generate(config: RunConfig, stream) -> int:
     if config.fmt == "csv":
         farey.write_row_csv(row, stream)
     else:
-        records = [
-            {"index": i, "numerator": n, "denominator": d, "value": n / d}
-            for i, (n, d) in enumerate(
-                zip(row.numerators.tolist(), row.denominators.tolist())
-            )
-        ]
-        json.dump(records, stream, indent=2)
-        stream.write("\n")
+        write_records(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
     return 0
 
 
@@ -172,21 +167,8 @@ def cmd_spectrum(config: RunConfig, stream) -> int:
     spectrum = spectral.interaction(config.level, config.mode, max_level=config.max_level)
     if config.fmt == "csv":
         spectral.write_spectrum_csv(spectrum, stream)
-        return 0
-    k = spectrum.level
-    records = []
-    for i in range(len(spectrum)):
-        v = spectrum.values[i]
-        records.append(
-            {
-                "tau_index": i,
-                "tau_bits": format(i, f"0{max(k, 1)}b"),
-                "j_value": f"{v.numerator}/{v.denominator}" if spectrum.mode == "exact" else float(v),
-                "decay_bound": None if i == 0 else 2.0 ** -spectral.max_support(i, k),
-            }
-        )
-    json.dump(records, stream, indent=2)
-    stream.write("\n")
+    else:
+        write_records(spectral.SPECTRUM_FIELDS, spectral.spectrum_records(spectrum), stream, "json")
     return 0
 
 
@@ -197,15 +179,8 @@ def cmd_verify(config: RunConfig, stream) -> int:
         seed=config.seed,
         max_level=config.max_level,
     )
-    if config.fmt == "json":
-        json.dump([r.to_dict() for r in reports], stream, indent=2)
-        stream.write("\n")
-    else:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["name", "level", "pass", "margin", "witness"])
-        for r in reports:
-            d = r.to_dict()
-            writer.writerow([d["name"], d["level"], d["pass"], d["margin"], d["witness"]])
+    rows = (tuple(r.to_dict().values()) for r in reports)
+    write_records(("name", "level", "pass", "margin", "witness"), rows, stream, config.fmt)
     return 0 if all_passed(reports) else 1
 
 
@@ -228,12 +203,11 @@ def cmd_partition(config: RunConfig, stream) -> int:
         "discrepancy": None if reference is None else abs(result.value - reference),
     }
     if config.fmt == "json":
+        # one object whose reference_value json.dump spreads over several lines
         json.dump(record, stream, indent=2)
         stream.write("\n")
     else:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(list(record))
-        writer.writerow(["" if v is None else v for v in record.values()])
+        write_records(tuple(record), [tuple(record.values())], stream, "csv")
     return 0
 
 
@@ -255,7 +229,7 @@ def main(argv=None) -> int:
     try:
         with _output(config.out) as stream:
             return _HANDLERS[config.command](config, stream)
-    except (ValueError, OSError) as exc:
+    except Exception as exc:  # one line on stderr, never a traceback
         print(f"fareyspin: error: {exc}", file=sys.stderr)
         return 1
 

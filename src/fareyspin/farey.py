@@ -14,24 +14,28 @@ fraction sequence is increasing in the index.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import IO
 
 import numpy as np
 
-from .report import CheckReport
+from .report import CheckReport, write_records
 
-# Full-row materialization cap (2^26 + 1 int64 pairs ~ 1 GiB). int64 is exact
-# far beyond any materializable level: max denominator is Fibonacci(k+2),
-# below 2^63 for k <= 90, and the adjacent products formed by verify_row stay
-# below 2^63 for k <= 44.
+# Default level cap: a full row at level 26 is 2^26 + 1 int64 pairs, ~1 GiB.
 DEFAULT_MAX_LEVEL = 26
+# Highest levels at which int64 is exact, whatever the cap: the largest
+# denominator is Fibonacci(k+2), below 2^63 for k <= 90, and the adjacent
+# products formed by verify_row stay below 2^63 for k <= 44.
+INT64_MAX_LEVEL = 90
+INT64_PRODUCT_MAX_LEVEL = 44
+
+ROW_FIELDS = ("index", "numerator", "denominator", "value")
 
 
 class LevelTooLargeError(ValueError):
-    """Requested level exceeds the configured row-materialization cap."""
+    """Requested level exceeds the configured level cap."""
 
 
 def _check_level(k: int) -> None:
@@ -133,7 +137,7 @@ def _check_cap(k: int, max_level: int | None) -> None:
     cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
     if k > cap:
         raise LevelTooLargeError(
-            f"level {k} exceeds the materialization cap {cap}; raise max_level to override"
+            f"level {k} exceeds the level cap {cap}; raise max_level to override"
         )
 
 
@@ -158,8 +162,8 @@ def _row_blocks(k: int, j: int, max_level: int | None = None):
     entries c and c+1 of the level-(k-j) row is the level-j row with
     n/d -> ((d-n)*x + n*x') / ((d-n)*y + n*y'), and d - n is the level-j
     numerator read backwards.  So block c needs only those two neighbours and
-    the level-j numerators, and the full level-k row is never held.  The cap
-    applies to k as if the row were materialized.
+    the level-j numerators, and the full level-k row is never held.  The level
+    cap applies to k.
     """
     _check_cap(k, max_level)
     base = extended_row(j).numerators
@@ -238,9 +242,12 @@ def cross_check_routes(k: int, max_level: int | None = None) -> bool:
     return True
 
 
+def row_records(row: FareyRow):
+    """ROW_FIELDS for every index of the row."""
+    nums, dens = row.numerators.tolist(), row.denominators.tolist()
+    return zip(range(len(nums)), nums, dens, map(truediv, nums, dens))
+
+
 def write_row_csv(row: FareyRow, stream: IO[str]) -> None:
     """Emit index, numerator, denominator, value with '.' decimals, one row per index."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["index", "numerator", "denominator", "value"])
-    for i, (n, d) in enumerate(zip(row.numerators.tolist(), row.denominators.tolist())):
-        writer.writerow([i, n, d, repr(n / d)])
+    write_records(ROW_FIELDS, row_records(row), stream, "csv")

@@ -9,6 +9,7 @@ Exact mode admits zero tolerance; float mode defaults to 1e-12.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,38 +17,48 @@ import numpy as np
 
 from .farey import cross_check_routes, extended_row, seed_eval, seed_pair, verify_row
 from .report import CheckReport
-from .spectral import K_EXACT, Spectrum, interaction, max_support, rational_wht
+from .spectral import K_EXACT, Spectrum, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 
 
-def _resolve(k, mode, spectrum, k_exact, max_level) -> Spectrum:
-    if spectrum is not None:
-        if spectrum.level != k:
-            raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
-        return spectrum
-    return interaction(k, mode, k_exact=k_exact, max_level=max_level)
+def _values(k, mode, spectrum, tol, k_exact, max_level):
+    """The level-k coefficients as an array, the tolerance, and whether they are exact.
+
+    Exact spectra become object arrays of Fractions, so each check runs the
+    same numpy code in both modes.  ``tol`` applies in float mode only (default
+    1e-12); exact mode admits zero tolerance.
+    """
+    if k < 1:
+        raise ValueError("checks require level >= 1")
+    if spectrum is None:
+        spectrum = interaction(k, mode, k_exact=k_exact, max_level=max_level)
+    elif spectrum.level != k:
+        raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
+    exact = spectrum.mode == "exact"
+    tol = 0 if exact else 1e-12 if tol is None else tol
+    return np.asarray(spectrum.values), tol, exact
 
 
-def _tolerance(spectrum: Spectrum, tol):
-    if tol is not None:
-        return tol
-    return 0 if spectrum.mode == "exact" else 1e-12
+def _pow2(e, exact):
+    """2^e for an integer or an integer array e: Fractions when exact, else floats."""
+    if exact:
+        return np.frompyfunc(lambda n: Fraction(2) ** int(n), 1, 1)(e)
+    return 2.0**e
+
+
+def _first_min(a):
+    i = int(np.argmin(a))  # the first minimum, as min() gives
+    return i, a[i]
 
 
 def check_zero_coefficient(
     k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
 ) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
-    if k < 1:
-        raise ValueError("checks require level >= 1")
-    sp = _resolve(k, mode, spectrum, k_exact, max_level)
-    tol = _tolerance(sp, tol)
-    if sp.mode == "exact":
-        closed = Fraction(-((1 << k) - 1), 1 << (k + 1))
-    else:
-        closed = -(1.0 - 2.0**-k) / 2.0
-    error = abs(sp[0] - closed)
+    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    closed = -(1 - _pow2(-k, exact)) / 2
+    error = abs(vals[0] - closed)
     return CheckReport("zero_coefficient", k, error <= tol, margin=error, witness=0)
 
 
@@ -55,18 +66,8 @@ def check_nonnegativity(
     k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
 ) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
-    if k < 1:
-        raise ValueError("checks require level >= 1")
-    sp = _resolve(k, mode, spectrum, k_exact, max_level)
-    tol = _tolerance(sp, tol)
-    if sp.mode == "float":
-        off = sp.values[1:]
-        i = int(np.argmin(off))
-        worst = float(off[i])
-    else:
-        i, worst = min(
-            ((j, v) for j, v in enumerate(sp.values[1:])), key=lambda item: item[1]
-        )
+    vals, tol, _ = _values(k, mode, spectrum, tol, k_exact, max_level)
+    i, worst = _first_min(vals[1:])
     return CheckReport("off_zero_nonnegative", k, worst >= -tol, margin=worst, witness=i + 1)
 
 
@@ -79,58 +80,28 @@ def check_extremes(
     below the maximum); ties with the maximum are allowed, ties with the
     minimum are not.
     """
-    if k < 1:
-        raise ValueError("checks require level >= 1")
-    sp = _resolve(k, mode, spectrum, k_exact, max_level)
+    vals, _, _ = _values(k, mode, spectrum, tol, k_exact, max_level)
     top_mask = 1 << (k - 1)
-    vals = sp.values
-    if sp.mode == "float":
-        gaps_min = vals[1:] - vals[0]
-        i_min = int(np.argmin(gaps_min))
-        min_slack = float(gaps_min[i_min])
-        gaps_max = vals[top_mask] - vals
-        gaps_max[top_mask] = np.inf  # the maximum candidate itself is not a competitor
-        i_max = int(np.argmin(gaps_max))
-        max_slack = float(gaps_max[i_max])
-    else:
-        i_min, min_slack = min(
-            ((j, v - vals[0]) for j, v in enumerate(vals[1:])), key=lambda item: item[1]
-        )
-        i_max, max_slack = min(
-            ((j, vals[top_mask] - v) for j, v in enumerate(vals) if j != top_mask),
-            key=lambda item: item[1],
-        )
+    i_min, min_slack = _first_min(vals[1:] - vals[0])
+    gaps_max = vals[top_mask] - vals
+    gaps_max[top_mask] = np.inf  # the maximum candidate itself is not a competitor
+    i_max, max_slack = _first_min(gaps_max)
     passed = min_slack > 0 and max_slack >= 0
     if min_slack <= max_slack:
         margin, witness = min_slack, i_min + 1
     else:
         margin, witness = max_slack, i_max
-    return CheckReport("extreme_masks", k, bool(passed), margin=margin, witness=witness)
+    return CheckReport("extreme_masks", k, passed, margin=margin, witness=witness)
 
 
 def check_decay(
     k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
 ) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
-    if k < 1:
-        raise ValueError("checks require level >= 1")
-    sp = _resolve(k, mode, spectrum, k_exact, max_level)
-    tol = _tolerance(sp, tol)
-    if sp.mode == "float":
-        idx = np.arange(1, 1 << k, dtype=np.int64)
-        trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
-        bounds = 2.0 ** (trailing - k)
-        slack = bounds - sp.values[1:]
-        i = int(np.argmin(slack))
-        worst = float(slack[i])
-    else:
-        i, worst = min(
-            (
-                (m - 1, Fraction(1, 1 << max_support(m, k)) - sp.values[m])
-                for m in range(1, 1 << k)
-            ),
-            key=lambda item: item[1],
-        )
+    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    idx = np.arange(1, 1 << k, dtype=np.int64)
+    trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
+    i, worst = _first_min(_pow2(trailing - k, exact) - vals[1:])
     return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=i + 1)
 
 
@@ -145,24 +116,13 @@ def check_convergence(
     max_level=None,
 ) -> CheckReport:
     """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask."""
-    if k < 1:
-        raise ValueError("checks require level >= 1")
-    sp = _resolve(k, mode, spectrum, k_exact, max_level)
-    nxt = _resolve(k + 1, sp.mode, next_spectrum, k_exact, max_level)
-    if nxt.mode != sp.mode:
+    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    next_mode = "exact" if exact else "float"
+    nxt, _, next_exact = _values(k + 1, next_mode, next_spectrum, tol, k_exact, max_level)
+    if next_exact != exact:
         raise ValueError("convergence check needs both spectra in the same mode")
-    tol = _tolerance(sp, tol)
-    if sp.mode == "float":
-        # appending a zero bit doubles the mask, i.e. even indices one level up
-        slack = 2.0 ** -(k + 1) - np.abs(sp.values - nxt.values[0::2])
-        i = int(np.argmin(slack))
-        worst = float(slack[i])
-    else:
-        bound = Fraction(1, 1 << (k + 1))
-        i, worst = min(
-            ((m, bound - abs(sp.values[m] - nxt.values[m << 1])) for m in range(1 << k)),
-            key=lambda item: item[1],
-        )
+    # appending a zero bit doubles the mask, i.e. even indices one level up
+    i, worst = _first_min(_pow2(-(k + 1), exact) - np.abs(vals - nxt[0::2]))
     return CheckReport("level_increment", k, worst >= -tol, margin=worst, witness=i)
 
 
@@ -199,8 +159,7 @@ def check_cone_membership(k, *, k_exact=K_EXACT) -> CheckReport:
     """All 2^k transform coefficients of the cone observable are >= 0, exactly."""
     if k > k_exact:
         raise ValueError(f"cone membership is an exact check; level capped at {k_exact}")
-    transformed = rational_wht(cone_observable(k), normalize=True)
-    i, worst = min(enumerate(transformed), key=lambda item: item[1])
+    i, worst = _first_min(np.asarray(rational_wht(cone_observable(k), normalize=True)))
     return CheckReport("cone_membership", k, worst >= 0, margin=worst, witness=i)
 
 
@@ -208,18 +167,17 @@ def check_spectrum_decomposition(
     k, *, spectrum=None, k_exact=K_EXACT, max_level=None
 ) -> CheckReport:
     """Exact identity: coefficient(tau) = -1/2*[tau=0] + 1/2*transform(cone observable)(tau)."""
-    sp = _resolve(k, "exact", spectrum, k_exact, max_level)
-    if sp.mode != "exact":
+    vals, _, exact = _values(k, "exact", spectrum, None, k_exact, max_level)
+    if not exact:
         raise ValueError("decomposition is an exact check")
-    transformed = rational_wht(cone_observable(k), normalize=True)
-    worst = Fraction(0)
-    witness = None
-    for m in range(1 << k):
-        expected = transformed[m] / 2 - (Fraction(1, 2) if m == 0 else 0)
-        dev = abs(sp.values[m] - expected)
-        if dev > worst:
-            worst, witness = dev, m
-    return CheckReport("spectrum_decomposition", k, worst == 0, margin=worst, witness=witness)
+    expected = np.asarray(rational_wht(cone_observable(k), normalize=True)) / 2
+    expected[0] -= Fraction(1, 2)
+    deviation = np.abs(vals - expected)
+    witness = int(np.argmax(deviation))  # the first largest deviation
+    worst = deviation[witness]
+    return CheckReport(
+        "spectrum_decomposition", k, worst == 0, margin=worst, witness=witness if worst else None
+    )
 
 
 # The two fractional-linear maps that express shifted-seed ratios through the
@@ -326,12 +284,9 @@ def check_cone_map_identities(k, *, k_exact=K_EXACT) -> CheckReport:
     witness = None
     for s in range(1 << k):
         w = Fraction(seed_eval(k, 1, -1, s), seed_eval(k, 1, 1, s))
-        m1 = (w + 1) / (3 - w)
-        m2 = (w - 1) / (w + 3)
-        if m1 != Fraction(seed_eval(k, 1, 0, s), seed_eval(k, 1, 2, s)):
-            witness = s
-            break
-        if m2 != Fraction(seed_eval(k, 0, -1, s), seed_eval(k, 2, 1, s)):
+        m1_holds = (w + 1) / (3 - w) == Fraction(seed_eval(k, 1, 0, s), seed_eval(k, 1, 2, s))
+        m2_holds = (w - 1) / (w + 3) == Fraction(seed_eval(k, 0, -1, s), seed_eval(k, 2, 1, s))
+        if not (m1_holds and m2_holds):
             witness = s
             break
     return CheckReport(
@@ -399,13 +354,10 @@ def verify_suite(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     reports: list[CheckReport] = []
-    spectra: dict[tuple[int, str], Spectrum] = {}
 
+    @functools.cache
     def spectrum_at(k: int, mode: str) -> Spectrum:
-        key = (k, mode)
-        if key not in spectra:
-            spectra[key] = interaction(k, mode, k_exact=k_exact, max_level=max_level)
-        return spectra[key]
+        return interaction(k, mode, k_exact=k_exact, max_level=max_level)
 
     for k in range(1, k_max + 1):
         mode = "exact" if k <= k_exact else "float"
@@ -415,20 +367,12 @@ def verify_suite(
                 CheckReport("dual_route_agreement", k, cross_check_routes(k, max_level))
             )
         sp = spectrum_at(k, mode)
-        reports.append(check_zero_coefficient(k, spectrum=sp, tol=None if mode == "exact" else tol))
-        reports.append(check_nonnegativity(k, spectrum=sp, tol=None if mode == "exact" else tol))
-        reports.append(check_extremes(k, spectrum=sp))
-        reports.append(check_decay(k, spectrum=sp, tol=None if mode == "exact" else tol))
+        for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
+            reports.append(check(k, spectrum=sp, tol=tol))
         if k < k_max:
             pair_mode = "exact" if k + 1 <= k_exact else "float"
-            reports.append(
-                check_convergence(
-                    k,
-                    spectrum=spectrum_at(k, pair_mode),
-                    next_spectrum=spectrum_at(k + 1, pair_mode),
-                    tol=None if pair_mode == "exact" else tol,
-                )
-            )
+            pair = spectrum_at(k, pair_mode), spectrum_at(k + 1, pair_mode)
+            reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1], tol=tol))
         if k <= 18:
             reports.append(check_reciprocal_sum(k, max_level=max_level))
         if mode == "exact":

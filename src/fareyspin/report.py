@@ -1,9 +1,12 @@
-"""Uniform pass/fail records for the machine checks."""
+"""Uniform pass/fail records for the machine checks, and the CSV/JSON emitter of every command."""
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -49,3 +52,24 @@ class CheckReport:
 
 def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
+
+
+def write_records(fields, rows, stream, fmt) -> None:
+    """Write rows (tuples of scalars in field order) as CSV under a header, or as a JSON array.
+
+    The JSON equals json.dump([dict(zip(fields, row)) ...], indent=2) plus a
+    newline, written one record at a time, so the rows are never held together.
+    """
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+        return
+    encode = json.JSONEncoder().encode
+    prefixes = [f"    {encode(name)}: " for name in fields]
+    opening = separator = "[\n  {\n"
+    for row in rows:
+        stream.write(separator)
+        stream.write(",\n".join(map(add, prefixes, map(encode, row))))
+        separator = "\n  },\n  {\n"
+    stream.write("[]\n" if separator is opening else "\n  }\n]\n")

@@ -9,7 +9,6 @@ runs.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,11 +17,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from .farey import extended_row
+from .report import write_records
 
 # Exact-path level cap: 4096 entries keeps rational transforms instantaneous.
 K_EXACT = 12
 
 _NAIVE_CAP = 12
+
+SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
 
 def _check_power_of_two(n: int) -> int:
@@ -209,16 +211,17 @@ def limit_estimate(
     return LimitEstimate(positions, k, spectrum[mask], 2.0**-k)
 
 
+def spectrum_records(spectrum: Spectrum):
+    """SPECTRUM_FIELDS per mask: exact values as 'p/q' strings, no decay bound at tau = 0."""
+    k = spectrum.level
+    if spectrum.mode == "exact":
+        values = (f"{v.numerator}/{v.denominator}" for v in spectrum.values)
+    else:
+        values = map(float, spectrum.values)
+    for i, v in enumerate(values):
+        yield i, format(i, f"0{max(k, 1)}b"), v, None if i == 0 else 2.0 ** -max_support(i, k)
+
+
 def write_spectrum_csv(spectrum: Spectrum, stream: IO[str]) -> None:
     """Emit tau_index, tau_bits, j_value, decay_bound; exact values as 'p/q' strings."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["tau_index", "tau_bits", "j_value", "decay_bound"])
-    k = spectrum.level
-    for i in range(len(spectrum)):
-        v = spectrum.values[i]
-        if spectrum.mode == "exact":
-            text = f"{v.numerator}/{v.denominator}"
-        else:
-            text = repr(float(v))
-        bound = "" if i == 0 else repr(2.0 ** -max_support(i, k))
-        writer.writerow([i, format(i, f"0{max(k, 1)}b"), text, bound])
+    write_records(SPECTRUM_FIELDS, spectrum_records(spectrum), stream, "csv")

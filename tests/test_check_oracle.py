@@ -1,0 +1,234 @@
+"""The sign checks against a kept copy of their former per-mode code.
+
+Each check once had an exact branch (Python generators over Fractions) and a
+float branch (numpy).  The copies below are those branches, unchanged apart
+from taking the spectra as arguments; the checks must reproduce their
+pass flags, witnesses and margins, margin type included.
+"""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fareyspin import (
+    K_EXACT,
+    check_cone_membership,
+    check_convergence,
+    check_decay,
+    check_extremes,
+    check_nonnegativity,
+    check_spectrum_decomposition,
+    check_zero_coefficient,
+    cone_observable,
+    interaction,
+    max_support,
+    rational_wht,
+)
+from fareyspin.report import CheckReport
+
+EXACT_LEVELS = range(1, K_EXACT + 1)
+FLOAT_LEVELS = range(1, 17)
+
+
+def _tolerance(sp, tol):
+    if tol is not None:
+        return tol
+    return 0 if sp.mode == "exact" else 1e-12
+
+
+def ref_zero_coefficient(k, sp, tol=None):
+    tol = _tolerance(sp, tol)
+    if sp.mode == "exact":
+        closed = Fraction(-((1 << k) - 1), 1 << (k + 1))
+    else:
+        closed = -(1.0 - 2.0**-k) / 2.0
+    error = abs(sp[0] - closed)
+    return CheckReport("zero_coefficient", k, error <= tol, margin=error, witness=0)
+
+
+def ref_nonnegativity(k, sp, tol=None):
+    tol = _tolerance(sp, tol)
+    if sp.mode == "float":
+        off = sp.values[1:]
+        i = int(np.argmin(off))
+        worst = float(off[i])
+    else:
+        i, worst = min(
+            ((j, v) for j, v in enumerate(sp.values[1:])), key=lambda item: item[1]
+        )
+    return CheckReport("off_zero_nonnegative", k, worst >= -tol, margin=worst, witness=i + 1)
+
+
+def ref_extremes(k, sp):
+    top_mask = 1 << (k - 1)
+    vals = sp.values
+    if sp.mode == "float":
+        gaps_min = vals[1:] - vals[0]
+        i_min = int(np.argmin(gaps_min))
+        min_slack = float(gaps_min[i_min])
+        gaps_max = vals[top_mask] - vals
+        gaps_max[top_mask] = np.inf
+        i_max = int(np.argmin(gaps_max))
+        max_slack = float(gaps_max[i_max])
+    else:
+        i_min, min_slack = min(
+            ((j, v - vals[0]) for j, v in enumerate(vals[1:])), key=lambda item: item[1]
+        )
+        i_max, max_slack = min(
+            ((j, vals[top_mask] - v) for j, v in enumerate(vals) if j != top_mask),
+            key=lambda item: item[1],
+        )
+    passed = min_slack > 0 and max_slack >= 0
+    if min_slack <= max_slack:
+        margin, witness = min_slack, i_min + 1
+    else:
+        margin, witness = max_slack, i_max
+    return CheckReport("extreme_masks", k, bool(passed), margin=margin, witness=witness)
+
+
+def ref_decay(k, sp, tol=None):
+    tol = _tolerance(sp, tol)
+    if sp.mode == "float":
+        idx = np.arange(1, 1 << k, dtype=np.int64)
+        trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
+        bounds = 2.0 ** (trailing - k)
+        slack = bounds - sp.values[1:]
+        i = int(np.argmin(slack))
+        worst = float(slack[i])
+    else:
+        i, worst = min(
+            (
+                (m - 1, Fraction(1, 1 << max_support(m, k)) - sp.values[m])
+                for m in range(1, 1 << k)
+            ),
+            key=lambda item: item[1],
+        )
+    return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=i + 1)
+
+
+def ref_convergence(k, sp, nxt, tol=None):
+    tol = _tolerance(sp, tol)
+    if sp.mode == "float":
+        slack = 2.0 ** -(k + 1) - np.abs(sp.values - nxt.values[0::2])
+        i = int(np.argmin(slack))
+        worst = float(slack[i])
+    else:
+        bound = Fraction(1, 1 << (k + 1))
+        i, worst = min(
+            ((m, bound - abs(sp.values[m] - nxt.values[m << 1])) for m in range(1 << k)),
+            key=lambda item: item[1],
+        )
+    return CheckReport("level_increment", k, worst >= -tol, margin=worst, witness=i)
+
+
+def ref_cone_membership(k):
+    transformed = rational_wht(cone_observable(k), normalize=True)
+    i, worst = min(enumerate(transformed), key=lambda item: item[1])
+    return CheckReport("cone_membership", k, worst >= 0, margin=worst, witness=i)
+
+
+def ref_decomposition(k, sp):
+    transformed = rational_wht(cone_observable(k), normalize=True)
+    worst = Fraction(0)
+    witness = None
+    for m in range(1 << k):
+        expected = transformed[m] / 2 - (Fraction(1, 2) if m == 0 else 0)
+        dev = abs(sp.values[m] - expected)
+        if dev > worst:
+            worst, witness = dev, m
+    return CheckReport("spectrum_decomposition", k, worst == 0, margin=worst, witness=witness)
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    out = {(k, "exact"): interaction(k, "exact") for k in EXACT_LEVELS}
+    out.update({(k, "float"): interaction(k, "float") for k in range(1, FLOAT_LEVELS.stop + 1)})
+    return out
+
+
+def assert_same(new, old):
+    assert (new.name, new.level, new.passed, new.witness) == (
+        old.name,
+        old.level,
+        old.passed,
+        old.witness,
+    )
+    assert new.margin == old.margin
+    assert type(new.margin) is type(old.margin)
+
+
+CASES = [(k, "exact") for k in EXACT_LEVELS] + [(k, "float") for k in FLOAT_LEVELS]
+
+
+@pytest.mark.parametrize("k,mode", CASES)
+def test_single_level_checks(spectra, k, mode):
+    sp = spectra[k, mode]
+    assert_same(check_zero_coefficient(k, spectrum=sp), ref_zero_coefficient(k, sp))
+    assert_same(check_nonnegativity(k, spectrum=sp), ref_nonnegativity(k, sp))
+    assert_same(check_extremes(k, spectrum=sp), ref_extremes(k, sp))
+    assert_same(check_decay(k, spectrum=sp), ref_decay(k, sp))
+
+
+@pytest.mark.parametrize("k", FLOAT_LEVELS)
+def test_float_checks_with_explicit_tolerance(spectra, k):
+    sp = spectra[k, "float"]
+    for tol in (1e-12, 0.0):
+        assert_same(check_zero_coefficient(k, spectrum=sp, tol=tol), ref_zero_coefficient(k, sp, tol))
+        assert_same(check_nonnegativity(k, spectrum=sp, tol=tol), ref_nonnegativity(k, sp, tol))
+        assert_same(check_decay(k, spectrum=sp, tol=tol), ref_decay(k, sp, tol))
+
+
+@pytest.mark.parametrize(
+    "k,mode", [(k, "exact") for k in EXACT_LEVELS[:-1]] + [(k, "float") for k in FLOAT_LEVELS]
+)
+def test_convergence(spectra, k, mode):
+    sp, nxt = spectra[k, mode], spectra[k + 1, mode]
+    new = check_convergence(k, spectrum=sp, next_spectrum=nxt)
+    assert_same(new, ref_convergence(k, sp, nxt))
+
+
+@pytest.mark.parametrize("k", EXACT_LEVELS)
+def test_cone_checks(spectra, k):
+    sp = spectra[k, "exact"]
+    assert_same(check_spectrum_decomposition(k, spectrum=sp), ref_decomposition(k, sp))
+    assert_same(check_cone_membership(k), ref_cone_membership(k))
+
+
+def test_decomposition_witness_on_a_perturbed_spectrum(spectra):
+    # the oracle copy reports the first index of the largest deviation
+    k = 5
+    values = list(spectra[k, "exact"].values)
+    values[7] += Fraction(1, 3)
+    values[20] -= Fraction(1, 3)
+    sp = type(spectra[k, "exact"])(k, "exact", values)
+    new = check_spectrum_decomposition(k, spectrum=sp)
+    assert not new.passed and new.witness == 7
+    assert_same(new, ref_decomposition(k, sp))
+
+
+def test_failing_checks_keep_their_witnesses(spectra):
+    # a negative off-zero coefficient, in both modes
+    k = 6
+    exact = list(spectra[k, "exact"].values)
+    exact[9] = Fraction(-1, 1000)
+    floats = spectra[k, "float"].values.copy()
+    floats[9] = -1e-3
+    for sp in (
+        type(spectra[k, "exact"])(k, "exact", exact),
+        type(spectra[k, "float"])(k, "float", floats),
+    ):
+        new = check_nonnegativity(k, spectrum=sp)
+        assert not new.passed and new.witness == 9
+        assert_same(new, ref_nonnegativity(k, sp))
+        assert_same(check_extremes(k, spectrum=sp), ref_extremes(k, sp))
+        assert_same(check_decay(k, spectrum=sp), ref_decay(k, sp))
+
+
+def test_exact_mode_admits_zero_tolerance(spectra):
+    # a float-mode tolerance passed to an exact check does not loosen it
+    k = 4
+    values = list(spectra[k, "exact"].values)
+    values[3] = Fraction(-1, 10**15)
+    sp = type(spectra[k, "exact"])(k, "exact", values)
+    report = check_nonnegativity(k, spectrum=sp, tol=1e-12)
+    assert not report.passed and report.margin == Fraction(-1, 10**15)

@@ -270,3 +270,79 @@ class TestOutFile:
         finally:
             os.close(reader)
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+class TestErrors:
+    def test_level_cap_message(self, capsys):
+        assert cli.main(["partition", "-k", "27", "--s-re", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+
+    def test_uncaught_exception_is_one_line(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic crash")
+
+        monkeypatch.setattr(cli.farey, "extended_row", boom)
+        assert cli.main(["generate", "-k", "2"]) == 1
+        assert capsys.readouterr().err == "fareyspin: error: synthetic crash\n"
+
+
+class TestInt64Guard:
+    @pytest.fixture(autouse=True)
+    def no_rows(self, monkeypatch):
+        # a broken guard must fail here, not start a row of 2^45 entries or more
+        def refuse(*args, **kwargs):
+            raise RuntimeError("row allocation attempted")
+
+        for owner in (cli.farey, cli.spectral, cli.ferro, cli.zeta):
+            monkeypatch.setattr(owner, "extended_row", refuse)
+        for owner in (cli.farey, cli.zeta):
+            monkeypatch.setattr(owner, "_row_blocks", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-k", "45"],
+            ["generate", "-k", "91"],
+            ["spectrum", "-k", "91", "--mode", "float"],
+            ["partition", "-k", "91", "--s-re", "3"],
+        ],
+    )
+    def test_past_the_bound_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-level", "100"])
+        assert exc.value.code == 2
+        assert "int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-k", "44"],
+            ["generate", "-k", "90"],
+            ["spectrum", "-k", "90", "--mode", "float"],
+            ["partition", "-k", "90", "--s-re", "3"],
+        ],
+    )
+    def test_bound_itself_passes_the_guard(self, argv, capsys):
+        assert cli.main([*argv, "--max-level", "100"]) == 1
+        assert "row allocation attempted" in capsys.readouterr().err
+
+
+class TestTopEnvelope:
+    def test_verify_22_in_json_and_csv(self, capsys):
+        code, out = run(["verify", "-k", "22"], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        assert all(type(r["pass"]) is bool for r in reports)
+        assert any(r["level"] == 22 for r in reports)
+        code, out = run(["verify", "-k", "22", "--format", "csv"], capsys)
+        assert code == 0
+
+        def optional_int(text):
+            return None if text == "" else int(text)
+
+        from_csv = [
+            (r["name"], optional_int(r["level"]), r["pass"] == "True", optional_int(r["witness"]))
+            for r in parse_csv(out)
+        ]
+        assert from_csv == [(r["name"], r["level"], r["pass"], r["witness"]) for r in reports]
