@@ -14,26 +14,9 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import farey, ferro, spectral, zeta
 from .report import all_passed, write_records
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one subcommand."""
-
-    command: str
-    level: int
-    mode: str | None = None
-    fmt: str = "csv"
-    tolerance: float = 1e-12
-    s: complex | None = None
-    t: float | None = None
-    out: str | None = None
-    max_level: int | None = None
-    seed: int = ferro.DEFAULT_SEED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,25 +61,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
+    """Raise ValueError on a usage error; set the resolved ``mode`` (spectrum) and ``s`` (partition)."""
     if args.level < 0:
         raise ValueError("level must be nonnegative")
+    if args.max_level is not None and args.max_level < 0:
+        raise ValueError("--max-level must be nonnegative")
     top = farey.INT64_PRODUCT_MAX_LEVEL if args.command == "verify" else farey.INT64_MAX_LEVEL
     if args.level > top:
         raise ValueError(f"{args.command} is int64-exact only up to level {top}")
-    mode = getattr(args, "mode", None)
-    if mode is None and args.command == "spectrum":
-        mode = "exact" if args.level <= spectral.K_EXACT else "float"
-    if mode == "exact" and args.level > spectral.K_EXACT:
-        raise ValueError(
-            f"exact mode supports k <= {spectral.K_EXACT}; rerun with --mode float"
-        )
-    s = None
+    if args.command == "spectrum":
+        if args.mode is None:
+            args.mode = "exact" if args.level <= spectral.K_EXACT else "float"
+        if args.mode == "exact" and args.level > spectral.K_EXACT:
+            raise ValueError(
+                f"exact mode supports k <= {spectral.K_EXACT}; rerun with --mode float"
+            )
     if args.command == "partition":
         if not (math.isfinite(args.s_re) and math.isfinite(args.s_im)):
             raise ValueError("s must be finite")
-        s = complex(args.s_re, args.s_im)
-        if s.real <= 2:
+        args.s = complex(args.s_re, args.s_im)
+        if args.s.real <= 2:
             raise ValueError("partition requires Re(s) > 2")
         if not 0.0 <= args.t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
@@ -105,18 +90,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("verify needs level >= 1")
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise ValueError("tolerance must be finite and nonnegative")
-    return RunConfig(
-        command=args.command,
-        level=args.level,
-        mode=mode,
-        fmt=args.format,
-        tolerance=getattr(args, "tolerance", 1e-12),
-        s=s,
-        t=getattr(args, "t", None),
-        out=args.out,
-        max_level=args.max_level,
-        seed=getattr(args, "seed", ferro.DEFAULT_SEED),
-    )
 
 
 @contextlib.contextmanager
@@ -154,43 +127,40 @@ def _output(path):
         raise
 
 
-def cmd_generate(config: RunConfig, stream) -> int:
-    row = farey.extended_row(config.level, config.max_level)
-    if config.fmt == "csv":
+def cmd_generate(args: argparse.Namespace, stream) -> int:
+    row = farey.extended_row(args.level, args.max_level)
+    if args.format == "csv":
         farey.write_row_csv(row, stream)
     else:
         write_records(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
     return 0
 
 
-def cmd_spectrum(config: RunConfig, stream) -> int:
-    spectrum = spectral.interaction(config.level, config.mode, max_level=config.max_level)
-    if config.fmt == "csv":
+def cmd_spectrum(args: argparse.Namespace, stream) -> int:
+    spectrum = spectral.interaction(args.level, args.mode, max_level=args.max_level)
+    if args.format == "csv":
         spectral.write_spectrum_csv(spectrum, stream)
     else:
         write_records(spectral.SPECTRUM_FIELDS, spectral.spectrum_records(spectrum), stream, "json")
     return 0
 
 
-def cmd_verify(config: RunConfig, stream) -> int:
+def cmd_verify(args: argparse.Namespace, stream) -> int:
     reports = ferro.verify_suite(
-        config.level,
-        tol=config.tolerance,
-        seed=config.seed,
-        max_level=config.max_level,
+        args.level, tol=args.tolerance, seed=args.seed, max_level=args.max_level
     )
     rows = (tuple(r.to_dict().values()) for r in reports)
-    write_records(("name", "level", "pass", "margin", "witness"), rows, stream, config.fmt)
+    write_records(("name", "level", "pass", "margin", "witness"), rows, stream, args.format)
     return 0 if all_passed(reports) else 1
 
 
-def cmd_partition(config: RunConfig, stream) -> int:
-    result = zeta.partition_sum(config.level, config.s, config.t, config.max_level)
+def cmd_partition(args: argparse.Namespace, stream) -> int:
+    result = zeta.partition_sum(args.level, args.s, args.t, args.max_level)
     reference = None
-    if config.t == 1.0:
-        reference = 1.0 / zeta.zeta_oracle(config.s)
-    elif config.t == 0.0:
-        reference = zeta.zeta_oracle(config.s - 1) / zeta.zeta_oracle(config.s)
+    if args.t == 1.0:
+        reference = 1.0 / zeta.zeta_oracle(args.s)
+    elif args.t == 0.0:
+        reference = zeta.zeta_oracle(args.s - 1) / zeta.zeta_oracle(args.s)
     record = {
         "k": result.level,
         "s_re": result.s.real,
@@ -202,7 +172,7 @@ def cmd_partition(config: RunConfig, stream) -> int:
         "reference_value": None if reference is None else [reference.real, reference.imag],
         "discrepancy": None if reference is None else abs(result.value - reference),
     }
-    if config.fmt == "json":
+    if args.format == "json":
         # one object whose reference_value json.dump spreads over several lines
         json.dump(record, stream, indent=2)
         stream.write("\n")
@@ -223,12 +193,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        _check_args(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     try:
-        with _output(config.out) as stream:
-            return _HANDLERS[config.command](config, stream)
+        with _output(args.out) as stream:
+            return _HANDLERS[args.command](args, stream)
+    except farey.RowMemoryError as exc:
+        # raised before the row is allocated: the level cannot run on this machine
+        parser.error(str(exc))
     except Exception as exc:  # one line on stderr, never a traceback
         print(f"fareyspin: error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,10 @@ Level k holds 2^k + 1 fractions, built from 0/1 and 1/1 by inserting the
 mediant (a+c)/(b+d) between every adjacent pair a/b, c/d of the previous
 level.  Two independent routes compute the same numbers:
 
-* the extended-row mediant recursion over indices 0..2^k (``extended_row``),
+* the row route (``extended_row``): one buffer filled in place with Stern's
+  diatomic sequence a(2m) = a(m), a(2m+1) = a(m) + a(m+1), whose a(0..2^k)
+  are the level-k numerators and a(2^k..2^(k+1)) the denominators (Stern
+  1858; Northshield, Amer. Math. Monthly 2010),
 * the seeded complement-pair recursion evaluated per configuration
   (``seed_eval``), where seeds (1,1) give denominators and (0,1) numerators.
 
@@ -14,6 +17,7 @@ fraction sequence is increasing in the index.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
@@ -23,7 +27,7 @@ import numpy as np
 
 from .report import CheckReport, write_records
 
-# Default level cap: a full row at level 26 is 2^26 + 1 int64 pairs, ~1 GiB.
+# Default level cap: a full row at level 26 is one buffer of 2^27 + 1 int64, ~1 GiB.
 DEFAULT_MAX_LEVEL = 26
 # Highest levels at which int64 is exact, whatever the cap: the largest
 # denominator is Fibonacci(k+2), below 2^63 for k <= 90, and the adjacent
@@ -36,6 +40,10 @@ ROW_FIELDS = ("index", "numerator", "denominator", "value")
 
 class LevelTooLargeError(ValueError):
     """Requested level exceeds the configured level cap."""
+
+
+class RowMemoryError(LevelTooLargeError):
+    """The row of the requested level alone would exceed physical memory."""
 
 
 def _check_level(k: int) -> None:
@@ -125,13 +133,6 @@ class FareyRow:
         return Fraction(int(self.numerators[s]), int(self.denominators[s]))
 
 
-def _refine(values: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(values) - 1, dtype=np.int64)
-    out[0::2] = values
-    out[1::2] = values[:-1] + values[1:]
-    return out
-
-
 def _check_cap(k: int, max_level: int | None) -> None:
     _check_level(k)
     cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
@@ -142,16 +143,28 @@ def _check_cap(k: int, max_level: int | None) -> None:
 
 
 def extended_row(k: int, max_level: int | None = None) -> FareyRow:
-    """Build the level-k row bottom-up by the mediant recursion."""
+    """Build the level-k row as two views of one read-only Stern buffer a(0..2^(k+1)).
+
+    Block a(2^m..2^(m+1)) is the level-m denominator row, filled from the block
+    before it, so every entry is written once.  A buffer larger than physical
+    memory raises RowMemoryError before anything is allocated.
+    """
     _check_cap(k, max_level)
-    num = np.array([0, 1], dtype=np.int64)
-    den = np.array([1, 1], dtype=np.int64)
-    for _ in range(k):
-        num = _refine(num)
-        den = _refine(den)
-    num.setflags(write=False)
-    den.setflags(write=False)
-    return FareyRow(k, num, den)
+    size = (2 << k) + 1
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * size > have:
+        raise RowMemoryError(
+            f"the level-{k} row needs {8 * size} bytes, more than the {have} bytes of physical memory"
+        )
+    a = np.empty(size, dtype=np.int64)
+    a[:3] = 0, 1, 1
+    for m in range(k):
+        block, nxt = a[1 << m : (2 << m) + 1], a[2 << m : (4 << m) + 1]
+        # nxt[0] is block[-1], already written
+        nxt[2::2] = block[1:]
+        np.add(block[:-1], block[1:], out=nxt[1::2])
+    a.setflags(write=False)
+    return FareyRow(k, a[: (1 << k) + 1], a[1 << k :])
 
 
 def _row_blocks(k: int, j: int, max_level: int | None = None):
@@ -223,7 +236,7 @@ def verify_row(row: FareyRow) -> list[CheckReport]:
 
 
 def cross_check_routes(k: int, max_level: int | None = None) -> bool:
-    """True iff the mediant row and the seeded recursion agree at all 2^k indices."""
+    """True iff the Stern row and the seeded recursion agree at all 2^k indices."""
     row = extended_row(k, max_level)
     nums = row.numerators.tolist()
     dens = row.denominators.tolist()

@@ -22,7 +22,7 @@ from .spectral import K_EXACT, Spectrum, interaction, rational_wht
 DEFAULT_SEED = 1729
 
 
-def _values(k, mode, spectrum, tol, k_exact, max_level):
+def _values(k, mode, spectrum, tol):
     """The level-k coefficients as an array, the tolerance, and whether they are exact.
 
     Exact spectra become object arrays of Fractions, so each check runs the
@@ -32,7 +32,7 @@ def _values(k, mode, spectrum, tol, k_exact, max_level):
     if k < 1:
         raise ValueError("checks require level >= 1")
     if spectrum is None:
-        spectrum = interaction(k, mode, k_exact=k_exact, max_level=max_level)
+        spectrum = interaction(k, mode)
     elif spectrum.level != k:
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
     exact = spectrum.mode == "exact"
@@ -52,35 +52,29 @@ def _first_min(a):
     return i, a[i]
 
 
-def check_zero_coefficient(
-    k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
-) -> CheckReport:
+def check_zero_coefficient(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
-    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    vals, tol, exact = _values(k, mode, spectrum, tol)
     closed = -(1 - _pow2(-k, exact)) / 2
     error = abs(vals[0] - closed)
     return CheckReport("zero_coefficient", k, error <= tol, margin=error, witness=0)
 
 
-def check_nonnegativity(
-    k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
-) -> CheckReport:
+def check_nonnegativity(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
-    vals, tol, _ = _values(k, mode, spectrum, tol, k_exact, max_level)
+    vals, tol, _ = _values(k, mode, spectrum, tol)
     i, worst = _first_min(vals[1:])
     return CheckReport("off_zero_nonnegative", k, worst >= -tol, margin=worst, witness=i + 1)
 
 
-def check_extremes(
-    k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
-) -> CheckReport:
+def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """tau = 0 is the strict minimum and tau = (1,0,...,0) attains the maximum.
 
     Margin is the smaller of the two worst slacks (gap above the minimum, gap
     below the maximum); ties with the maximum are allowed, ties with the
     minimum are not.
     """
-    vals, _, _ = _values(k, mode, spectrum, tol, k_exact, max_level)
+    vals, _, _ = _values(k, mode, spectrum, tol)
     top_mask = 1 << (k - 1)
     i_min, min_slack = _first_min(vals[1:] - vals[0])
     gaps_max = vals[top_mask] - vals
@@ -94,31 +88,20 @@ def check_extremes(
     return CheckReport("extreme_masks", k, passed, margin=margin, witness=witness)
 
 
-def check_decay(
-    k, mode="exact", *, tol=None, spectrum=None, k_exact=K_EXACT, max_level=None
-) -> CheckReport:
+def check_decay(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
-    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    vals, tol, exact = _values(k, mode, spectrum, tol)
     idx = np.arange(1, 1 << k, dtype=np.int64)
     trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
     i, worst = _first_min(_pow2(trailing - k, exact) - vals[1:])
     return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=i + 1)
 
 
-def check_convergence(
-    k,
-    mode="exact",
-    *,
-    tol=None,
-    spectrum=None,
-    next_spectrum=None,
-    k_exact=K_EXACT,
-    max_level=None,
-) -> CheckReport:
+def check_convergence(k, mode="exact", *, tol=None, spectrum=None, next_spectrum=None) -> CheckReport:
     """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask."""
-    vals, tol, exact = _values(k, mode, spectrum, tol, k_exact, max_level)
+    vals, tol, exact = _values(k, mode, spectrum, tol)
     next_mode = "exact" if exact else "float"
-    nxt, _, next_exact = _values(k + 1, next_mode, next_spectrum, tol, k_exact, max_level)
+    nxt, _, next_exact = _values(k + 1, next_mode, next_spectrum, tol)
     if next_exact != exact:
         raise ValueError("convergence check needs both spectra in the same mode")
     # appending a zero bit doubles the mask, i.e. even indices one level up
@@ -155,19 +138,17 @@ def cone_observable(k: int) -> list[Fraction]:
     ]
 
 
-def check_cone_membership(k, *, k_exact=K_EXACT) -> CheckReport:
+def check_cone_membership(k) -> CheckReport:
     """All 2^k transform coefficients of the cone observable are >= 0, exactly."""
-    if k > k_exact:
-        raise ValueError(f"cone membership is an exact check; level capped at {k_exact}")
+    if k > K_EXACT:
+        raise ValueError(f"cone membership is an exact check; level capped at {K_EXACT}")
     i, worst = _first_min(np.asarray(rational_wht(cone_observable(k), normalize=True)))
     return CheckReport("cone_membership", k, worst >= 0, margin=worst, witness=i)
 
 
-def check_spectrum_decomposition(
-    k, *, spectrum=None, k_exact=K_EXACT, max_level=None
-) -> CheckReport:
+def check_spectrum_decomposition(k, *, spectrum=None) -> CheckReport:
     """Exact identity: coefficient(tau) = -1/2*[tau=0] + 1/2*transform(cone observable)(tau)."""
-    vals, _, exact = _values(k, "exact", spectrum, None, k_exact, max_level)
+    vals, _, exact = _values(k, "exact", spectrum, None)
     if not exact:
         raise ValueError("decomposition is an exact check")
     expected = np.asarray(rational_wht(cone_observable(k), normalize=True)) / 2
@@ -277,10 +258,10 @@ def check_cone_map_series(n_max: int = 40) -> CheckReport:
     return CheckReport("cone_map_series", n_max, bool(passed), margin=series_min)
 
 
-def check_cone_map_identities(k, *, k_exact=K_EXACT) -> CheckReport:
+def check_cone_map_identities(k) -> CheckReport:
     """Pointwise exact identities m1(w) = seeds(1,0)/seeds(1,2), m2(w) = seeds(0,-1)/seeds(2,1)."""
-    if not 1 <= k <= k_exact:
-        raise ValueError(f"identity check runs exactly for 1 <= k <= {k_exact}")
+    if not 1 <= k <= K_EXACT:
+        raise ValueError(f"identity check runs exactly for 1 <= k <= {K_EXACT}")
     witness = None
     for s in range(1 << k):
         w = Fraction(seed_eval(k, 1, -1, s), seed_eval(k, 1, 1, s))
@@ -337,16 +318,14 @@ def check_seed_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> Check
 def verify_suite(
     k_max: int = 12,
     *,
-    k_exact: int = K_EXACT,
     tol: float = 1e-12,
     trials: int = 1000,
     seed: int = DEFAULT_SEED,
-    series_degree: int = 40,
     max_level=None,
 ) -> list[CheckReport]:
     """Run every check for k = 1..k_max plus the level-free checks.
 
-    Levels up to k_exact run in exact mode with zero tolerance, higher levels
+    Levels up to K_EXACT run in exact mode with zero tolerance, higher levels
     in float mode with tolerance ``tol``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
     the dual-route row comparison at level 16.
@@ -357,10 +336,10 @@ def verify_suite(
 
     @functools.cache
     def spectrum_at(k: int, mode: str) -> Spectrum:
-        return interaction(k, mode, k_exact=k_exact, max_level=max_level)
+        return interaction(k, mode, max_level=max_level)
 
     for k in range(1, k_max + 1):
-        mode = "exact" if k <= k_exact else "float"
+        mode = "exact" if k <= K_EXACT else "float"
         reports.extend(verify_row(extended_row(k, max_level)))
         if k <= 16:
             reports.append(
@@ -370,15 +349,15 @@ def verify_suite(
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp, tol=tol))
         if k < k_max:
-            pair_mode = "exact" if k + 1 <= k_exact else "float"
+            pair_mode = "exact" if k + 1 <= K_EXACT else "float"
             pair = spectrum_at(k, pair_mode), spectrum_at(k + 1, pair_mode)
             reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1], tol=tol))
         if k <= 18:
             reports.append(check_reciprocal_sum(k, max_level=max_level))
         if mode == "exact":
-            reports.append(check_cone_membership(k, k_exact=k_exact))
-            reports.append(check_spectrum_decomposition(k, spectrum=sp, k_exact=k_exact))
-            reports.append(check_cone_map_identities(k, k_exact=k_exact))
-    reports.append(check_cone_map_series(series_degree))
+            reports.append(check_cone_membership(k))
+            reports.append(check_spectrum_decomposition(k, spectrum=sp))
+            reports.append(check_cone_map_identities(k))
+    reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))
     return reports

@@ -66,10 +66,17 @@ def write_records(fields, rows, stream, fmt) -> None:
         writer.writerows(rows)
         return
     encode = json.JSONEncoder().encode
+
+    def encode_value(v):
+        # json writes an int or a finite float as its repr; skip building an encoder for them
+        if type(v) is int or type(v) is float and math.isfinite(v):
+            return repr(v)
+        return encode(v)
+
     prefixes = [f"    {encode(name)}: " for name in fields]
     opening = separator = "[\n  {\n"
     for row in rows:
         stream.write(separator)
-        stream.write(",\n".join(map(add, prefixes, map(encode, row))))
+        stream.write(",\n".join(map(add, prefixes, map(encode_value, row))))
         separator = "\n  },\n  {\n"
     stream.write("[]\n" if separator is opening else "\n  }\n]\n")

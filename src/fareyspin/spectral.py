@@ -141,14 +141,12 @@ class Spectrum:
         return self.values[mask]
 
 
-def interaction(
-    k: int, mode: str = "exact", *, k_exact: int = K_EXACT, max_level: int | None = None
-) -> Spectrum:
+def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values."""
     if mode == "exact":
-        if k > k_exact:
+        if k > K_EXACT:
             raise ValueError(
-                f"exact mode supports levels up to {k_exact}; use float mode for level {k}"
+                f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}"
             )
         row = extended_row(k, max_level)
         fractions = [
@@ -199,15 +197,13 @@ class LimitEstimate:
     error_bound: float
 
 
-def limit_estimate(
-    tau, k: int, mode: str | None = None, *, k_exact: int = K_EXACT, max_level: int | None = None
-) -> LimitEstimate:
+def limit_estimate(tau, k: int, mode: str | None = None) -> LimitEstimate:
     """Evaluate the level-k coefficient at the projection of tau, with tail bound."""
     positions = tuple(sorted({int(p) for p in tau}))
     mask = tau_mask(positions, k)
     if mode is None:
-        mode = "exact" if k <= k_exact else "float"
-    spectrum = interaction(k, mode, k_exact=k_exact, max_level=max_level)
+        mode = "exact" if k <= K_EXACT else "float"
+    spectrum = interaction(k, mode)
     return LimitEstimate(positions, k, spectrum[mask], 2.0**-k)
 
 

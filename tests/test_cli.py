@@ -4,6 +4,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from fareyspin import cli
@@ -325,6 +326,68 @@ class TestInt64Guard:
     )
     def test_bound_itself_passes_the_guard(self, argv, capsys):
         assert cli.main([*argv, "--max-level", "100"]) == 1
+        assert "row allocation attempted" in capsys.readouterr().err
+
+
+class TestMaxLevelGuards:
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        # the memory guard runs inside extended_row just before its one np.empty;
+        # a broken guard must fail here, not allocate a row past physical memory
+        def refuse(*args, **kwargs):
+            raise RuntimeError("row allocation attempted")
+
+        monkeypatch.setattr(np, "empty", refuse)
+
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        values = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: values[name])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "-k", "3"],
+            ["spectrum", "-k", "3"],
+            ["verify", "-k", "3"],
+            ["partition", "-k", "3", "--s-re", "3"],
+        ],
+    )
+    def test_negative_override_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-level", "-1"])
+        assert exc.value.code == 2
+        assert "--max-level must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "-k", "40"], ["spectrum", "-k", "40", "--mode", "float"]],
+    )
+    def test_row_past_physical_memory_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-level", "40"])
+        assert exc.value.code == 2
+        assert "physical memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["generate", "-k", "1"], ["spectrum", "-k", "1"], ["verify", "-k", "3"]]
+    )
+    def test_guard_reads_physical_memory(self, argv, monkeypatch, capsys):
+        # the level-1 row is 8 * 5 bytes, one byte more than the patched physical memory
+        self.physical_memory(monkeypatch, 39)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "the level-1 row needs 40 bytes, more than the 39 bytes" in capsys.readouterr().err
+
+    def test_row_that_fits_exactly_is_allocated(self, monkeypatch, capsys):
+        self.physical_memory(monkeypatch, 40)
+        assert cli.main(["generate", "-k", "1"]) == 1
+        assert "row allocation attempted" in capsys.readouterr().err
+
+    def test_partition_is_exempt(self, capsys):
+        # partition streams the level-40 row from two level-20 rows
+        assert cli.main(["partition", "-k", "40", "--s-re", "3", "--max-level", "40"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
 

@@ -150,6 +150,44 @@ class TestExtendedRow:
             extended_row(-1)
 
 
+def two_chain_row(k):
+    """The mediant row as built before the Stern buffer: one refine chain each
+    for the numerators and the denominators."""
+
+    def refine(values):
+        out = np.empty(2 * len(values) - 1, dtype=np.int64)
+        out[0::2] = values
+        out[1::2] = values[:-1] + values[1:]
+        return out
+
+    num = np.array([0, 1], dtype=np.int64)
+    den = np.array([1, 1], dtype=np.int64)
+    for _ in range(k):
+        num, den = refine(num), refine(den)
+    return num, den
+
+
+class TestSternRow:
+    @pytest.mark.parametrize("k", [*range(21), 24])
+    def test_equals_the_two_chain_row(self, k):
+        row = extended_row(k)
+        num, den = two_chain_row(k)
+        assert row.numerators.dtype == row.denominators.dtype == np.int64
+        assert np.array_equal(row.numerators, num)
+        assert np.array_equal(row.denominators, den)
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_one_read_only_buffer(self, k):
+        row = extended_row(k)
+        buffer = row.numerators.base
+        assert buffer is row.denominators.base
+        assert buffer.nbytes == 8 * ((2 << k) + 1)
+        for view in (row.numerators, row.denominators):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("k", range(0, 15))
     def test_blocks_concatenate_to_row(self, k):
