@@ -8,8 +8,13 @@ level.  Two independent routes compute the same numbers:
   diatomic sequence a(2m) = a(m), a(2m+1) = a(m) + a(m+1), whose a(0..2^k)
   are the level-k numerators and a(2^k..2^(k+1)) the denominators (Stern
   1858; Northshield, Amer. Math. Monthly 2010),
-* the seeded complement-pair recursion evaluated per configuration
-  (``seed_eval``), where seeds (1,1) give denominators and (0,1) numerators.
+* the seeded complement-pair recursion (``seed_eval`` per configuration,
+  ``seed_values`` for all 2^k configurations at once in int64, exact while
+  max(|s0|, |s1|) * Fibonacci(k+2) < 2^63 and refused beyond), where seeds
+  (1,1) give denominators and (0,1) numerators.
+
+The level-K buffer holds every lower row as well (``FareyRow.prefix``), so a
+sweep over levels 1..K builds one buffer.
 
 Configurations sigma in (Z/2Z)^k are encoded as integers with sigma_1 as the
 most significant bit, so integer order equals lexicographic order and the
@@ -113,6 +118,32 @@ def seed_eval(k: int, s0, s1, s: int):
     return a
 
 
+def seed_values(k: int, s0: int, s1: int) -> np.ndarray:
+    """seed_eval(k, s0, s1, s) for every s in 0..2^k-1, as one int64 array.
+
+    Runs the recursion one bit at a time, most significant first, over all
+    indices at once: at bit i the indices with that bit set form the second
+    half of each 2^(i+1)-entry block, and each half is updated in place.  Every
+    value and its complement are bounded by max(|s0|, |s1|) * Fibonacci(k+2),
+    the largest level-k denominator times the largest seed; a bound of 2^63 or
+    more raises ValueError, so the result is always exact (seeds in {-1, 0, 1}
+    reach level INT64_MAX_LEVEL).
+    """
+    _check_level(k)
+    fib, fib_next = 1, 1  # Fibonacci(1), Fibonacci(2)
+    for _ in range(k):
+        fib, fib_next = fib_next, fib + fib_next
+    if max(abs(s0), abs(s1)) * fib_next >= 1 << 63:
+        raise ValueError(f"seeds ({s0}, {s1}) overflow int64 at level {k}")
+    a = np.full(1 << k, s0, dtype=np.int64)
+    b = np.full(1 << k, s1, dtype=np.int64)
+    for i in range(k - 1, -1, -1):
+        a_blocks, b_blocks = a.reshape(-1, 2, 1 << i), b.reshape(-1, 2, 1 << i)
+        a_blocks[:, 1] += b_blocks[:, 1]  # bit set: a += b
+        b_blocks[:, 0] += a_blocks[:, 0]  # bit clear: b += a
+    return a
+
+
 @dataclass(frozen=True)
 class FareyRow:
     """Extended level-k row: numerators and denominators over indices 0..2^k.
@@ -127,6 +158,19 @@ class FareyRow:
     @property
     def size(self) -> int:
         return (1 << self.level) + 1
+
+    def prefix(self, m: int) -> FareyRow:
+        """The level-m row, 0 <= m <= level, as views of this row's numerators.
+
+        The numerators are Stern's a(0..2^k), and a(0..2^m) and a(2^m..2^(m+1))
+        are the level-m numerators and denominators.
+        """
+        if not 0 <= m <= self.level:
+            raise ValueError(f"level {m} is not a prefix of level {self.level}")
+        if m == self.level:
+            return self
+        num = self.numerators
+        return FareyRow(m, num[: (1 << m) + 1], num[1 << m : (2 << m) + 1])
 
     def fraction(self, s: int) -> Fraction:
         _check_index(self.level, s, extended=True)
@@ -147,12 +191,17 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
 
     Block a(2^m..2^(m+1)) is the level-m denominator row, filled from the block
     before it, so every entry is written once.  A buffer larger than physical
-    memory raises RowMemoryError before anything is allocated.
+    memory raises RowMemoryError before anything is allocated; where the
+    physical memory cannot be read (no os.sysconf or no SC_PHYS_PAGES, that is
+    off POSIX systems) the row is allocated unchecked.
     """
     _check_cap(k, max_level)
     size = (2 << k) + 1
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * size > have:
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        have = None
+    if have is not None and 8 * size > have:
         raise RowMemoryError(
             f"the level-{k} row needs {8 * size} bytes, more than the {have} bytes of physical memory"
         )
@@ -235,24 +284,16 @@ def verify_row(row: FareyRow) -> list[CheckReport]:
     return reports
 
 
-def cross_check_routes(k: int, max_level: int | None = None) -> bool:
-    """True iff the Stern row and the seeded recursion agree at all 2^k indices."""
-    row = extended_row(k, max_level)
-    nums = row.numerators.tolist()
-    dens = row.denominators.tolist()
-    for s in range(1 << k):
-        a, b = 0, 1
-        c, d = 1, 1
-        for i in range(k - 1, -1, -1):
-            if (s >> i) & 1:
-                a += b
-                c += d
-            else:
-                b += a
-                d += c
-        if a != nums[s] or c != dens[s]:
-            return False
-    return True
+def cross_check_routes(k: int | FareyRow, max_level: int | None = None) -> bool:
+    """True iff the Stern row and the seeded recursion agree at all 2^k indices.
+
+    ``k`` is a level, whose row is built, or a FareyRow to check.
+    """
+    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
+    nums, dens = row.numerators[:-1], row.denominators[:-1]
+    return np.array_equal(seed_values(row.level, 0, 1), nums) and np.array_equal(
+        seed_values(row.level, 1, 1), dens
+    )
 
 
 def row_records(row: FareyRow):

@@ -12,10 +12,20 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from .farey import cross_check_routes, extended_row, seed_eval, seed_pair, verify_row
+from .farey import (
+    FareyRow,
+    _first_failure,
+    cross_check_routes,
+    extended_row,
+    seed_eval,
+    seed_pair,
+    seed_values,
+    verify_row,
+)
 from .report import CheckReport
 from .spectral import K_EXACT, Spectrum, interaction, rational_wht
 
@@ -91,10 +101,17 @@ def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
 def check_decay(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
     vals, tol, exact = _values(k, mode, spectrum, tol)
-    idx = np.arange(1, 1 << k, dtype=np.int64)
-    trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
-    i, worst = _first_min(_pow2(trailing - k, exact) - vals[1:])
-    return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=i + 1)
+    # The masks with t trailing zeros, vals[2^t :: 2^(t+1)], share the bound
+    # 2^(t-k).  The first minimum of each class, taken again in index order,
+    # is argmin's pick over all masks, NaN first included.
+    firsts = []
+    for t in range(k):
+        j, slack = _first_min(_pow2(t - k, exact) - vals[1 << t :: 2 << t])
+        firsts.append(((1 << t) + (j << (t + 1)), slack))
+    firsts.sort(key=lambda first: first[0])
+    i, worst = _first_min(np.array([slack for _, slack in firsts]))
+    witness = firsts[i][0]
+    return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=witness)
 
 
 def check_convergence(k, mode="exact", *, tol=None, spectrum=None, next_spectrum=None) -> CheckReport:
@@ -109,20 +126,30 @@ def check_convergence(k, mode="exact", *, tol=None, spectrum=None, next_spectrum
     return CheckReport("level_increment", k, worst >= -tol, margin=worst, witness=i)
 
 
-def reciprocal_sum(k: int, max_level=None) -> Fraction:
-    """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1."""
-    if k < 1:
+def reciprocal_sum(k: int | FareyRow, max_level=None) -> Fraction:
+    """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1.
+
+    ``k`` is a level, whose row is built, or the FareyRow of that level.  The
+    sum is kept as a reduced integer pair p/q, one gcd per term.
+    """
+    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
+    if row.level < 1:
         raise ValueError("reciprocal_sum requires level >= 1")
-    dens = extended_row(k, max_level).denominators.tolist()
-    total = Fraction(0)
-    for s in range(1 << k):
-        total += Fraction(1, dens[s] * dens[s + 1])
-    return total
+    dens = row.denominators.tolist()
+    p, q = 0, 1
+    for d, d_next in zip(dens, dens[1:]):
+        m = d * d_next
+        p, q = p * m + q, q * m
+        g = gcd(p, q)
+        p, q = p // g, q // g
+    return Fraction(p, q)
 
 
 def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
-    total = reciprocal_sum(k, max_level)
-    return CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))
+    """The reciprocal-sum identity at a level, or on a FareyRow of that level."""
+    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
+    total = reciprocal_sum(row)
+    return CheckReport("reciprocal_sum", row.level, total == 1, margin=abs(total - 1))
 
 
 def cone_observable(k: int) -> list[Fraction]:
@@ -133,9 +160,7 @@ def cone_observable(k: int) -> list[Fraction]:
     """
     if k < 1:
         raise ValueError("cone_observable requires level >= 1")
-    return [
-        Fraction(seed_eval(k, 1, -1, s), seed_eval(k, 1, 1, s)) for s in range(1 << k)
-    ]
+    return list(map(Fraction, seed_values(k, 1, -1).tolist(), seed_values(k, 1, 1).tolist()))
 
 
 def check_cone_membership(k) -> CheckReport:
@@ -259,17 +284,22 @@ def check_cone_map_series(n_max: int = 40) -> CheckReport:
 
 
 def check_cone_map_identities(k) -> CheckReport:
-    """Pointwise exact identities m1(w) = seeds(1,0)/seeds(1,2), m2(w) = seeds(0,-1)/seeds(2,1)."""
+    """Pointwise exact identities m1(w) = seeds(1,0)/seeds(1,2), m2(w) = seeds(0,-1)/seeds(2,1).
+
+    With w = A/B, m1(w) = (A+B)/(3B-A) and m2(w) = (A-B)/(A+3B), so the
+    identities are (A+B)*D == (3B-A)*C and (A-B)*F == (A+3B)*E over nonzero
+    denominators B, D, 3B-A, A+3B and F.  The witness is the first index where
+    one fails.
+    """
     if not 1 <= k <= K_EXACT:
         raise ValueError(f"identity check runs exactly for 1 <= k <= {K_EXACT}")
-    witness = None
-    for s in range(1 << k):
-        w = Fraction(seed_eval(k, 1, -1, s), seed_eval(k, 1, 1, s))
-        m1_holds = (w + 1) / (3 - w) == Fraction(seed_eval(k, 1, 0, s), seed_eval(k, 1, 2, s))
-        m2_holds = (w - 1) / (w + 3) == Fraction(seed_eval(k, 0, -1, s), seed_eval(k, 2, 1, s))
-        if not (m1_holds and m2_holds):
-            witness = s
-            break
+    a, b, c, d, e, f = (
+        seed_values(k, s0, s1) for s0, s1 in ((1, -1), (1, 1), (1, 0), (1, 2), (0, -1), (2, 1))
+    )
+    m1_den, m2_den = 3 * b - a, a + 3 * b
+    holds = (b != 0) & (d != 0) & (m1_den != 0) & (m2_den != 0) & (f != 0)
+    holds &= ((a + b) * d == m1_den * c) & ((a - b) * f == m2_den * e)
+    witness = _first_failure(holds)
     return CheckReport(
         "cone_map_identities", k, witness is None, margin=Fraction(0), witness=witness
     )
@@ -328,23 +358,27 @@ def verify_suite(
     Levels up to K_EXACT run in exact mode with zero tolerance, higher levels
     in float mode with tolerance ``tol``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
-    the dual-route row comparison at level 16.
+    the dual-route row comparison at level 16.  Every level's row is a prefix
+    of one level-k_max Stern buffer, built first, so a k_max whose row does not
+    fit in memory is refused before any check runs.  The seeded route runs in
+    int64 (``seed_values``), which raises rather than overflows; for the row
+    seeds (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    top = extended_row(k_max, max_level)
     reports: list[CheckReport] = []
 
     @functools.cache
     def spectrum_at(k: int, mode: str) -> Spectrum:
-        return interaction(k, mode, max_level=max_level)
+        return interaction(top.prefix(k), mode)
 
     for k in range(1, k_max + 1):
         mode = "exact" if k <= K_EXACT else "float"
-        reports.extend(verify_row(extended_row(k, max_level)))
+        row = top.prefix(k)
+        reports.extend(verify_row(row))
         if k <= 16:
-            reports.append(
-                CheckReport("dual_route_agreement", k, cross_check_routes(k, max_level))
-            )
+            reports.append(CheckReport("dual_route_agreement", k, cross_check_routes(row)))
         sp = spectrum_at(k, mode)
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp, tol=tol))
@@ -353,7 +387,7 @@ def verify_suite(
             pair = spectrum_at(k, pair_mode), spectrum_at(k + 1, pair_mode)
             reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1], tol=tol))
         if k <= 18:
-            reports.append(check_reciprocal_sum(k, max_level=max_level))
+            reports.append(check_reciprocal_sum(row))
         if mode == "exact":
             reports.append(check_cone_membership(k))
             reports.append(check_spectrum_decomposition(k, spectrum=sp))

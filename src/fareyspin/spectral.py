@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .farey import extended_row
+from .farey import FareyRow, extended_row
 from .report import write_records
 
 # Exact-path level cap: 4096 entries keeps rational transforms instantaneous.
@@ -141,28 +141,33 @@ class Spectrum:
         return self.values[mask]
 
 
-def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) -> Spectrum:
-    """Interaction coefficients: the negated normalized transform of the level-k values."""
+def interaction(
+    k: int | FareyRow, mode: str = "exact", *, max_level: int | None = None
+) -> Spectrum:
+    """Interaction coefficients: the negated normalized transform of the level-k values.
+
+    ``k`` is a level, whose row is built, or the FareyRow of that level.
+    """
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    level = k.level if isinstance(k, FareyRow) else k
+    if mode == "exact" and level > K_EXACT:
+        raise ValueError(
+            f"exact mode supports levels up to {K_EXACT}; use float mode for level {level}"
+        )
+    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
     if mode == "exact":
-        if k > K_EXACT:
-            raise ValueError(
-                f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}"
-            )
-        row = extended_row(k, max_level)
         fractions = [
             Fraction(int(n), int(d))
             for n, d in zip(row.numerators[:-1].tolist(), row.denominators[:-1].tolist())
         ]
         transformed = rational_wht(fractions, normalize=True)
-        return Spectrum(k, "exact", [-v for v in transformed])
-    if mode == "float":
-        row = extended_row(k, max_level)
-        values = row.numerators[:-1] / row.denominators[:-1]
-        fwht(values, normalize=True)
-        np.negative(values, out=values)
-        values.setflags(write=False)
-        return Spectrum(k, "float", values)
-    raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+        return Spectrum(level, "exact", [-v for v in transformed])
+    values = row.numerators[:-1] / row.denominators[:-1]
+    fwht(values, normalize=True)
+    np.negative(values, out=values)
+    values.setflags(write=False)
+    return Spectrum(level, "float", values)
 
 
 def max_support(mask: int, k: int) -> int:

@@ -232,3 +232,24 @@ def test_exact_mode_admits_zero_tolerance(spectra):
     sp = type(spectra[k, "exact"])(k, "exact", values)
     report = check_nonnegativity(k, spectrum=sp, tol=1e-12)
     assert not report.passed and report.margin == Fraction(-1, 10**15)
+
+
+@pytest.mark.parametrize("k", [5, 16])
+@pytest.mark.parametrize("mask", [3, 8], ids=["odd", "three_trailing_zeros"])
+def test_nan_coefficient_fails_at_its_index(spectra, k, mask):
+    # argmin picks the first NaN, so every check reading the entry fails there
+    floats = spectra[k, "float"].values.copy()
+    floats[mask] = np.nan
+    sp = type(spectra[k, "float"])(k, "float", floats)
+    nxt = spectra[k + 1, "float"]
+    pairs = [
+        (check_nonnegativity(k, spectrum=sp), ref_nonnegativity(k, sp)),
+        (check_extremes(k, spectrum=sp), ref_extremes(k, sp)),
+        (check_decay(k, spectrum=sp), ref_decay(k, sp)),
+        (check_convergence(k, spectrum=sp, next_spectrum=nxt), ref_convergence(k, sp, nxt)),
+    ]
+    for new, old in pairs:
+        assert not new.passed and new.witness == mask
+        assert (new.name, new.passed, new.witness) == (old.name, old.passed, old.witness)
+        assert np.isnan(new.margin) and np.isnan(old.margin)
+        assert type(new.margin) is type(old.margin)

@@ -369,9 +369,7 @@ class TestMaxLevelGuards:
         assert exc.value.code == 2
         assert "physical memory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv", [["generate", "-k", "1"], ["spectrum", "-k", "1"], ["verify", "-k", "3"]]
-    )
+    @pytest.mark.parametrize("argv", [["generate", "-k", "1"], ["spectrum", "-k", "1"]])
     def test_guard_reads_physical_memory(self, argv, monkeypatch, capsys):
         # the level-1 row is 8 * 5 bytes, one byte more than the patched physical memory
         self.physical_memory(monkeypatch, 39)
@@ -379,6 +377,18 @@ class TestMaxLevelGuards:
             cli.main(argv)
         assert exc.value.code == 2
         assert "the level-1 row needs 40 bytes, more than the 39 bytes" in capsys.readouterr().err
+
+    def test_verify_is_refused_before_any_check(self, monkeypatch, capsys):
+        # the sweep's one buffer is the level-3 row, 8 * 17 bytes; the rows of
+        # levels 1 and 2 would fit, but none is built and no check runs
+        self.physical_memory(monkeypatch, 135)
+        checked = []
+        monkeypatch.setattr(cli.ferro, "verify_row", checked.append)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-k", "3"])
+        assert exc.value.code == 2
+        assert "the level-3 row needs 136 bytes, more than the 135 bytes" in capsys.readouterr().err
+        assert checked == []
 
     def test_row_that_fits_exactly_is_allocated(self, monkeypatch, capsys):
         self.physical_memory(monkeypatch, 40)

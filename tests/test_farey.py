@@ -1,4 +1,5 @@
 import io
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from fareyspin import (
     verify_row,
     write_row_csv,
 )
-from fareyspin.farey import FareyRow, _row_blocks
+from fareyspin.farey import FareyRow, _row_blocks, seed_values
 
 # Reference rows 0..4, frozen from the mediant construction by hand.
 ROWS = {
@@ -186,6 +187,57 @@ class TestSternRow:
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view.setflags(write=True)
+
+
+class TestPrefix:
+    def test_every_lower_row_is_a_view_of_one_buffer(self):
+        top = extended_row(12)
+        for m in range(13):
+            row, own = top.prefix(m), extended_row(m)
+            assert row.level == m
+            assert np.array_equal(row.numerators, own.numerators)
+            assert np.array_equal(row.denominators, own.denominators)
+            assert row.numerators.base is row.denominators.base is top.numerators.base
+            assert not (row.numerators.flags.writeable or row.denominators.flags.writeable)
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_rejects_levels_outside_the_row(self, m):
+        with pytest.raises(ValueError):
+            extended_row(3).prefix(m)
+
+
+class TestSeedValues:
+    @pytest.mark.parametrize("seeds", [(0, 1), (1, 1), (1, -1), (2, 1), (7, -4), (-3, 5)])
+    def test_matches_seed_eval(self, seeds):
+        for k in range(11):
+            values = seed_values(k, *seeds)
+            assert values.dtype == np.int64
+            assert values.tolist() == [seed_eval(k, *seeds, s) for s in range(1 << k)]
+
+    def test_int64_bound(self, monkeypatch):
+        # max(|s0|, |s1|) * Fibonacci(k + 2) < 2^63 passes; Fibonacci(92) < 2^63 < 2 * Fibonacci(92)
+        def refuse(*args, **kwargs):
+            raise RuntimeError("allocation attempted")
+
+        monkeypatch.setattr(np, "full", refuse)
+        with pytest.raises(RuntimeError):
+            seed_values(90, 1, -1)
+        for args in [(91, 1, 1), (90, 2, 1), (90, 0, -2)]:
+            with pytest.raises(ValueError, match="overflow int64"):
+                seed_values(*args)
+
+
+class TestMemoryGuardOffPosix:
+    def test_no_sysconf_allocates(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        assert np.array_equal(extended_row(4).numerators, two_chain_row(4)[0])
+
+    def test_no_physical_pages_allocates(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert np.array_equal(extended_row(4).denominators, two_chain_row(4)[1])
 
 
 class TestRowBlocks:
