@@ -224,13 +224,15 @@ def _row_blocks(k: int, j: int, max_level: int | None = None):
     entries c and c+1 of the level-(k-j) row is the level-j row with
     n/d -> ((d-n)*x + n*x') / ((d-n)*y + n*y'), and d - n is the level-j
     numerator read backwards.  So block c needs only those two neighbours and
-    the level-j numerators, and the full level-k row is never held.  The level
-    cap applies to k.
+    the level-j numerators, and the full level-k row is never held.  Both rows
+    are prefixes of one Stern buffer of level max(j, k-j).  The level cap
+    applies to k.
     """
     _check_cap(k, max_level)
-    base = extended_row(j).numerators
+    row = extended_row(max(j, k - j))
+    base = row.prefix(j).numerators
     head, tail = base[:-1], base[:0:-1]
-    coarse = extended_row(k - j)
+    coarse = row.prefix(k - j)
     nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
     for c in range(1 << (k - j)):
         yield (

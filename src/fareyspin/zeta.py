@@ -10,8 +10,10 @@ zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
 by a closed-form tail.  The sum streams the row in blocks of 2^20 entries,
 each built on demand from two neighbours of a coarser row, so it never holds
-the full level-k row.  zeta itself is evaluated by an Euler-Maclaurin oracle
-that is independent of the Farey machinery.
+the full level-k row.  Each block is summed exactly and rounded once, which
+gives the bits of math.fsum over the block without turning its terms into
+Python floats.  zeta itself is evaluated by an Euler-Maclaurin oracle that is
+independent of the Farey machinery.
 """
 from __future__ import annotations
 
@@ -26,10 +28,15 @@ import numpy as np
 from .farey import _row_blocks, extended_row
 from .report import CheckReport
 
-# Deterministic chunks of 2^_CHUNK_LEVEL entries: partial sums are compensated
-# per chunk (math.fsum) and combined with one more compensated pass, so results
-# are reproducible and accurate to a few ulps regardless of level.
+# Deterministic chunks of 2^_CHUNK_LEVEL entries: each chunk's sum is exact and
+# rounded once (the value math.fsum gives), and the chunk sums are combined by
+# math.fsum, so results are reproducible and correctly rounded per chunk
+# regardless of level.  Terms are formed and binned 2^_SUB_LEVEL at a time.
 _CHUNK_LEVEL = 20
+_SUB_LEVEL = 14
+_BINS = 2 << 12  # (real or imaginary, sign, exponent field)
+_FRACTION_MASK = (1 << 52) - 1
+_LOW_MASK = (1 << 26) - 1
 
 
 def totient_sieve(n_max: int) -> np.ndarray:
@@ -156,24 +163,82 @@ class PartitionEval:
     tail_bound: float
 
 
-def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
-    """Z_k(s, t) streamed over the level-k row with compensated accumulation.
+def _exact_sum(blocks) -> tuple[float, float]:
+    """Correctly rounded sums of the real and of the imaginary parts of a stream
+    of contiguous complex128 arrays.
 
-    Requires Re(s) > 2 and 0 <= t <= 1.  The result is the exact level-k
-    partial sum of the limiting series, up to double-precision roundoff.
+    A finite float64 with sign bit b, exponent field e and 52-bit fraction f
+    is (-1)^b * (f + [e > 0] * 2^52) * 2^(max(e, 1) - 1075).  Each part is
+    binned by (real or imaginary, b, e): a count, and the high and low 26 bits
+    of f as float64 sums, which stay exact integers for up to 2^27 entries.
+    The bins fold into one Python int per part that is rounded once by
+    correctly rounded int division, so each result has the bits of math.fsum
+    over that part.  A non-finite part raises ValueError; a sum beyond the
+    float range raises OverflowError, as math.fsum does.
+    """
+    counts = np.zeros(_BINS, dtype=np.int64)
+    high = np.zeros(_BINS)
+    low = np.zeros(_BINS)
+    for block in blocks:
+        bits = block.view(np.int64)  # real and imaginary parts interleaved
+        key = (bits.view(np.uint64) >> 52).view(np.int64)  # sign and exponent field
+        key[1::2] += 1 << 12  # imaginary parts take the upper half of the bins
+        fraction = bits & _FRACTION_MASK
+        # float64 weights: bincount converts int64 weights far more slowly
+        counts += np.bincount(key, minlength=_BINS)
+        high += np.bincount(key, (fraction >> 26).astype(np.float64), minlength=_BINS)
+        low += np.bincount(key, (fraction & _LOW_MASK).astype(np.float64), minlength=_BINS)
+    totals = [0, 0]
+    for key in np.flatnonzero(counts).tolist():
+        exponent = key & 0x7FF
+        if exponent == 0x7FF:  # inf or nan
+            raise ValueError("cannot sum a non-finite value")
+        mantissa = (int(high[key]) << 26) + int(low[key])
+        if exponent:
+            mantissa += int(counts[key]) << 52
+        if key & 0x800:
+            mantissa = -mantissa
+        totals[key >> 12] += mantissa << (max(exponent, 1) - 1)
+    return totals[0] / (1 << 1074), totals[1] / (1 << 1074)
+
+
+def _terms(num: np.ndarray, den: np.ndarray, s: complex, t: float) -> np.ndarray:
+    h = den.astype(np.float64)
+    return np.exp(2j * np.pi * t * (1.0 - num / h) - s * np.log(h))
+
+
+def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
+    """Z_k(s, t) streamed over the level-k row, each 2^20-entry chunk summed exactly.
+
+    Requires a finite s with Re(s) > 2 and 0 <= t <= 1.  The result is the
+    exact level-k partial sum of the limiting series, up to double-precision
+    roundoff.  A term that is not finite (Im(s) * log(den) can overflow)
+    raises ValueError.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"partition sum needs a finite s, got s = {s}")
     if s.real <= 2:
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    sub = 1 << _SUB_LEVEL
     real_parts, imag_parts = [], []
-    for num, den in _row_blocks(k, min(k, _CHUNK_LEVEL), max_level):
-        h = den.astype(np.float64)
-        phase = 2j * np.pi * t * (1.0 - num / h)
-        terms = np.exp(phase - s * np.log(h))
-        real_parts.append(math.fsum(terms.real.tolist()))
-        imag_parts.append(math.fsum(terms.imag.tolist()))
+    # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
+    with np.errstate(all="ignore"):
+        for num, den in _row_blocks(k, min(k, _CHUNK_LEVEL), max_level):
+            sub_blocks = (
+                _terms(num[lo : lo + sub], den[lo : lo + sub], s, t)
+                for lo in range(0, len(num), sub)
+            )
+            try:
+                re, im = _exact_sum(sub_blocks)
+            except ValueError:
+                raise ValueError(
+                    f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}"
+                ) from None
+            real_parts.append(re)
+            imag_parts.append(im)
     value = complex(math.fsum(real_parts), math.fsum(imag_parts))
     return PartitionEval(k, s, float(t), value, tail_bound(k, s.real))
 

@@ -201,6 +201,17 @@ class TestPartition:
         assert exc.value.code == 2
 
 
+    def test_overflowing_term_exits_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        argv = ["partition", "-k", "6", "--s-re", "3", "--s-im", "1e308", "--t", "0.5"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fareyspin: error: ") and captured.err.count("\n") == 1
+        assert "non-finite term" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,15 +1,22 @@
-"""The vectorized and integer kernels of the verify sweep against kept copies
-of the per-index loops they replaced.
+"""The vectorized and integer kernels against kept copies of the per-index
+loops they replaced.
 
 The seeded route once ran seed_eval per index, the reciprocal sum added
 Fractions one at a time, and the cone-map identities compared Fractions per
 index.  The copies below are that code, unchanged apart from taking the row
 where it built one; the new kernels must give equal results, report margins
-and witnesses included, margin type too.
+and witnesses included, margin type too.  The partition sum's exact chunk sum
+replaced math.fsum over a list of Python floats and must give its bits, the
+sign of zero included.
 """
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fareyspin import (
     FareyRow,
@@ -22,7 +29,7 @@ from fareyspin import (
     reciprocal_sum,
     seed_eval,
 )
-from fareyspin import farey, ferro, spectral
+from fareyspin import farey, ferro, spectral, zeta
 from fareyspin.report import CheckReport
 
 
@@ -180,3 +187,94 @@ def test_suite_builds_one_row(monkeypatch):
         monkeypatch.setattr(owner, "extended_row", spy)
     assert all(r.passed for r in ferro.verify_suite(14))
     assert built == [14]
+
+
+SUB = 1 << zeta._SUB_LEVEL
+
+# every finite float64 from the subnormals up to 2^900, so that no sum of a few
+# hundred thousand of them leaves the float range
+FINITE = st.one_of(
+    st.floats(min_value=-(2.0**900), max_value=2.0**900),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1075, 900)),
+)
+
+
+def assert_same_float(new, old):
+    assert new == old and math.copysign(1.0, new) == math.copysign(1.0, old)
+
+
+def assert_sums_like_fsum(parts):
+    """The exact sums of the complex column with real and imaginary parts
+    parts[:, 0] and parts[:, 1], in one block and in sub-blocks as
+    partition_sum forms them, against math.fsum over each part's Python floats."""
+    parts = np.ascontiguousarray(parts, dtype=np.float64).reshape(-1, 2)
+    z = parts.view(np.complex128).ravel()
+    old = [math.fsum(parts[:, c].tolist()) for c in (0, 1)]
+    for new in (
+        zeta._exact_sum([z]),
+        zeta._exact_sum(z[lo : lo + SUB] for lo in range(0, len(z), SUB)),
+    ):
+        assert_same_float(new[0], old[0])
+        assert_same_float(new[1], old[1])
+
+
+class TestExactSum:
+    @settings(deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 64), st.just(2)), elements=FINITE))
+    def test_matches_fsum(self, parts):
+        assert_sums_like_fsum(parts)
+
+    @settings(deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)), elements=FINITE), st.randoms())
+    def test_exact_cancellation_is_positive_zero(self, parts, rnd):
+        pairs = np.concatenate([parts, -parts])
+        order = list(range(len(pairs)))
+        rnd.shuffle(order)
+        assert_sums_like_fsum(pairs[order])
+        for total in zeta._exact_sum([pairs[order].view(np.complex128).ravel()]):
+            assert_same_float(total, 0.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(FINITE, min_size=1, max_size=12),
+        st.one_of(
+            st.sampled_from([0, 1, SUB - 1, SUB, SUB + 1, 3 * SUB + 7]),
+            st.integers(0, 4 * SUB),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_long_columns_across_sub_blocks(self, pool, length, seed, cancel):
+        rng = np.random.default_rng(seed)
+        parts = rng.choice(np.array(pool), size=(length, 2))
+        if cancel:
+            parts = rng.permutation(np.concatenate([parts, -parts]))
+        assert_sums_like_fsum(parts)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, SUB - 1, SUB + 3])
+    def test_zeros_keep_the_sign_fsum_gives(self, length):
+        assert_sums_like_fsum(np.full((length, 2), -0.0))
+        assert_sums_like_fsum(np.zeros((length, 2)))
+        assert_sums_like_fsum(np.tile([0.0, -0.0], (length, 1)))
+
+    def test_extremes(self):
+        tiny, huge = 5e-324, 2.0**1023
+        assert_sums_like_fsum([[tiny, huge], [-tiny, tiny], [tiny, -huge]])
+        assert_sums_like_fsum([[1.0, -1.0], [2.0**-53, -(2.0**-53)], [2.0**-106, -(2.0**-106)]])
+
+    def test_no_blocks_sum_to_zero(self):
+        for total in zeta._exact_sum([]):
+            assert_same_float(total, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_part_is_refused(self, bad):
+        for z in ([1.0, complex(bad, 0.25)], [0.5, complex(0.25, bad)]):
+            with pytest.raises(ValueError, match="non-finite"):
+                zeta._exact_sum([np.array(z, dtype=np.complex128)])
+
+    def test_sum_beyond_the_float_range_overflows_like_fsum(self):
+        parts = [1.7e308, 1.7e308]
+        with pytest.raises(OverflowError):
+            math.fsum(parts)
+        with pytest.raises(OverflowError):
+            zeta._exact_sum([np.array(parts, dtype=np.complex128)])

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +159,20 @@ class TestPartitionSum:
         with pytest.raises(ValueError):
             partition_sum(4, 3.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "s", [math.inf, -math.inf, complex(3, math.nan), complex(math.nan, 0), complex(3, -math.inf)]
+    )
+    def test_non_finite_s_is_refused(self, s):
+        with pytest.raises(ValueError, match="finite s"):
+            partition_sum(4, s, 0.0)
+
+    def test_overflowing_term_is_refused_without_a_warning(self):
+        # Im(s) * log(den) overflows for every den > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite term"):
+                partition_sum(6, 3 + 1e308j, 0.5)
+
     def test_tail_bound_attached(self):
         result = partition_sum(6, 3.5, 0.25)
         assert result.tail_bound == tail_bound(6, 3.5)
@@ -216,6 +232,21 @@ class TestStreamedPartitionSum:
         for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
             assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
 
+    # levels below, at and above the 2^14-entry sub-block of the exact chunk sum
+    @pytest.mark.parametrize("k", [13, 14, 15])
+    def test_bit_identical_around_the_sub_block_level(self, k):
+        for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
+            assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
+
+    def test_peak_memory_stays_streamed(self):
+        tracemalloc.start()
+        try:
+            partition_sum(22, 3.25 - 2.5j, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
+
     def test_never_builds_a_row_above_the_chunk_level(self, monkeypatch):
         import fareyspin.farey as farey
 
@@ -228,7 +259,7 @@ class TestStreamedPartitionSum:
 
         monkeypatch.setattr(farey, "extended_row", spy)
         partition_sum(21, 3, 0.0)
-        assert sorted(levels) == [1, 20]
+        assert sorted(levels) == [20]
 
     def test_level_cap_unchanged(self):
         with pytest.raises(LevelTooLargeError):
