@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import farey, ferro, spectral, zeta
-from .report import all_passed, write_records
+from .report import all_passed, write_columns, write_records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +132,7 @@ def cmd_generate(args: argparse.Namespace, stream) -> int:
     if args.format == "csv":
         farey.write_row_csv(row, stream)
     else:
-        write_records(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
+        write_columns(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
     return 0
 
 
@@ -141,7 +141,7 @@ def cmd_spectrum(args: argparse.Namespace, stream) -> int:
     if args.format == "csv":
         spectral.write_spectrum_csv(spectrum, stream)
     else:
-        write_records(spectral.SPECTRUM_FIELDS, spectral.spectrum_records(spectrum), stream, "json")
+        write_columns(spectral.SPECTRUM_FIELDS, spectral.spectrum_records(spectrum), stream, "json")
     return 0
 
 

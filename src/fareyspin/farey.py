@@ -30,7 +30,7 @@ from typing import IO
 
 import numpy as np
 
-from .report import CheckReport, write_records
+from .report import CHUNK, CheckReport, write_columns
 
 # Default level cap: a full row at level 26 is one buffer of 2^27 + 1 int64, ~1 GiB.
 DEFAULT_MAX_LEVEL = 26
@@ -225,11 +225,11 @@ def _row_blocks(k: int, j: int, max_level: int | None = None):
     n/d -> ((d-n)*x + n*x') / ((d-n)*y + n*y'), and d - n is the level-j
     numerator read backwards.  So block c needs only those two neighbours and
     the level-j numerators, and the full level-k row is never held.  Both rows
-    are prefixes of one Stern buffer of level max(j, k-j).  The level cap
-    applies to k.
+    are prefixes of one Stern buffer of level max(j, k-j), under the same
+    level cap as k.
     """
     _check_cap(k, max_level)
-    row = extended_row(max(j, k - j))
+    row = extended_row(max(j, k - j), max_level)
     base = row.prefix(j).numerators
     head, tail = base[:-1], base[:0:-1]
     coarse = row.prefix(k - j)
@@ -299,11 +299,17 @@ def cross_check_routes(k: int | FareyRow, max_level: int | None = None) -> bool:
 
 
 def row_records(row: FareyRow):
-    """ROW_FIELDS for every index of the row."""
-    nums, dens = row.numerators.tolist(), row.denominators.tolist()
-    return zip(range(len(nums)), nums, dens, map(truediv, nums, dens))
+    """ROW_FIELDS of the row in blocks of CHUNK indices, one column per field.
+
+    The values are Python's correctly rounded n / d of the ints: a float64
+    division would round n and d first once they pass 2^53.
+    """
+    for lo in range(0, len(row.numerators), CHUNK):
+        nums, dens = row.numerators[lo : lo + CHUNK], row.denominators[lo : lo + CHUNK]
+        values = np.array(list(map(truediv, nums.tolist(), dens.tolist())))
+        yield np.arange(lo, lo + len(nums)), nums, dens, values
 
 
 def write_row_csv(row: FareyRow, stream: IO[str]) -> None:
     """Emit index, numerator, denominator, value with '.' decimals, one row per index."""
-    write_records(ROW_FIELDS, row_records(row), stream, "csv")
+    write_columns(ROW_FIELDS, row_records(row), stream, "csv")

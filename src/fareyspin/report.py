@@ -1,14 +1,28 @@
-"""Uniform pass/fail records for the machine checks, and the CSV/JSON emitter of every command."""
+"""Uniform pass/fail records for the machine checks, and the CSV/JSON emitter of every command.
+
+The emitter, ``write_columns``, takes the records in blocks of at most CHUNK
+rows, one sequence per field, and formats each block column by column into
+one string: an integer array in one ``tolist``, a finite float64 array with
+one ``repr`` per distinct bit pattern, and any other column one value at a
+time.  The text is what ``csv.writer`` or ``json.dump(records, indent=2)``
+writes for the same rows.
+"""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import islice
 
 import numpy as np
+
+# Rows per block: large enough that formatting runs as a few calls per column,
+# small enough that a block's text stays near a megabyte.
+CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,29 +68,75 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-def write_records(fields, rows, stream, fmt) -> None:
-    """Write rows (tuples of scalars in field order) as CSV under a header, or as a JSON array.
+_encode = json.JSONEncoder().encode
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
-    The JSON equals json.dump([dict(zip(fields, row)) ...], indent=2) plus a
-    newline, written one record at a time, so the rows are never held together.
+
+def _json_cell(v) -> str:
+    # json writes an int or a finite float as its repr; skip the encoder for them
+    if type(v) is int or type(v) is float and math.isfinite(v):
+        return repr(v)
+    return _encode(v)
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if type(v) in (int, float, bool) or type(v) is str and not _CSV_SPECIAL.search(v):
+        return str(v)
+    # quoting, and any type without a plain str, exactly as csv.writer does it
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((v, None))
+    return buf.getvalue()[:-2]
+
+
+def _cells(column, cell) -> list[str]:
+    """The text of every value of one column of a block, in order."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        if column.dtype == np.float64 and np.isfinite(column).all():
+            # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
+            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            return texts[inverse].tolist()
+        column = column.tolist()
+    return list(map(cell, column))
+
+
+def write_columns(fields, blocks, stream, fmt) -> None:
+    """Write blocks of records as CSV under a header, or as a JSON array.
+
+    A block is one sequence per field, all of one length (at most CHUNK
+    rows keeps the text of a block small); each block is formatted column by
+    column and written with one ``stream.write``.  The text equals
+    csv.writer's for the same rows, or json.dump([dict(zip(fields, row)) ...],
+    indent=2) plus a newline.
     """
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(rows)
+        csv.writer(stream, lineterminator="\n").writerow(fields)
+        for block in blocks:
+            columns = [_cells(column, _csv_cell) for column in block]
+            if len(columns) == 1:
+                # csv.writer quotes the empty field of a one-field row
+                columns = [['""' if c == "" else c for c in columns[0]]]
+            if columns and columns[0]:
+                stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
         return
-    encode = json.JSONEncoder().encode
+    # one %-template per record; a % in a field name is escaped
+    keys = ",\n".join(f"    {_encode(name).replace('%', '%%')}: %s" for name in fields)
+    record = f"  {{\n{keys}\n  }}".__mod__
+    separator = "[\n"
+    for block in blocks:
+        columns = [_cells(column, _json_cell) for column in block]
+        if columns and columns[0]:
+            stream.write(separator + ",\n".join(map(record, zip(*columns))))
+            separator = ",\n"
+    stream.write("[]\n" if separator == "[\n" else "\n]\n")
 
-    def encode_value(v):
-        # json writes an int or a finite float as its repr; skip building an encoder for them
-        if type(v) is int or type(v) is float and math.isfinite(v):
-            return repr(v)
-        return encode(v)
 
-    prefixes = [f"    {encode(name)}: " for name in fields]
-    opening = separator = "[\n  {\n"
-    for row in rows:
-        stream.write(separator)
-        stream.write(",\n".join(map(add, prefixes, map(encode_value, row))))
-        separator = "\n  },\n  {\n"
-    stream.write("[]\n" if separator is opening else "\n  }\n]\n")
+def write_records(fields, rows, stream, fmt) -> None:
+    """write_columns over rows (tuples of scalars in field order), CHUNK rows to a block."""
+    rows = iter(rows)
+    chunks = iter(lambda: list(islice(rows, CHUNK)), [])
+    write_columns(fields, (list(zip(*chunk)) for chunk in chunks), stream, fmt)

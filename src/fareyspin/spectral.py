@@ -17,12 +17,16 @@ from typing import IO, Sequence
 import numpy as np
 
 from .farey import FareyRow, extended_row
-from .report import write_records
+from .report import CHUNK, write_columns
 
 # Exact-path level cap: 4096 entries keeps rational transforms instantaneous.
 K_EXACT = 12
 
 _NAIVE_CAP = 12
+
+# spectrum_records joins each tau_bits string from a table of the low bits;
+# CHUNK is a multiple of 2^_LOW_BITS, so a block holds whole high parts
+_LOW_BITS = 10
 
 SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
@@ -213,16 +217,32 @@ def limit_estimate(tau, k: int, mode: str | None = None) -> LimitEstimate:
 
 
 def spectrum_records(spectrum: Spectrum):
-    """SPECTRUM_FIELDS per mask: exact values as 'p/q' strings, no decay bound at tau = 0."""
+    """SPECTRUM_FIELDS in blocks of CHUNK masks, one column per field.
+
+    Exact values are 'p/q' strings.  tau = 0 has no decay bound and is a block
+    of its own; every other mask's bound 2^-max_support is its lowest set bit
+    times 2^-k, exact in float.
+    """
     k = spectrum.level
+    low = min(k, _LOW_BITS)
+    table = [format(i, f"0{max(low, 1)}b") for i in range(1 << low)]
+    values = spectrum.values
     if spectrum.mode == "exact":
-        values = (f"{v.numerator}/{v.denominator}" for v in spectrum.values)
-    else:
-        values = map(float, spectrum.values)
-    for i, v in enumerate(values):
-        yield i, format(i, f"0{max(k, 1)}b"), v, None if i == 0 else 2.0 ** -max_support(i, k)
+        values = [f"{v.numerator}/{v.denominator}" for v in values]
+    for lo in range(0, 1 << k, CHUNK):
+        hi = min(lo + CHUNK, 1 << k)
+        tau = np.arange(lo, hi)
+        highs = range(lo >> low, hi >> low)
+        prefixes = [format(h, f"0{k - low}b") for h in highs] if k > low else [""]
+        bits = [prefix + text for prefix in prefixes for text in table]
+        bound = (tau & -tau) * 2.0**-k
+        block = tau, bits, values[lo:hi], bound
+        if lo == 0:
+            yield [column[:1] for column in block[:3]] + [[None]]
+            block = [column[1:] for column in block]
+        yield block
 
 
 def write_spectrum_csv(spectrum: Spectrum, stream: IO[str]) -> None:
     """Emit tau_index, tau_bits, j_value, decay_bound; exact values as 'p/q' strings."""
-    write_records(SPECTRUM_FIELDS, spectrum_records(spectrum), stream, "csv")
+    write_columns(SPECTRUM_FIELDS, spectrum_records(spectrum), stream, "csv")

@@ -406,6 +406,19 @@ class TestMaxLevelGuards:
         assert cli.main(["generate", "-k", "1"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
+    def test_partition_coarse_row_takes_the_raised_cap(self, monkeypatch, capsys):
+        # k = 48 streams from a level-28 row, under --max-level 48 rather than the default 26
+        calls = []
+
+        def record(k, max_level=None):
+            calls.append((k, max_level))
+            raise RuntimeError("row allocation attempted")
+
+        monkeypatch.setattr(cli.farey, "extended_row", record)
+        assert cli.main(["partition", "-k", "48", "--s-re", "3", "--max-level", "48"]) == 1
+        assert "row allocation attempted" in capsys.readouterr().err
+        assert calls == [(28, 48)]
+
     def test_partition_is_exempt(self, capsys):
         # partition streams the level-40 row from two level-20 rows
         assert cli.main(["partition", "-k", "40", "--s-re", "3", "--max-level", "40"]) == 1

@@ -8,11 +8,18 @@ every command, in both formats, must still write the same text.
 import csv
 import io
 import json
+import math
+import re
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareyspin import K_EXACT, cli, farey, ferro, max_support, spectral
-from fareyspin.report import write_records
+from fareyspin.report import CHUNK, write_columns, write_records
 
 
 def ref_generate(row, fmt, stream):
@@ -142,3 +149,155 @@ def test_write_records_json_matches_json_dump(rows):
     write_records(fields, iter(rows), stream, "json")
     reference = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     assert stream.getvalue() == reference
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("k", [14, 15])
+def test_generate_across_blocks(k, fmt, capsys):
+    # 2^k + 1 rows: whole blocks of CHUNK rows and a one-row tail
+    out = run(["generate", "-k", str(k), "--format", fmt], capsys)
+    assert lines(out) == lines(expected(ref_generate, farey.extended_row(k), fmt))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("k", [10, 11, 14, 15])
+def test_float_spectrum_across_blocks(k, fmt, capsys):
+    # tau_bits come from a table of the 2^10 low-bit strings; cover either side of it
+    out = run(["spectrum", "-k", str(k), "--mode", "float", "--format", fmt], capsys)
+    assert lines(out) == lines(expected(ref_spectrum, spectral.interaction(k, "float"), fmt))
+
+
+def lines(text):
+    # a failed comparison of lists reports the first differing line; one of
+    # two long strings would diff the whole text
+    return text.splitlines(keepends=True)
+
+
+def reference_text(fields, rows, fmt):
+    stream = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+    else:
+        json.dump([dict(zip(fields, row)) for row in rows], stream, indent=2)
+        stream.write("\n")
+    return stream.getvalue()
+
+
+def columns_text(fields, blocks, fmt):
+    stream = io.StringIO()
+    write_columns(fields, blocks, stream, fmt)
+    return stream.getvalue()
+
+
+TINY = 5e-324
+SUBNORMAL = 2.2250738585072014e-308 / 3
+FINITE = [-0.0, 0.0, TINY, -TINY, SUBNORMAL, 0.1, 1 / 3, -1e300, 2.0**-1074 * 7]
+NONFINITE = [math.nan, math.inf, -math.inf]
+INT64 = [np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max]
+TEXT = ["plain", "a,b", 'q"uote', "line\nbreak", "cr\rlf", "é ü 日本", "", " lead"]
+EDGE_FIELDS = ("f%s", "g", "i", "b", "opt", "text")
+
+
+def edge_rows(n):
+    """n rows cycling through the edge values, so every block repeats values of the others."""
+    return [
+        (
+            FINITE[r % len(FINITE)],
+            (FINITE + NONFINITE)[r % 12],
+            int(INT64[r % len(INT64)]),
+            r % 3 == 0,
+            None if r % 2 else r,
+            TEXT[r % len(TEXT)],
+        )
+        for r in range(n)
+    ]
+
+
+def as_blocks(rows, size):
+    """Blocks of `size` rows: numpy float64 and int64 columns, lists otherwise."""
+    for lo in range(0, len(rows), size):
+        f, g, i, b, opt, text = zip(*rows[lo : lo + size])
+        yield np.array(f), np.array(g), np.array(i, dtype=np.int64), list(b), list(opt), list(text)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_write_columns_edge_values(size, fmt):
+    rows = edge_rows(2 * size + 1)  # two full blocks and a one-row tail
+    reference = lines(reference_text(EDGE_FIELDS, rows, fmt))
+    assert lines(columns_text(EDGE_FIELDS, as_blocks(rows, size), fmt)) == reference
+    stream = io.StringIO()
+    write_records(EDGE_FIELDS, rows, stream, fmt)
+    assert lines(stream.getvalue()) == reference
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(FINITE + NONFINITE)
+edge_row = st.tuples(
+    floats.filter(math.isfinite),
+    floats,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.booleans(),
+    st.none() | st.integers() | st.text(max_size=4),
+    st.text(max_size=6) | st.sampled_from(TEXT),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(edge_row, max_size=12), size=st.integers(1, 5), fmt=st.sampled_from(FORMATS))
+def test_write_columns_matches_csv_and_json(rows, size, fmt):
+    assert columns_text(EDGE_FIELDS, as_blocks(rows, size), fmt) == reference_text(EDGE_FIELDS, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_columns_one_field(fmt):
+    # csv.writer quotes an empty field when it is the whole row
+    rows = [(None,), ("",), ("a",), (3,)]
+    blocks = [[[None, ""]], [["a", 3]]]
+    assert columns_text(("only",), blocks, fmt) == reference_text(("only",), rows, fmt)
+
+
+# entries past 2^53 where float64(n) / float64(d) rounds twice and differs from n / d
+BIG = [
+    (2**53 + 1, 2**53 + 3),
+    (2735221198698850610, 3706778661852469503),
+    (2558621980109409557, 3530956399553071358),
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_row_values_past_2_53_are_correctly_rounded(fmt):
+    assert all(float(n) / float(d) != n / d for n, d in BIG)
+    nums, dens = (np.array(column, dtype=np.int64) for column in zip(*BIG))
+    row = farey.FareyRow(1, nums, dens)
+    stream = io.StringIO()
+    if fmt == "csv":
+        farey.write_row_csv(row, stream)
+        cells = [line.split(",")[3] for line in stream.getvalue().splitlines()[1:]]
+    else:
+        write_columns(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
+        cells = re.findall(r'"value": (.*)', stream.getvalue())
+    assert cells == [repr(n / d) for n, d in BIG]
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "-k", "18"], ["spectrum", "-k", "18", "--mode", "float"]],
+)
+def test_peak_memory_stays_blocked(argv, monkeypatch):
+    # formatting a block at a time keeps the traced peak near the row itself
+    # (4 MiB at k = 18); a whole column of 2^18 strings alone would pass the bound
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20

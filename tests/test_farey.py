@@ -257,6 +257,22 @@ class TestRowBlocks:
         with pytest.raises(LevelTooLargeError):
             next(_row_blocks(7, 3, max_level=6))
 
+    def test_coarse_row_takes_the_raised_cap(self, monkeypatch):
+        # the level-28 coarse row of k = 48 falls under a cap raised to 48;
+        # record the call instead of allocating the row
+        import fareyspin.farey as farey
+
+        calls = []
+
+        def record(k, max_level=None):
+            calls.append((k, max_level))
+            raise RuntimeError("row allocation attempted")
+
+        monkeypatch.setattr(farey, "extended_row", record)
+        with pytest.raises(RuntimeError, match="row allocation attempted"):
+            next(_row_blocks(48, 20, max_level=48))
+        assert calls == [(28, 48)]
+
 
 class TestFareyValue:
     def test_table_values(self):
