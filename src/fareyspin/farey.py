@@ -269,11 +269,16 @@ def verify_row(row: FareyRow) -> list[CheckReport]:
         CheckReport("row_endpoints", k, bool(endpoints_ok), witness=None if endpoints_ok else 0)
     )
 
-    # Fractions increase strictly: num[s]*den[s+1] < num[s+1]*den[s].
-    mono = num[:-1] * den[1:] < num[1:] * den[:-1]
+    # Fractions increase strictly, num[s]*den[s+1] < num[s+1]*den[s], and
+    # adjacent ones are unimodular: the larger product exceeds the other by 1.
+    # Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL, so their
+    # difference, formed in place of the one, carries both comparisons.
+    cross = num[1:] * den[:-1]
+    cross -= num[:-1] * den[1:]
+    mono = cross > 0
+    unimodular = cross == 1
+    del cross  # free it before the symmetry check
     reports.append(CheckReport("row_monotone", k, bool(mono.all()), witness=_first_failure(mono)))
-
-    unimodular = den[:-1] * num[1:] - den[1:] * num[:-1] == 1
     reports.append(
         CheckReport("row_unimodular", k, bool(unimodular.all()), witness=_first_failure(unimodular))
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -27,17 +27,21 @@ from .farey import (
     verify_row,
 )
 from .report import CheckReport
-from .spectral import K_EXACT, Spectrum, interaction, rational_wht
+# rational_wht stays importable here: bench/tracer.py patches ferro.rational_wht
+from .spectral import K_EXACT, Spectrum, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 
 
 def _values(k, mode, spectrum, tol):
-    """The level-k coefficients as an array, the tolerance, and whether they are exact.
+    """The level-k coefficients as numerators over a unit D, and the tolerance.
 
-    Exact spectra become object arrays of Fractions, so each check runs the
-    same numpy code in both modes.  ``tol`` applies in float mode only (default
-    1e-12); exact mode admits zero tolerance.
+    An exact spectrum gives an object array of its integer numerators and its
+    integer denominator D, a multiple of 2^(k+1), so every bound 2^e * D with
+    -(k+1) <= e <= 0 is an integer (``_pow2``) and each check runs the same
+    numpy code in both modes, on integers or on floats over D = 1.0.  ``tol``
+    applies in float mode only (default 1e-12); exact mode admits zero
+    tolerance.
     """
     if k < 1:
         raise ValueError("checks require level >= 1")
@@ -45,16 +49,19 @@ def _values(k, mode, spectrum, tol):
         spectrum = interaction(k, mode)
     elif spectrum.level != k:
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
-    exact = spectrum.mode == "exact"
-    tol = 0 if exact else 1e-12 if tol is None else tol
-    return np.asarray(spectrum.values), tol, exact
+    if spectrum.mode == "exact":
+        return np.array(spectrum.numerators, dtype=object), spectrum.denominator, 0
+    return spectrum.numerators, spectrum.denominator, 1e-12 if tol is None else tol
 
 
-def _pow2(e, exact):
-    """2^e for an integer or an integer array e: Fractions when exact, else floats."""
-    if exact:
-        return np.frompyfunc(lambda n: Fraction(2) ** int(n), 1, 1)(e)
-    return 2.0**e
+def _pow2(e, unit):
+    """2^e * unit for -(k+1) <= e <= 0: an integer shift of an exact unit, else a float."""
+    return unit >> -e if isinstance(unit, int) else unit * 2.0**e
+
+
+def _margin(x, unit):
+    """The value x / unit of a scaled margin: one reduced Fraction when exact, else x."""
+    return Fraction(int(x), unit) if isinstance(unit, int) else x
 
 
 def _first_min(a):
@@ -64,17 +71,19 @@ def _first_min(a):
 
 def check_zero_coefficient(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
-    vals, tol, exact = _values(k, mode, spectrum, tol)
-    closed = -(1 - _pow2(-k, exact)) / 2
+    vals, unit, tol = _values(k, mode, spectrum, tol)
+    closed = -(_pow2(-1, unit) - _pow2(-(k + 1), unit))
     error = abs(vals[0] - closed)
-    return CheckReport("zero_coefficient", k, error <= tol, margin=error, witness=0)
+    return CheckReport("zero_coefficient", k, error <= tol, margin=_margin(error, unit), witness=0)
 
 
 def check_nonnegativity(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
-    vals, tol, _ = _values(k, mode, spectrum, tol)
+    vals, unit, tol = _values(k, mode, spectrum, tol)
     i, worst = _first_min(vals[1:])
-    return CheckReport("off_zero_nonnegative", k, worst >= -tol, margin=worst, witness=i + 1)
+    return CheckReport(
+        "off_zero_nonnegative", k, worst >= -tol, margin=_margin(worst, unit), witness=i + 1
+    )
 
 
 def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
@@ -84,7 +93,7 @@ def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     below the maximum); ties with the maximum are allowed, ties with the
     minimum are not.
     """
-    vals, _, _ = _values(k, mode, spectrum, tol)
+    vals, unit, _ = _values(k, mode, spectrum, tol)
     top_mask = 1 << (k - 1)
     i_min, min_slack = _first_min(vals[1:] - vals[0])
     gaps_max = vals[top_mask] - vals
@@ -95,35 +104,40 @@ def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
         margin, witness = min_slack, i_min + 1
     else:
         margin, witness = max_slack, i_max
-    return CheckReport("extreme_masks", k, passed, margin=margin, witness=witness)
+    return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
 
 
 def check_decay(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
-    vals, tol, exact = _values(k, mode, spectrum, tol)
+    vals, unit, tol = _values(k, mode, spectrum, tol)
     # The masks with t trailing zeros, vals[2^t :: 2^(t+1)], share the bound
     # 2^(t-k).  The first minimum of each class, taken again in index order,
     # is argmin's pick over all masks, NaN first included.
     firsts = []
     for t in range(k):
-        j, slack = _first_min(_pow2(t - k, exact) - vals[1 << t :: 2 << t])
+        j, slack = _first_min(_pow2(t - k, unit) - vals[1 << t :: 2 << t])
         firsts.append(((1 << t) + (j << (t + 1)), slack))
     firsts.sort(key=lambda first: first[0])
     i, worst = _first_min(np.array([slack for _, slack in firsts]))
     witness = firsts[i][0]
-    return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=witness)
+    return CheckReport(
+        "support_decay", k, worst >= -tol, margin=_margin(worst, unit), witness=witness
+    )
 
 
 def check_convergence(k, mode="exact", *, tol=None, spectrum=None, next_spectrum=None) -> CheckReport:
     """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask."""
-    vals, tol, exact = _values(k, mode, spectrum, tol)
-    next_mode = "exact" if exact else "float"
-    nxt, _, next_exact = _values(k + 1, next_mode, next_spectrum, tol)
-    if next_exact != exact:
+    vals, unit, tol = _values(k, mode, spectrum, tol)
+    next_mode = "exact" if isinstance(unit, int) else "float"
+    nxt, next_unit, _ = _values(k + 1, next_mode, next_spectrum, tol)
+    if type(next_unit) is not type(unit):
         raise ValueError("convergence check needs both spectra in the same mode")
-    # appending a zero bit doubles the mask, i.e. even indices one level up
-    i, worst = _first_min(_pow2(-(k + 1), exact) - np.abs(vals - nxt[0::2]))
-    return CheckReport("level_increment", k, worst >= -tol, margin=worst, witness=i)
+    nxt = nxt[0::2]  # appending a zero bit doubles the mask, i.e. even indices one level up
+    if isinstance(unit, int):  # both levels over one unit, the lcm of their denominators
+        common = lcm(unit, next_unit)
+        vals, nxt, unit = vals * (common // unit), nxt * (common // next_unit), common
+    i, worst = _first_min(_pow2(-(k + 1), unit) - np.abs(vals - nxt))
+    return CheckReport("level_increment", k, worst >= -tol, margin=_margin(worst, unit), witness=i)
 
 
 def reciprocal_sum(k: int | FareyRow, max_level=None) -> Fraction:
@@ -158,29 +172,47 @@ def cone_observable(k: int) -> list[Fraction]:
     Its normalized transform is nonnegative at every mask (membership in the
     multiplicative cone), which is what forces the off-zero coefficient signs.
     """
+    return list(map(Fraction, *_cone_seeds(k)))
+
+
+def _cone_seeds(k):
+    """Numerators and denominators of the cone observable, from the seeded route."""
     if k < 1:
         raise ValueError("cone_observable requires level >= 1")
-    return list(map(Fraction, seed_values(k, 1, -1).tolist(), seed_values(k, 1, 1).tolist()))
+    return seed_values(k, 1, -1).tolist(), seed_values(k, 1, 1).tolist()
+
+
+def _cone_transform(k):
+    """Normalized transform of the cone observable: integer numerators over L * 2^k,
+    L the lcm of its denominators."""
+    ints, common = _integer_wht(*_cone_seeds(k))
+    return np.array(ints, dtype=object), common << k
 
 
 def check_cone_membership(k) -> CheckReport:
     """All 2^k transform coefficients of the cone observable are >= 0, exactly."""
     if k > K_EXACT:
         raise ValueError(f"cone membership is an exact check; level capped at {K_EXACT}")
-    i, worst = _first_min(np.asarray(rational_wht(cone_observable(k), normalize=True)))
-    return CheckReport("cone_membership", k, worst >= 0, margin=worst, witness=i)
+    ints, unit = _cone_transform(k)
+    i, worst = _first_min(ints)
+    return CheckReport("cone_membership", k, worst >= 0, margin=_margin(worst, unit), witness=i)
 
 
 def check_spectrum_decomposition(k, *, spectrum=None) -> CheckReport:
-    """Exact identity: coefficient(tau) = -1/2*[tau=0] + 1/2*transform(cone observable)(tau)."""
-    vals, _, exact = _values(k, "exact", spectrum, None)
-    if not exact:
+    """Exact identity: coefficient(tau) = -1/2*[tau=0] + 1/2*transform(cone observable)(tau).
+
+    With the spectrum over D, the cone transform over C and M = lcm(D, C),
+    twice the identity, multiplied by M, is an identity of integers.
+    """
+    vals, unit, _ = _values(k, "exact", spectrum, None)
+    if not isinstance(unit, int):
         raise ValueError("decomposition is an exact check")
-    expected = np.asarray(rational_wht(cone_observable(k), normalize=True)) / 2
-    expected[0] -= Fraction(1, 2)
-    deviation = np.abs(vals - expected)
+    cone, cone_unit = _cone_transform(k)
+    cone[0] -= cone_unit
+    common = lcm(unit, cone_unit)
+    deviation = np.abs(2 * (common // unit) * vals - (common // cone_unit) * cone)
     witness = int(np.argmax(deviation))  # the first largest deviation
-    worst = deviation[witness]
+    worst = _margin(deviation[witness], 2 * common)
     return CheckReport(
         "spectrum_decomposition", k, worst == 0, margin=worst, witness=witness if worst else None
     )

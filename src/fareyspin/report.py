@@ -90,7 +90,7 @@ def _csv_cell(v) -> str:
     return buf.getvalue()[:-2]
 
 
-def _cells(column, cell) -> list[str]:
+def _cells(column, fmt) -> list[str]:
     """The text of every value of one column of a block, in order."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu":
@@ -101,7 +101,15 @@ def _cells(column, cell) -> list[str]:
             texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             return texts[inverse].tolist()
         column = column.tolist()
-    return list(map(cell, column))
+    elif type(column) is list and set(map(type, column)) == {str}:
+        # strings none of which needs quoting (csv) or escaping (json), tested at once
+        text = "".join(column)
+        if fmt == "csv" and not any(c in text for c in ',"\r\n'):
+            return column
+        if fmt == "json" and text.isascii() and text.isprintable() and not ('"' in text or "\\" in text):
+            # no string holds a newline, so one join and split quotes them all
+            return ('"' + '"\n"'.join(column) + '"').split("\n")
+    return list(map(_csv_cell if fmt == "csv" else _json_cell, column))
 
 
 def write_columns(fields, blocks, stream, fmt) -> None:
@@ -116,7 +124,7 @@ def write_columns(fields, blocks, stream, fmt) -> None:
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerow(fields)
         for block in blocks:
-            columns = [_cells(column, _csv_cell) for column in block]
+            columns = [_cells(column, "csv") for column in block]
             if len(columns) == 1:
                 # csv.writer quotes the empty field of a one-field row
                 columns = [['""' if c == "" else c for c in columns[0]]]
@@ -128,7 +136,7 @@ def write_columns(fields, blocks, stream, fmt) -> None:
     record = f"  {{\n{keys}\n  }}".__mod__
     separator = "[\n"
     for block in blocks:
-        columns = [_cells(column, _json_cell) for column in block]
+        columns = [_cells(column, "json") for column in block]
         if columns and columns[0]:
             stream.write(separator + ",\n".join(map(record, zip(*columns))))
             separator = ",\n"

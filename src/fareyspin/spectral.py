@@ -3,12 +3,14 @@
 The normalized transform of f is (Tf)(tau) = 2^-k sum_s (-1)^popcount(s & tau) f(s),
 with the same most-significant-bit-first index convention as the Farey rows.
 Interaction coefficients are the negated normalized transform of the fraction
-values.  Exact mode carries rationals end to end; float mode is double
-precision with a fixed butterfly order, so outputs are bit-identical across
-runs.
+values.  Exact mode runs the butterfly on integers over one common
+denominator and keeps the spectrum as integer numerators over it; float mode
+is double precision with a fixed butterfly order, so outputs are
+bit-identical across runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,8 @@ import numpy as np
 from .farey import FareyRow, extended_row
 from .report import CHUNK, write_columns
 
-# Exact-path level cap: 4096 entries keeps rational transforms instantaneous.
+# Exact-path level cap: the integer butterfly and the integer checks of a
+# 4096-entry level take milliseconds.
 K_EXACT = 12
 
 _NAIVE_CAP = 12
@@ -30,11 +33,50 @@ _LOW_BITS = 10
 
 SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
+# The float transform runs its first BLOCK_BITS stages on each contiguous block
+# of 2^BLOCK_BITS entries (512 KiB of float64, within a core's L2 cache), then
+# the remaining stages over the whole array.
+BLOCK_BITS = 16
+
 
 def _check_power_of_two(n: int) -> int:
     if n <= 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     return n.bit_length() - 1
+
+
+def _stages(a: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Butterfly stages of half-width 2^lo .. 2^(hi-1) on the contiguous array a, in order.
+
+    Two stages run per pass: entries x0, x1, x2, x3, 2^s apart, become
+    ((x0 + x1) + (x2 + x3)), ((x0 - x1) + (x2 - x3)), ((x0 + x1) - (x2 + x3))
+    and ((x0 - x1) - (x2 - x3)), the one-stage butterfly twice with the same
+    operands in the same order, so every entry keeps its bits.  ``scratch``
+    holds at least a.size / 2 entries.
+    """
+    n = a.size
+    s = lo
+    while s + 1 < hi:
+        h = 1 << s
+        b = a.reshape(-1, 4, h)
+        x0, x1, x2, x3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        y0, y2 = scratch[: n // 4].reshape(-1, h), scratch[n // 4 : n // 2].reshape(-1, h)
+        np.add(x0, x1, out=y0)
+        np.subtract(x0, x1, out=x1)
+        np.add(x2, x3, out=y2)
+        np.subtract(x2, x3, out=x0)
+        np.subtract(x1, x0, out=x3)
+        np.add(x1, x0, out=x1)
+        np.add(y0, y2, out=x0)
+        np.subtract(y0, y2, out=x2)
+        s += 2
+    if s < hi:
+        h = 1 << s
+        b = a.reshape(-1, 2, h)
+        low = scratch[: n // 2].reshape(-1, h)
+        np.subtract(b[:, 0], b[:, 1], out=low)
+        b[:, 0] += b[:, 1]
+        b[:, 1] = low
 
 
 def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
@@ -46,13 +88,11 @@ def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
     bits = _check_power_of_two(a.size)
     if normalize and not (np.issubdtype(a.dtype, np.floating) or np.issubdtype(a.dtype, np.complexfloating)):
         raise ValueError("normalized fwht on arrays requires a floating or complex dtype")
-    h = 1
-    while h < a.size:
-        b = a.reshape(-1, 2, h)
-        low = b[:, 0, :] - b[:, 1, :]
-        b[:, 0, :] += b[:, 1, :]
-        b[:, 1, :] = low
-        h *= 2
+    scratch = np.empty(a.size // 2, a.dtype)
+    low = min(bits, BLOCK_BITS)
+    for block in a.reshape(-1, 1 << low):
+        _stages(block, 0, low, scratch)
+    _stages(a, low, bits, scratch)
     if normalize:
         a *= 2.0 ** -bits  # power-of-two scaling, exact in IEEE
     return a
@@ -115,6 +155,12 @@ def naive_transform(values, normalize: bool = False):
     return out
 
 
+def _integer_wht(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
+    """Unnormalized transform of the rationals nums[i] / dens[i] as integers over L = lcm(dens)."""
+    common = math.lcm(*set(dens))
+    return _fwht_list([n * (common // d) for n, d in zip(nums, dens)], False), common
+
+
 def rational_wht(values: Sequence, normalize: bool = False) -> list[Fraction]:
     """Exact transform of rational inputs via a common-denominator integer butterfly.
 
@@ -122,21 +168,46 @@ def rational_wht(values: Sequence, normalize: bool = False) -> list[Fraction]:
     over arbitrary-precision integers scaled by the lcm of the denominators.
     """
     fracs = [Fraction(v) for v in values]
-    _check_power_of_two(len(fracs))
-    common = math.lcm(*{f.denominator for f in fracs})
-    ints = [f.numerator * (common // f.denominator) for f in fracs]
-    _fwht_list(ints, False)
+    ints, common = _integer_wht([f.numerator for f in fracs], [f.denominator for f in fracs])
     div = common * (len(fracs) if normalize else 1)
     return [Fraction(v, div) for v in ints]
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Interaction coefficients of one level, indexed by the bitmask of tau."""
+    """Interaction coefficients of one level, indexed by the bitmask of tau.
+
+    Exact coefficients are the integers ``numerators`` over one
+    ``denominator`` D.  ``interaction`` gives D = L * 2^level, L the lcm of the
+    row's denominators; built from rationals, as ``Spectrum(level, "exact",
+    values)``, D is the lcm of their denominators and 2^(level+1).  From level
+    1 on, D is a multiple of 2^(level+1) either way (the row holds 1/2), which
+    the integer checks rely on.  A float spectrum holds a read-only float64
+    array over D = 1.0.  ``values`` reads the coefficients back: reduced
+    Fractions, or the float array.
+    """
 
     level: int
     mode: str
-    values: object  # list[Fraction] in exact mode, read-only float64 array in float mode
+    numerators: object  # list[int] in exact mode, float64 array in float mode
+    denominator: int | float | None = None
+
+    def __post_init__(self):
+        if self.denominator is not None:
+            return
+        if self.mode == "exact":
+            fracs = [Fraction(v) for v in self.numerators]
+            common = math.lcm(2 << self.level, *(f.denominator for f in fracs))
+            object.__setattr__(self, "numerators", [f.numerator * (common // f.denominator) for f in fracs])
+        else:
+            common = 1.0
+        object.__setattr__(self, "denominator", common)
+
+    @functools.cached_property
+    def values(self):
+        if self.mode == "exact":
+            return [Fraction(n, self.denominator) for n in self.numerators]
+        return self.numerators
 
     def __len__(self) -> int:
         return 1 << self.level
@@ -161,15 +232,12 @@ def interaction(
         )
     row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
     if mode == "exact":
-        fractions = [
-            Fraction(int(n), int(d))
-            for n, d in zip(row.numerators[:-1].tolist(), row.denominators[:-1].tolist())
-        ]
-        transformed = rational_wht(fractions, normalize=True)
-        return Spectrum(level, "exact", [-v for v in transformed])
+        nums = [-n for n in row.numerators[:-1].tolist()]
+        ints, common = _integer_wht(nums, row.denominators[:-1].tolist())
+        return Spectrum(level, "exact", ints, common << level)
     values = row.numerators[:-1] / row.denominators[:-1]
-    fwht(values, normalize=True)
-    np.negative(values, out=values)
+    fwht(values)
+    values *= -(2.0**-level)  # normalization and negation in one exact scaling
     values.setflags(write=False)
     return Spectrum(level, "float", values)
 

@@ -12,6 +12,7 @@ import pytest
 
 from fareyspin import (
     K_EXACT,
+    Spectrum,
     check_cone_membership,
     check_convergence,
     check_decay,
@@ -192,6 +193,30 @@ def test_cone_checks(spectra, k):
     sp = spectra[k, "exact"]
     assert_same(check_spectrum_decomposition(k, spectrum=sp), ref_decomposition(k, sp))
     assert_same(check_cone_membership(k), ref_cone_membership(k))
+
+
+def exact_reports(k, sp, nxt):
+    reports = [
+        check(k, spectrum=sp)
+        for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay)
+    ]
+    reports.append(check_spectrum_decomposition(k, spectrum=sp))
+    if nxt is not None:
+        reports.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
+    return reports
+
+
+@pytest.mark.parametrize("k", EXACT_LEVELS)
+def test_fraction_built_spectra_give_the_same_reports(spectra, k):
+    # integer numerators over L * 2^k, or the lcm of the Fractions' own
+    # denominators and 2^(k+1): the same reports either way, mixed pairs too
+    sp, nxt = spectra[k, "exact"], spectra.get((k + 1, "exact"))
+    rebuilt = Spectrum(k, "exact", sp.values)
+    rebuilt_next = None if nxt is None else Spectrum(k + 1, "exact", nxt.values)
+    old = exact_reports(k, sp, nxt)
+    for pair in ((rebuilt, rebuilt_next), (sp, rebuilt_next), (rebuilt, nxt)):
+        for new, ref in zip(exact_reports(k, *pair), old, strict=True):
+            assert_same(new, ref)
 
 
 def test_decomposition_witness_on_a_perturbed_spectrum(spectra):

@@ -102,7 +102,7 @@ FORMATS = ("csv", "json")
 @pytest.mark.parametrize("k", [*range(K_EXACT + 1), 13, 16])
 def test_generate(k, fmt, capsys):
     out = run(["generate", "-k", str(k), "--format", fmt], capsys)
-    assert out == expected(ref_generate, farey.extended_row(k), fmt)
+    assert lines(out) == lines(expected(ref_generate, farey.extended_row(k), fmt))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -111,7 +111,7 @@ def test_generate(k, fmt, capsys):
 )
 def test_spectrum(k, mode, fmt, capsys):
     out = run(["spectrum", "-k", str(k), "--mode", mode, "--format", fmt], capsys)
-    assert out == expected(ref_spectrum, spectral.interaction(k, mode), fmt)
+    assert lines(out) == lines(expected(ref_spectrum, spectral.interaction(k, mode), fmt))
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +125,14 @@ def test_verify(k, fmt, suites, capsys, monkeypatch):
     # the suite itself is the same call on both sides; reuse one run per level
     monkeypatch.setattr(cli.ferro, "verify_suite", lambda *args, **kwargs: suites[k])
     out = run(["verify", "-k", str(k), "--format", fmt], capsys)
-    assert out == expected(ref_verify, suites[k], fmt)
+    assert lines(out) == lines(expected(ref_verify, suites[k], fmt))
 
 
 @pytest.mark.parametrize("t", ["0", "0.5", "1"])
 def test_partition_csv(t, capsys):
     record = json.loads(run(["partition", "-k", "8", "--s-re", "3", "--s-im", "1", "--t", t], capsys))
     out = run(["partition", "-k", "8", "--s-re", "3", "--s-im", "1", "--t", t, "--format", "csv"], capsys)
-    assert out == expected(ref_partition_csv, record)
+    assert lines(out) == lines(expected(ref_partition_csv, record))
 
 
 @pytest.mark.parametrize(
@@ -248,6 +248,41 @@ edge_row = st.tuples(
 @given(rows=st.lists(edge_row, max_size=12), size=st.integers(1, 5), fmt=st.sampled_from(FORMATS))
 def test_write_columns_matches_csv_and_json(rows, size, fmt):
     assert columns_text(EDGE_FIELDS, as_blocks(rows, size), fmt) == reference_text(EDGE_FIELDS, rows, fmt)
+
+
+# a column of str is tested once for quoting (csv) or escaping (json): the
+# first list takes that path in both formats, each other one holds one string
+# that needs the per-value rules in at least one format
+STRING_COLUMNS = [
+    ["0101", "1", "", " !#$%&'()*+-./09:;<=>?@AZ[]^_`az{|}~"],
+    ["x", "a,b"],
+    ["x", 'q"uote'],
+    ["x", "back\\slash"],
+    ["x", "line\nbreak"],
+    ["x", "cr\rlf"],
+    ["x", "tab\t"],
+    ["x", "del\x7f"],
+    ["x", "é"],
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("column", STRING_COLUMNS)
+def test_string_columns(column, fmt):
+    rows = list(enumerate(column))
+    blocks = [[np.arange(len(column)), list(column)]]
+    assert columns_text(("i", "s"), blocks, fmt) == reference_text(("i", "s"), rows, fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    column=st.lists(st.text(st.characters(max_codepoint=0x80), max_size=4), max_size=8),
+    fmt=st.sampled_from(FORMATS),
+)
+def test_string_columns_match_csv_and_json(column, fmt):
+    rows = [(text,) * 2 for text in column]
+    blocks = [[list(column), list(column)]]
+    assert columns_text(("a", "b"), blocks, fmt) == reference_text(("a", "b"), rows, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -7,7 +7,10 @@ index.  The copies below are that code, unchanged apart from taking the row
 where it built one; the new kernels must give equal results, report margins
 and witnesses included, margin type too.  The partition sum's exact chunk sum
 replaced math.fsum over a list of Python floats and must give its bits, the
-sign of zero included.
+sign of zero included.  The cache-blocked radix-4 fwht replaced a radix-2
+kernel with one pass per stage and must give its bits; exact spectra, now
+integers over one denominator, must read back the Fractions of the former
+rational path.
 """
 import math
 from fractions import Fraction
@@ -21,11 +24,15 @@ from hypothesis.extra.numpy import arrays
 from fareyspin import (
     FareyRow,
     K_EXACT,
+    Spectrum,
     check_cone_map_identities,
     check_reciprocal_sum,
     cone_observable,
     cross_check_routes,
     extended_row,
+    fwht,
+    interaction,
+    rational_wht,
     reciprocal_sum,
     seed_eval,
 )
@@ -278,3 +285,122 @@ class TestExactSum:
             math.fsum(parts)
         with pytest.raises(OverflowError):
             zeta._exact_sum([np.array(parts, dtype=np.complex128)])
+
+
+def ref_fwht(a, normalize=False):
+    # the radix-2 kernel: one pass over the array and a new temporary per stage
+    bits = a.size.bit_length() - 1
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        low = b[:, 0, :] - b[:, 1, :]
+        b[:, 0, :] += b[:, 1, :]
+        b[:, 1, :] = low
+        h *= 2
+    if normalize:
+        a *= 2.0**-bits
+    return a
+
+
+def assert_same_bits(x, normalize=False):
+    """fwht of a copy of x against the radix-2 kernel on another, compared as int64 views."""
+    with np.errstate(all="ignore"):  # inf - inf and overflow in both kernels alike
+        new = fwht(x.copy(), normalize)
+        old = ref_fwht(x.copy(), normalize)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+FWHT_TOP = 24
+
+
+@pytest.fixture(scope="module")
+def farey_values():
+    # level-k values are the level-24 values at stride 2^(24-k): appending zero
+    # bits changes neither numerator nor denominator, so not the float quotient
+    row = extended_row(FWHT_TOP)
+    return row.numerators[:-1] / row.denominators[:-1]
+
+
+def special_floats(rng, n):
+    """Random float64 spanning 10^+-300, with signed zeros, subnormals, NaN and infinities."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, np.nan, np.inf, -np.inf])
+    at = rng.integers(0, n, max(1, n // 16))
+    x[at] = rng.choice(specials, at.size)
+    return x
+
+
+class TestBlockedFwht:
+    @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
+    def test_farey_values_keep_their_bits(self, farey_values, k):
+        values = farey_values[:: 1 << (FWHT_TOP - k)]
+        assert values.size == 1 << k
+        assert_same_bits(values, normalize=True)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 15, 16, 17, 18])
+    def test_special_floats_keep_their_bits(self, k):
+        rng = np.random.default_rng(k)
+        x = special_floats(rng, 1 << k)
+        assert_same_bits(x)
+        assert_same_bits(x, normalize=True)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 16, 17, 18])
+    def test_complex_keeps_its_bits(self, k):
+        rng = np.random.default_rng(100 + k)
+        z = special_floats(rng, 2 << k).view(np.complex128)
+        assert_same_bits(z)
+        assert_same_bits(z, normalize=True)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 16, 17, 18])
+    def test_int64_matches(self, k):
+        rng = np.random.default_rng(200 + k)
+        assert_same_bits(rng.integers(-(2**40), 2**40, 1 << k))
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(9))
+    def test_small_blocks_keep_the_stage_order(self, block_bits, k, monkeypatch):
+        # blocks smaller than the array, with odd and even stage counts on either side
+        monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
+        assert_same_bits(special_floats(np.random.default_rng(300 + k), 1 << k))
+
+    @pytest.mark.parametrize("k", [1, 12, 17, 22])
+    def test_interaction_is_the_negated_normalized_transform(self, farey_values, k):
+        # one multiply by -2^-k gives the bits of normalizing, then negating
+        values = farey_values[:: 1 << (FWHT_TOP - k)]
+        old = np.negative(ref_fwht(values.copy(), normalize=True))
+        new = interaction(k, "float").values
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def ref_exact_interaction(k):
+    # the former exact path: Fractions in, reduced Fractions out
+    row = extended_row(k)
+    fractions = [
+        Fraction(int(n), int(d))
+        for n, d in zip(row.numerators[:-1].tolist(), row.denominators[:-1].tolist())
+    ]
+    return [-v for v in rational_wht(fractions, normalize=True)]
+
+
+class TestIntegerSpectra:
+    @pytest.mark.parametrize("k", range(K_EXACT + 1))
+    def test_values_are_the_former_fractions(self, k):
+        sp = interaction(k)
+        old = ref_exact_interaction(k)
+        assert sp.values == old
+        assert all(type(v) is Fraction for v in sp.values)
+        assert all(type(n) is int for n in sp.numerators)
+        dens = extended_row(k).denominators[:-1].tolist()
+        assert sp.denominator == math.lcm(*dens) << k
+
+    @pytest.mark.parametrize("k", range(1, K_EXACT + 1))
+    def test_denominator_has_the_power_of_two_the_checks_need(self, k):
+        assert interaction(k).denominator % (2 << k) == 0
+
+    @pytest.mark.parametrize("k", range(K_EXACT + 1))
+    def test_fraction_built_spectrum_reads_back_the_same(self, k):
+        sp = interaction(k)
+        rebuilt = Spectrum(k, "exact", sp.values)
+        assert rebuilt.values == sp.values
+        assert rebuilt.denominator % (2 << k) == 0
+        assert [Fraction(n, rebuilt.denominator) for n in rebuilt.numerators] == sp.values
