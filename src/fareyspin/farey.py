@@ -216,9 +216,11 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
     return FareyRow(k, a[: (1 << k) + 1], a[1 << k :])
 
 
-def _row_blocks(k: int, j: int, max_level: int | None = None):
-    """Yield the level-k row without its right endpoint as (numerators,
-    denominators) blocks of 2^j entries, in index order, 0 <= j <= k.
+def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None = None):
+    """An iterator over the level-k row without its right endpoint as
+    (numerators, denominators) blocks of 2^j entries, in index order,
+    0 <= j <= k; with ``piece``, each block comes as its consecutive pieces of
+    2^min(piece, j) entries.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
@@ -226,7 +228,8 @@ def _row_blocks(k: int, j: int, max_level: int | None = None):
     numerator read backwards.  So block c needs only those two neighbours and
     the level-j numerators, and the full level-k row is never held.  Both rows
     are prefixes of one Stern buffer of level max(j, k-j), under the same
-    level cap as k.
+    level cap as k; the cap is checked and that buffer built when this is
+    called, before the first block.
     """
     _check_cap(k, max_level)
     row = extended_row(max(j, k - j), max_level)
@@ -234,11 +237,15 @@ def _row_blocks(k: int, j: int, max_level: int | None = None):
     head, tail = base[:-1], base[:0:-1]
     coarse = row.prefix(k - j)
     nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
-    for c in range(1 << (k - j)):
-        yield (
-            nums[c] * tail + nums[c + 1] * head,
-            dens[c] * tail + dens[c + 1] * head,
+    size = 1 << (j if piece is None else min(piece, j))
+    return (
+        (
+            nums[c] * tail[lo : lo + size] + nums[c + 1] * head[lo : lo + size],
+            dens[c] * tail[lo : lo + size] + dens[c + 1] * head[lo : lo + size],
         )
+        for c in range(1 << (k - j))
+        for lo in range(0, 1 << j, size)
+    )
 
 
 def farey_value(k: int, s: int) -> Fraction:
@@ -306,12 +313,16 @@ def cross_check_routes(k: int | FareyRow, max_level: int | None = None) -> bool:
 def row_records(row: FareyRow):
     """ROW_FIELDS of the row in blocks of CHUNK indices, one column per field.
 
-    The values are Python's correctly rounded n / d of the ints: a float64
-    division would round n and d first once they pass 2^53.
+    The values are Python's correctly rounded n / d of the ints.  In
+    [0, 2^53) n and d are exact in float64, so the float64 division rounds the
+    same quotient once; past 2^53 it would round n and d first.
     """
     for lo in range(0, len(row.numerators), CHUNK):
         nums, dens = row.numerators[lo : lo + CHUNK], row.denominators[lo : lo + CHUNK]
-        values = np.array(list(map(truediv, nums.tolist(), dens.tolist())))
+        if 0 <= min(nums.min(), dens.min()) and max(nums.max(), dens.max()) < 1 << 53:
+            values = nums / dens
+        else:
+            values = np.array(list(map(truediv, nums.tolist(), dens.tolist())))
         yield np.arange(lo, lo + len(nums)), nums, dens, values
 
 

@@ -189,28 +189,33 @@ def _cone_transform(k):
     return np.array(ints, dtype=object), common << k
 
 
-def check_cone_membership(k) -> CheckReport:
-    """All 2^k transform coefficients of the cone observable are >= 0, exactly."""
+def check_cone_membership(k, *, cone=None) -> CheckReport:
+    """All 2^k transform coefficients of the cone observable are >= 0, exactly.
+
+    ``cone`` is ``_cone_transform(k)`` if already at hand; it is not changed.
+    """
     if k > K_EXACT:
         raise ValueError(f"cone membership is an exact check; level capped at {K_EXACT}")
-    ints, unit = _cone_transform(k)
+    ints, unit = _cone_transform(k) if cone is None else cone
     i, worst = _first_min(ints)
     return CheckReport("cone_membership", k, worst >= 0, margin=_margin(worst, unit), witness=i)
 
 
-def check_spectrum_decomposition(k, *, spectrum=None) -> CheckReport:
+def check_spectrum_decomposition(k, *, spectrum=None, cone=None) -> CheckReport:
     """Exact identity: coefficient(tau) = -1/2*[tau=0] + 1/2*transform(cone observable)(tau).
 
     With the spectrum over D, the cone transform over C and M = lcm(D, C),
     twice the identity, multiplied by M, is an identity of integers.
+    ``cone`` is ``_cone_transform(k)`` if already at hand; it is not changed.
     """
     vals, unit, _ = _values(k, "exact", spectrum, None)
     if not isinstance(unit, int):
         raise ValueError("decomposition is an exact check")
-    cone, cone_unit = _cone_transform(k)
-    cone[0] -= cone_unit
+    cone, cone_unit = _cone_transform(k) if cone is None else cone
     common = lcm(unit, cone_unit)
-    deviation = np.abs(2 * (common // unit) * vals - (common // cone_unit) * cone)
+    scaled = (common // cone_unit) * cone
+    scaled[0] -= common  # the -1/2 at tau = 0, doubled
+    deviation = np.abs(2 * (common // unit) * vals - scaled)
     witness = int(np.argmax(deviation))  # the first largest deviation
     worst = _margin(deviation[witness], 2 * common)
     return CheckReport(
@@ -421,8 +426,9 @@ def verify_suite(
         if k <= 18:
             reports.append(check_reciprocal_sum(row))
         if mode == "exact":
-            reports.append(check_cone_membership(k))
-            reports.append(check_spectrum_decomposition(k, spectrum=sp))
+            cone = _cone_transform(k)
+            reports.append(check_cone_membership(k, cone=cone))
+            reports.append(check_spectrum_decomposition(k, spectrum=sp, cone=cone))
             reports.append(check_cone_map_identities(k))
     reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))

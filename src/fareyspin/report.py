@@ -1,15 +1,20 @@
 """Uniform pass/fail records for the machine checks, and the CSV/JSON emitter of every command.
 
 The emitter, ``write_columns``, takes the records in blocks of at most CHUNK
-rows, one sequence per field, and formats each block column by column into
-one string: an integer array in one ``tolist``, a finite float64 array with
-one ``repr`` per distinct bit pattern, and any other column one value at a
-time.  The text is what ``csv.writer`` or ``json.dump(records, indent=2)``
-writes for the same rows.
+rows, one sequence per field, and turns each column of a block into a byte
+slot: a uint8 matrix with one row per record, the text of each cell
+right-aligned in its row, and the per-row lengths.  An integer array becomes
+its decimal digits, a finite float64 array the shortest round-trip digits of
+``repr`` (Schubfach, below), a bytes array its bytes, each in a few numpy
+passes; any other column is formatted one value at a time.  The block's
+separators and slots are then joined and compacted once and written with one
+``write``.  The text is what ``csv.writer`` or ``json.dump(records,
+indent=2)`` writes for the same rows.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -90,26 +95,291 @@ def _csv_cell(v) -> str:
     return buf.getvalue()[:-2]
 
 
-def _cells(column, fmt) -> list[str]:
-    """The text of every value of one column of a block, in order."""
+# --- Shortest round-trip decimals of float64 (Schubfach) ---------------------
+#
+# R. Giulietti, "The Schubfach way to render doubles" (2020).  A finite
+# positive double v = c * 2^q has the rounding interval R_v of the reals that
+# round to it, and k = floor(log10(2^q)) (floor(log10(3/4 * 2^q)) where the
+# spacing below v is half the spacing above).  R_v holds at least one multiple
+# of 10^k and at most one of 10^(k+1); the shortest decimal in R_v is the
+# multiple of 10^(k+1) if there is one, else the multiple of 10^k closest to v
+# (ties to even).  Four times v, v_l and v_r (the ends of R_v) over 10^k come
+# from one 126-bit fixed-point approximation g of 10^-k, rounded to odd, in
+# 64-bit integer arithmetic.  Java keeps two digits at least (its C_TINY and
+# s >= 100 rules); ``repr`` wants the shortest, so both are left out.
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_LOW63 = _U64((1 << 63) - 1)
+
+
+def _flog10pow2(e: int) -> int:
+    return (e * 661_971_961_083) >> 41  # floor(e * log10(2)), |e| <= 5456721
+
+
+def _flog10_three_quarters_pow2(e: int) -> int:
+    return (e * 661_971_961_083 - 274_743_187_321) >> 41  # floor(log10(3/4 * 2^e))
+
+
+def _flog2pow10(e: int) -> int:
+    return (e * 913_124_641_741) >> 38  # floor(e * log2(10)), |e| <= 233250
+
+
+@functools.cache
+def _schubfach_tables():
+    """k, h, g1 and g0 for each biased exponent field, regular spacing first,
+    then irregular: g = g1 * 2^63 + g0 in [2^125, 2^126) is the floor of
+    10^-k * 2^(125 - flog2pow10(-k)), plus one, and h = q + flog2pow10(-k) + 2."""
+    q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
+    k = np.concatenate([_flog10pow2(q[:2048]), _flog10_three_quarters_pow2(q[2048:])])
+    exact = []
+    for e in range(-k.max(), -k.min() + 1):  # the powers 10^e = 10^-k
+        r = 125 - _flog2pow10(e)
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        exact.append((num << max(r, 0)) // (den << max(-r, 0)) + 1)
+    g = np.array([[v >> 63, v & (1 << 63) - 1] for v in exact], _U64)[k.max() - k]
+    return k, (q + _flog2pow10(-k) + 2).astype(_U64), g[:, 0].copy(), g[:, 1].copy()
+
+
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products of two uint64 arrays."""
+    a_lo, a_hi = a & _LOW32, a >> _U64(32)
+    b_lo, b_hi = b & _LOW32, b >> _U64(32)
+    hi_lo = a_hi * b_lo
+    cross = (a_lo * b_lo >> _U64(32)) + (hi_lo & _LOW32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _U64(32)) + (cross >> _U64(32))
+
+
+def _round_to_odd(g1, g0, cp):
+    """cp * g / 2^127, truncated and with its lowest bit set if anything was cut off."""
+    x1 = _mulhi(g0, cp)
+    y0 = g1 * cp
+    z = (y0 >> _U64(1)) + x1
+    vbp = _mulhi(g1, cp) + (z >> _U64(63))
+    return (vbp | ((z & _LOW63) + _LOW63) >> _U64(63)).view(np.int64)
+
+
+def _shortest_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits f and exponents e, int64 arrays, with f * 10^e the shortest
+    decimal that rounds to |x| (the digits of ``repr``); finite float64 x.
+
+    Among shortest decimals the one closest to |x| is taken, ties to an even
+    last digit; f may end in zeros.  Zeros give f = 0.
+    """
+    k_table, h_table, g1_table, g0_table = _schubfach_tables()
+    bits = x.view(_U64)
+    field = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)
+    fraction = bits & _U64((1 << 52) - 1)
+    c = np.where(field > 0, fraction | _U64(1 << 52), fraction)
+    irregular = (fraction == 0) & (field > 1)
+    row = field + 2048 * irregular
+    h, g1, g0 = h_table[row], g1_table[row], g0_table[row]
+    cb = c << _U64(2)
+    vb = _round_to_odd(g1, g0, cb << h)
+    vbl = _round_to_odd(g1, g0, (cb - _U64(2) + irregular) << h)
+    vbr = _round_to_odd(g1, g0, (cb + _U64(2)) << h)
+    vbl += (c & _U64(1)).view(np.int64)  # an odd c leaves the ends of R_v out
+    vbr -= (c & _U64(1)).view(np.int64)
+    s = vb >> 2
+    # one digit fewer: the multiples s10 and s10 + 10 of 10^k below and above v
+    s10 = s // 10 * 10
+    short_low, short_high = vbl <= s10 << 2, (s10 + 10) << 2 <= vbr
+    # full length: s or s + 1 times 10^k, the one in R_v or the one closer to v
+    low, high = vbl <= s << 2, (s + 1) << 2 <= vbr
+    cmp = vb - (4 * s + 2)
+    lower = np.where(low != high, low, (cmp < 0) | (cmp == 0) & (s & 1 == 0))
+    f = np.where(short_low != short_high, np.where(short_low, s10, s10 + 10), np.where(lower, s, s + 1))
+    return np.where(c == 0, 0, f), k_table[row]
+
+
+# --- Byte slots ---------------------------------------------------------------
+
+# _QUADS[n] is the four ASCII digits of n < 10^4 as one uint32 (native order)
+_QUADS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_QUADS = _QUADS.view(np.uint32)[:, 0]
+_POW10 = np.array([10**i for i in range(20)], _U64)
+
+
+def _digits(m: np.ndarray, quads: int) -> np.ndarray:
+    """The 4 * quads low decimal digits of the uint64 array m, four ASCII bytes to a uint32."""
+    words = np.empty((len(m), quads), np.uint32)
+    for i in range(quads - 1, -1, -1):
+        high = m // _U64(10**4)
+        words[:, i] = _QUADS[m - high * _U64(10**4)]
+        m = high
+    return words
+
+
+def _int_slot(column: np.ndarray):
+    """An integer array as its decimal digits, a '-' before negatives."""
+    if column.dtype.kind == "u":
+        negative = np.zeros(len(column), bool)
+        magnitude = column.astype(_U64)
+    else:
+        signed = column.astype(np.int64)
+        negative = signed < 0
+        magnitude = signed.view(_U64).copy()
+        np.negative(magnitude, out=magnitude, where=negative)  # wraps, so int64 min is 2^63
+    lengths = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1) + negative
+    width = int(lengths.max())
+    slot = _digits(magnitude, -(-width // 4)).view(np.uint8)[:, -width:]
+    slot[negative, width - lengths[negative]] = ord("-")
+    return slot, lengths
+
+
+# Float layouts, indexed by category, are lists of positions in the 28-byte
+# source of each value: three bytes of leading zeros and 17 significant digits,
+# the sign and three digits of the decimal exponent, then "-.0e".
+_DIGIT, _EXP_SIGN, _MINUS, _POINT, _ZERO, _E = 3, 20, 24, 25, 26, 27
+_FLOAT_WIDTH = 24
+_EXP_TEXT = np.frombuffer("".join(f"{x:+04d}" for x in range(-400, 401)).encode(), np.uint32)
+
+
+@functools.cache
+def _float_layouts():
+    """Python's repr layout of each (form, exponent, digit count, sign) category.
+
+    The decimal exponent x of the leading digit selects positional text for
+    -4 <= x <= 15 (0.0001, 5.0, 1234.5) and d.ddde+XX otherwise; categories
+    0..339 are positional by (x + 4) * 17 + n - 1 for n significant digits,
+    340..373 exponential by 2 * (n - 1) + (|x| >= 100), and 374 is zero.  The
+    same 375 follow with a '-' in front.
+    """
+    digit = [_DIGIT + i for i in range(17)]
+    layouts = []
+    for x in range(-4, 16):
+        for n in range(1, 18):
+            if x < 0:
+                layouts.append([_ZERO, _POINT] + [_ZERO] * (-x - 1) + digit[:n])
+            else:
+                whole = digit[: min(n, x + 1)] + [_ZERO] * (x + 1 - n)
+                layouts.append(whole + [_POINT] + (digit[x + 1 : n] or [_ZERO]))
+    for n in range(1, 18):
+        mantissa = digit[:1] + ([_POINT] + digit[1:n] if n > 1 else [])
+        for three in (False, True):
+            exponent = [_EXP_SIGN + 1] if three else []
+            layouts.append(mantissa + [_E, _EXP_SIGN] + exponent + [_EXP_SIGN + 2, _EXP_SIGN + 3])
+    layouts.append([_ZERO, _POINT, _ZERO])
+    layouts += [[_MINUS] + layout for layout in layouts]
+    table = np.zeros((len(layouts), _FLOAT_WIDTH), np.intp)
+    for row, layout in zip(table, layouts):
+        row[_FLOAT_WIDTH - len(layout) :] = layout
+    return table, np.array(list(map(len, layouts)))
+
+
+def _float_slot(column: np.ndarray):
+    """A finite float64 array as the text of repr of each value."""
+    f, e = _shortest_decimal(column)
+    f = f.view(_U64)
+    count = np.searchsorted(_POW10, f, side="right")  # digits of f; 0 for zeros
+    point = e + count - 1  # decimal exponent of the leading digit
+    source = np.empty((len(f), 7), np.uint32)
+    source[:, :5] = _digits(f * _POW10[17 - count], 5)
+    source[:, 5] = _EXP_TEXT[point + 400]
+    source[:, 6] = np.frombuffer(b"-.0e", np.uint32)[0]
+    source = source.view(np.uint8)
+    significant = 17 - np.argmax(source[:, 19:2:-1] != ord("0"), axis=1)
+    category = np.where(
+        (point >= -4) & (point <= 15),
+        (point + 4) * 17 + significant - 1,
+        340 + 2 * (significant - 1) + (np.abs(point) >= 100),
+    )
+    category[f == 0] = 374
+    category += 375 * np.signbit(column)
+    layouts, layout_lengths = _float_layouts()
+    lengths = layout_lengths[category]
+    index = layouts[:, _FLOAT_WIDTH - lengths.max() :].take(category, axis=0)
+    index += np.arange(0, source.size, source.shape[1])[:, None]
+    return source.reshape(-1).take(index), lengths
+
+
+# bytes a bytes column may hold to be written as is, in CSV and in a JSON string
+_PLAIN = np.zeros(256, bool)
+_PLAIN[0x20:0x7F] = True
+_PLAIN[[ord(","), ord('"'), ord("\\")]] = False
+
+
+def _bytes_slot(column: np.ndarray, fmt):
+    """A bytes array that needs no quoting or escaping as its bytes, None otherwise."""
+    slot = np.ascontiguousarray(column).view(np.uint8).reshape(len(column), column.dtype.itemsize)
+    if not _PLAIN[slot].all():
+        return None
+    if fmt == "json":
+        slot = np.pad(slot, ((0, 0), (1, 1)), constant_values=ord('"'))
+    return slot, np.full(len(column), slot.shape[1])
+
+
+def _text_slot(texts: list[str]):
+    """Formatted cells as their UTF-8 bytes; a lone surrogate passes through."""
+    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    width = int(lengths.max(initial=0))
+    slot = np.zeros((len(data), width), np.uint8)
+    slot[np.arange(width) >= width - lengths[:, None]] = np.frombuffer(b"".join(data), np.uint8)
+    return slot, lengths
+
+
+def _slot(column, fmt, lone: bool):
+    """The byte slot of one column of a block; ``lone`` for the only field of a CSV row."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
+            return _int_slot(column)
         if column.dtype == np.float64 and np.isfinite(column).all():
-            # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
-            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            return texts[inverse].tolist()
+            return _float_slot(column)
+        if column.dtype.kind == "S":
+            slot = _bytes_slot(column, fmt)
+            if slot is not None:
+                return slot
+            column = column.astype(str)
         column = column.tolist()
-    elif type(column) is list and set(map(type, column)) == {str}:
-        # strings none of which needs quoting (csv) or escaping (json), tested at once
-        text = "".join(column)
-        if fmt == "csv" and not any(c in text for c in ',"\r\n'):
-            return column
-        if fmt == "json" and text.isascii() and text.isprintable() and not ('"' in text or "\\" in text):
-            # no string holds a newline, so one join and split quotes them all
-            return ('"' + '"\n"'.join(column) + '"').split("\n")
-    return list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+    texts = list(map(_csv_cell if fmt == "csv" else _json_cell, column))
+    if lone:
+        # csv.writer quotes the empty field of a one-field row
+        texts = ['""' if text == "" else text for text in texts]
+    return _text_slot(texts)
+
+
+# rows of a block laid out at once: the piece's text and mask stay in cache
+_PIECE = 1 << 12
+
+
+@functools.cache
+def _right_aligned(width: int) -> np.ndarray:
+    """Row n is the mask of the last n of ``width`` bytes."""
+    return np.arange(width) >= width - np.arange(width + 1)[:, None]
+
+
+def _join(separators: list[bytes], slots) -> np.ndarray:
+    """The bytes of a block as a uint8 array: per row, separators[0], slot 0,
+    separators[1], ..., the last slot and separators[-1].
+
+    Rows are laid out and compacted _PIECE rows at a time, in one buffer
+    whose separator bytes are written once.
+    """
+    rows = len(slots[0][1])
+    widths = [len(s) for s in separators] + [slot.shape[1] for slot, _ in slots]
+    text = np.empty((min(rows, _PIECE), sum(widths)), np.uint8)
+    keep = np.ones(text.shape, bool)
+    spans = []
+    at = 0
+    for separator, slot in zip(separators, [*slots, None]):
+        text[:, at : at + len(separator)] = np.frombuffer(separator, np.uint8)
+        at += len(separator)
+        if slot is not None:
+            spans.append((at, *slot))
+            at += slot[0].shape[1]
+    out = np.empty(rows * sum(map(len, separators)) + sum(int(n.sum()) for _, n in slots), np.uint8)
+    done = 0
+    for lo in range(0, rows, _PIECE):
+        hi = min(lo + _PIECE, rows)
+        for at, slot, lengths in spans:
+            width = slot.shape[1]
+            text[: hi - lo, at : at + width] = slot[lo:hi]
+            keep[: hi - lo, at : at + width] = _right_aligned(width).take(lengths[lo:hi], axis=0)
+        part = text[: hi - lo][keep[: hi - lo]]
+        out[done : done + part.size] = part
+        done += part.size
+    return out
 
 
 def write_columns(fields, blocks, stream, fmt) -> None:
@@ -117,30 +387,30 @@ def write_columns(fields, blocks, stream, fmt) -> None:
 
     A block is one sequence per field, all of one length (at most CHUNK
     rows keeps the text of a block small); each block is formatted column by
-    column and written with one ``stream.write``.  The text equals
-    csv.writer's for the same rows, or json.dump([dict(zip(fields, row)) ...],
-    indent=2) plus a newline.
+    column and written with one ``stream.write``.  Integer, finite float64
+    and bytes arrays (ASCII text) take the byte kernels; other columns are
+    formatted per value.  The text equals csv.writer's for the same rows, or
+    json.dump([dict(zip(fields, row)) ...], indent=2) plus a newline.
     """
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerow(fields)
-        for block in blocks:
-            columns = [_cells(column, "csv") for column in block]
-            if len(columns) == 1:
-                # csv.writer quotes the empty field of a one-field row
-                columns = [['""' if c == "" else c for c in columns[0]]]
-            if columns and columns[0]:
-                stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
-        return
-    # one %-template per record; a % in a field name is escaped
-    keys = ",\n".join(f"    {_encode(name).replace('%', '%%')}: %s" for name in fields)
-    record = f"  {{\n{keys}\n  }}".__mod__
-    separator = "[\n"
+        separators = [b""] + [b","] * (len(fields) - 1) + [b"\n"]
+    else:
+        # each record is led by ",\n", the first of the array by "[\n"
+        keys = [f"{_encode(name)}: ".encode() for name in fields]
+        separators = [b",\n  {\n    " + keys[0]] + [b",\n    " + key for key in keys[1:]] + [b"\n  }"]
+    opening = b"[\n"
     for block in blocks:
-        columns = [_cells(column, "json") for column in block]
-        if columns and columns[0]:
-            stream.write(separator + ",\n".join(map(record, zip(*columns))))
-            separator = ",\n"
-    stream.write("[]\n" if separator == "[\n" else "\n]\n")
+        if not (block and len(block[0])):
+            continue
+        lone = fmt == "csv" and len(block) == 1
+        text = _join(separators, [_slot(column, fmt, lone) for column in block])
+        if fmt == "json":
+            text[:2], opening = np.frombuffer(opening, np.uint8), b",\n"
+        stream.write(str(text.data, "utf-8", "surrogatepass"))
+        del text  # before the next block is formatted
+    if fmt == "json":
+        stream.write("[]\n" if opening == b"[\n" else "\n]\n")
 
 
 def write_records(fields, rows, stream, fmt) -> None:

@@ -27,10 +27,6 @@ K_EXACT = 12
 
 _NAIVE_CAP = 12
 
-# spectrum_records joins each tau_bits string from a table of the low bits;
-# CHUNK is a multiple of 2^_LOW_BITS, so a block holds whole high parts
-_LOW_BITS = 10
-
 SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
 # The float transform runs its first BLOCK_BITS stages on each contiguous block
@@ -287,24 +283,25 @@ def limit_estimate(tau, k: int, mode: str | None = None) -> LimitEstimate:
 def spectrum_records(spectrum: Spectrum):
     """SPECTRUM_FIELDS in blocks of CHUNK masks, one column per field.
 
-    Exact values are 'p/q' strings.  tau = 0 has no decay bound and is a block
-    of its own; every other mask's bound 2^-max_support is its lowest set bit
-    times 2^-k, exact in float.
+    tau_bits is a bytes column of max(k, 1) ASCII bits, most significant
+    first.  Exact values are 'p/q' strings.  tau = 0 has no decay bound and
+    is a block of its own; every other mask's bound 2^-max_support is its
+    lowest set bit times 2^-k, exact in float.
     """
     k = spectrum.level
-    low = min(k, _LOW_BITS)
-    table = [format(i, f"0{max(low, 1)}b") for i in range(1 << low)]
+    width = max(k, 1)
     values = spectrum.values
     if spectrum.mode == "exact":
         values = [f"{v.numerator}/{v.denominator}" for v in values]
     for lo in range(0, 1 << k, CHUNK):
-        hi = min(lo + CHUNK, 1 << k)
-        tau = np.arange(lo, hi)
-        highs = range(lo >> low, hi >> low)
-        prefixes = [format(h, f"0{k - low}b") for h in highs] if k > low else [""]
-        bits = [prefix + text for prefix in prefixes for text in table]
+        tau = np.arange(lo, min(lo + CHUNK, 1 << k))
+        bits = np.empty((len(tau), width), np.uint8)
+        for i in range(width):
+            bits[:, i] = tau >> (width - 1 - i) & 1
+        bits += ord("0")
+        bits = bits.view(f"S{width}")[:, 0]
         bound = (tau & -tau) * 2.0**-k
-        block = tau, bits, values[lo:hi], bound
+        block = tau, bits, values[lo : lo + len(tau)], bound
         if lo == 0:
             yield [column[:1] for column in block[:3]] + [[None]]
             block = [column[1:] for column in block]

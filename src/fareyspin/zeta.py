@@ -8,12 +8,13 @@ over all 2^k configurations interpolates, as k grows, between
 zeta(s-1)/zeta(s) at t = 0 and 1/zeta(s) at t = 1 for Re(s) > 2.  Appending
 zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
-by a closed-form tail.  The sum streams the row in blocks of 2^20 entries,
-each built on demand from two neighbours of a coarser row, so it never holds
-the full level-k row.  Each block is summed exactly and rounded once, which
-gives the bits of math.fsum over the block without turning its terms into
-Python floats.  zeta itself is evaluated by an Euler-Maclaurin oracle that is
-independent of the Farey machinery.
+by a closed-form tail.  The sum streams the row in chunks of 2^20 entries,
+each built on demand, 2^14 entries at a time, from two neighbours of a
+coarser row, so it never holds the full level-k row or even a whole chunk.
+Each chunk is summed exactly and rounded once, which gives the bits of
+math.fsum over the chunk without turning its terms into Python floats.  zeta
+itself is evaluated by an Euler-Maclaurin oracle that is independent of the
+Farey machinery.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from .report import CheckReport
 # Deterministic chunks of 2^_CHUNK_LEVEL entries: each chunk's sum is exact and
 # rounded once (the value math.fsum gives), and the chunk sums are combined by
 # math.fsum, so results are reproducible and correctly rounded per chunk
-# regardless of level.  Terms are formed and binned 2^_SUB_LEVEL at a time.
+# regardless of level.  The row is refined, and its terms formed and binned,
+# 2^_SUB_LEVEL entries at a time.
 _CHUNK_LEVEL = 20
 _SUB_LEVEL = 14
 _BINS = 2 << 12  # (real or imaginary, sign, exponent field)
@@ -222,15 +225,15 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    sub = 1 << _SUB_LEVEL
+    chunk = min(k, _CHUNK_LEVEL)
+    # each chunk is refined and summed 2^_SUB_LEVEL entries at a time
+    pieces = _row_blocks(k, chunk, max_level, _SUB_LEVEL)
+    per_chunk = 1 << max(chunk - _SUB_LEVEL, 0)
     real_parts, imag_parts = [], []
     # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
     with np.errstate(all="ignore"):
-        for num, den in _row_blocks(k, min(k, _CHUNK_LEVEL), max_level):
-            sub_blocks = (
-                _terms(num[lo : lo + sub], den[lo : lo + sub], s, t)
-                for lo in range(0, len(num), sub)
-            )
+        for _ in range(1 << (k - chunk)):
+            sub_blocks = (_terms(num, den, s, t) for num, den in islice(pieces, per_chunk))
             try:
                 re, im = _exact_sum(sub_blocks)
             except ValueError:

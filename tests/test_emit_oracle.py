@@ -327,7 +327,8 @@ class Discard:
 )
 def test_peak_memory_stays_blocked(argv, monkeypatch):
     # formatting a block at a time keeps the traced peak near the row itself
-    # (4 MiB at k = 18); a whole column of 2^18 strings alone would pass the bound
+    # (4 MiB at k = 18); the byte slot of a whole column of 2^18 floats and its
+    # gather index (200 bytes a value) alone would pass the bound
     monkeypatch.setattr(sys, "stdout", Discard())
     tracemalloc.start()
     try:

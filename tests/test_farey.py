@@ -274,6 +274,24 @@ class TestRowBlocks:
         assert calls == [(28, 48)]
 
 
+@pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (9, 6, 4), (9, 6, 8), (14, 10, 3)])
+def test_row_block_pieces_concatenate_to_row(k, j, piece):
+    row = extended_row(k)
+    pieces = list(_row_blocks(k, j, piece=piece))
+    size = 1 << min(piece, j)
+    assert len(pieces) == (1 << k) // size
+    assert all(len(num) == len(den) == size for num, den in pieces)
+    assert np.array_equal(np.concatenate([p[0] for p in pieces]), row.numerators[:-1])
+    assert np.array_equal(np.concatenate([p[1] for p in pieces]), row.denominators[:-1])
+
+
+def test_row_blocks_check_the_cap_when_called():
+    # before the first block is asked for, so a caller's handler around the
+    # blocks cannot take the cap error for one of its own
+    with pytest.raises(LevelTooLargeError):
+        _row_blocks(27, 20)
+
+
 class TestFareyValue:
     def test_table_values(self):
         assert farey_value(4, 5) == Fraction(3, 8)

@@ -26,6 +26,7 @@ from fareyspin import (
     seed_pair,
     verify_suite,
 )
+from fareyspin import ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
 
@@ -187,6 +188,31 @@ class TestSpectrumDecomposition:
     def test_exact_identity(self, k):
         report = check_spectrum_decomposition(k)
         assert report.passed and report.margin == 0
+
+
+class TestSharedConeTransform:
+    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    def test_one_transform_serves_both_checks_unchanged(self, k):
+        cone = ferro._cone_transform(k)
+        kept = cone[0].tolist(), cone[1]
+        spectrum = interaction(k)
+        assert check_cone_membership(k, cone=cone) == check_cone_membership(k)
+        decomposition = check_spectrum_decomposition(k, spectrum=spectrum)
+        assert check_spectrum_decomposition(k, spectrum=spectrum, cone=cone) == decomposition
+        assert check_cone_membership(k, cone=cone) == check_cone_membership(k)
+        assert (cone[0].tolist(), cone[1]) == kept
+
+    def test_suite_transforms_once_per_exact_level(self, monkeypatch):
+        levels = []
+        transform = ferro._cone_transform
+
+        def spy(k):
+            levels.append(k)
+            return transform(k)
+
+        monkeypatch.setattr(ferro, "_cone_transform", spy)
+        verify_suite(4, trials=10)
+        assert levels == [1, 2, 3, 4]
 
 
 class TestConeMapSeries:

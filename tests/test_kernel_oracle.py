@@ -10,8 +10,14 @@ replaced math.fsum over a list of Python floats and must give its bits, the
 sign of zero included.  The cache-blocked radix-4 fwht replaced a radix-2
 kernel with one pass per stage and must give its bits; exact spectra, now
 integers over one denominator, must read back the Fractions of the former
-rational path.
+rational path.  The emitter's byte slots replaced one repr or str per value
+and must give its text: shortest round-trip floats against repr, integer
+digits against str, and text cells (NUL and non-ASCII included) against
+csv.writer and json.dump.
 """
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -37,7 +43,8 @@ from fareyspin import (
     seed_eval,
 )
 from fareyspin import farey, ferro, spectral, zeta
-from fareyspin.report import CheckReport
+from fareyspin import report
+from fareyspin.report import CheckReport, write_columns
 
 
 def ref_cross_check_routes(row):
@@ -404,3 +411,110 @@ class TestIntegerSpectra:
         assert rebuilt.values == sp.values
         assert rebuilt.denominator % (2 << k) == 0
         assert [Fraction(n, rebuilt.denominator) for n in rebuilt.numerators] == sp.values
+
+
+def slot_texts(slot):
+    """The cells of a byte slot: the last `length` bytes of each row, decoded."""
+    matrix, lengths = slot
+    width = matrix.shape[1]
+    return [bytes(row[width - n :]).decode() for row, n in zip(matrix, lengths.tolist())]
+
+
+def assert_floats_like_repr(values):
+    x = np.array(values, dtype=np.float64)
+    assert slot_texts(report._float_slot(x)) == [repr(v) for v in x.tolist()]
+
+
+def float_bits(v):
+    return int(np.array(v, dtype=np.float64).view(np.uint64))
+
+
+# a finite float64 by bit pattern (sign, exponent field below 0x7FF, fraction),
+# or one of the values Hypothesis favours: subnormals, powers of two, 0.1 ...
+FLOAT_BITS = st.builds(
+    lambda sign, field, fraction: sign << 63 | field << 52 | fraction,
+    st.integers(0, 1),
+    st.integers(0, 0x7FE),
+    st.integers(0, (1 << 52) - 1),
+) | st.floats(allow_nan=False, allow_infinity=False).map(float_bits)
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+EDGE_FLOATS = [
+    0.0, 5e-324, 1e-323, 1.5e-323, 5e-323, 1e-322, 4.94e-322,
+    SMALLEST_NORMAL, math.nextafter(SMALLEST_NORMAL, 0), math.nextafter(SMALLEST_NORMAL, 1),
+    *(math.nextafter(d, t) for d in (1e-5, 1e-4, 1e15, 1e16) for t in (0, math.inf)),
+    1e-5, 1e-4, 1e15, 1e16, 9999999999999998.0, 0.1, 1 / 3, 123.456,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e23, 1.7976931348623157e308,
+    *(math.ldexp(1.0, e) for e in range(-1074, 1024)),
+    *(math.nextafter(math.ldexp(1.0, e), 0) for e in range(-1073, 1024)),
+    *(math.nextafter(math.ldexp(1.0, e), math.inf) for e in range(-1074, 1023)),
+]
+
+
+class TestFloatSlots:
+    @settings(deadline=None)
+    @given(st.lists(FLOAT_BITS, min_size=1, max_size=64))
+    def test_every_finite_bit_pattern_like_repr(self, patterns):
+        assert_floats_like_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_values_like_repr(self, sign):
+        assert_floats_like_repr([sign * v for v in EDGE_FLOATS])
+
+    def test_subnormals_like_repr(self):
+        assert_floats_like_repr(np.arange(1, 1 << 14, dtype=np.uint64).view(np.float64))
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_every_layout_like_repr(self, sign):
+        # n significant digits at decimal exponent x, either side of the
+        # positional range -4..15 and of the three-digit exponents
+        digits = "12345678923456789"
+        values = [
+            float(f"{sign}{digits[0]}.{digits[1:n]}e{x}")
+            for n in range(1, 18)
+            for x in [*range(-7, 19), -99, -100, 99, 100, 300, -307]
+        ]
+        assert_floats_like_repr(values)
+
+
+class TestIntSlots:
+    def test_extremes_and_powers_of_ten_like_str(self):
+        bound = np.iinfo(np.int64)
+        values = [bound.min, bound.min + 1, bound.max, bound.max - 1, 0]
+        values += [s * 10**n + d for n in range(19) for s in (1, -1) for d in (-1, 0, 1)]
+        for dtype in (np.int64, np.int32):
+            fits = [v for v in values if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
+            assert slot_texts(report._int_slot(np.array(fits, dtype=dtype))) == list(map(str, fits))
+
+    def test_unsigned_like_str(self):
+        values = [0, 9, 10, 2**63, 2**64 - 1, 10**19 - 1, 10**19]
+        assert slot_texts(report._int_slot(np.array(values, dtype=np.uint64))) == list(map(str, values))
+
+
+TEXTS = ["nul\x00inside", "\x00", "é", "日本語", "a,b", 'q"uote', "", "line\nbreak", "\u2028", "tab\tx"]
+# bytes columns: ASCII that is written as is, and ASCII that needs quoting,
+# escaping or is empty (a NUL in a bytes array)
+PLAIN_BYTES = ["0101", "plain", "x y", "~!#$%&'()*+-./:;<=>?@[]^_`{|}"]
+OTHER_BYTES = ["a,b", 'q"uote', "back\\slash", "", "0101"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_text_block_like_csv_writer_and_json_dump(fmt):
+    fields = ("i", "text", "plain", "other", "x")
+    rows = [
+        (i, TEXTS[i % 10], PLAIN_BYTES[i % 4], OTHER_BYTES[i % 5], 0.5 * i) for i in range(20)
+    ]
+    i, text, plain, other, x = zip(*rows)
+    plain, other = (np.array([t.encode() for t in column]) for column in (plain, other))
+    block = [np.array(i), list(text), plain, other, np.array(x)]
+    stream = io.StringIO()
+    write_columns(fields, [block], stream, fmt)
+    expected = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+    else:
+        json.dump([dict(zip(fields, row)) for row in rows], expected, indent=2)
+        expected.write("\n")
+    assert stream.getvalue() == expected.getvalue()
