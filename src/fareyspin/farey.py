@@ -217,35 +217,38 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
 
 
 def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None = None):
-    """An iterator over the level-k row without its right endpoint as
-    (numerators, denominators) blocks of 2^j entries, in index order,
-    0 <= j <= k; with ``piece``, each block comes as its consecutive pieces of
-    2^min(piece, j) entries.
+    """The level-k row without its right endpoint as 2^(k-j) blocks of 2^j
+    entries, 0 <= j <= k: a pair (count, block) where block(c) is a new
+    iterator over the (numerators, denominators) of block c in index order,
+    0 <= c < count; with ``piece``, it yields the block as its consecutive
+    pieces of 2^min(piece, j) entries.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
     n/d -> ((d-n)*x + n*x') / ((d-n)*y + n*y'), and d - n is the level-j
     numerator read backwards.  So block c needs only those two neighbours and
-    the level-j numerators, and the full level-k row is never held.  Both rows
-    are prefixes of one Stern buffer of level max(j, k-j), under the same
-    level cap as k; the cap is checked and that buffer built when this is
-    called, before the first block.
+    the level-j numerators, and the full level-k row is never held.  Both are
+    read from Stern's a(0..2^max(j, k-j+1)), the one buffer of the row of one
+    level lower, under the same level cap as k; the cap is checked and that
+    buffer built when this is called, before the first block.  The blocks
+    share only read-only data, so separate threads may iterate separate blocks.
     """
     _check_cap(k, max_level)
-    row = extended_row(max(j, k - j), max_level)
-    base = row.prefix(j).numerators
-    head, tail = base[:-1], base[:0:-1]
-    coarse = row.prefix(k - j)
-    nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
+    # both views of an extended_row share its buffer a(0..2^(level+1))
+    stern = extended_row(max(j, k - j + 1) - 1, max_level).numerators.base
+    head, tail = stern[: 1 << j], stern[1 << j : 0 : -1]
+    nums = stern[: (1 << (k - j)) + 1].tolist()
+    dens = stern[1 << (k - j) : (2 << (k - j)) + 1].tolist()
     size = 1 << (j if piece is None else min(piece, j))
-    return (
-        (
-            nums[c] * tail[lo : lo + size] + nums[c + 1] * head[lo : lo + size],
-            dens[c] * tail[lo : lo + size] + dens[c + 1] * head[lo : lo + size],
-        )
-        for c in range(1 << (k - j))
-        for lo in range(0, 1 << j, size)
-    )
+
+    def block(c: int):
+        for lo in range(0, 1 << j, size):
+            yield (
+                nums[c] * tail[lo : lo + size] + nums[c + 1] * head[lo : lo + size],
+                dens[c] * tail[lo : lo + size] + dens[c + 1] * head[lo : lo + size],
+            )
+
+    return 1 << (k - j), block
 
 
 def farey_value(k: int, s: int) -> Fraction:

@@ -12,7 +12,9 @@ by a closed-form tail.  The sum streams the row in chunks of 2^20 entries,
 each built on demand, 2^14 entries at a time, from two neighbours of a
 coarser row, so it never holds the full level-k row or even a whole chunk.
 Each chunk is summed exactly and rounded once, which gives the bits of
-math.fsum over the chunk without turning its terms into Python floats.  zeta
+math.fsum over the chunk without turning its terms into Python floats.  The
+chunks are summed on one thread per available CPU, and math.fsum of the chunk
+sums is correctly rounded, so the bits do not depend on the thread count.  zeta
 itself is evaluated by an Euler-Maclaurin oracle that is independent of the
 Farey machinery.
 """
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from threading import Event, Thread
 
 import numpy as np
 
@@ -210,13 +213,24 @@ def _terms(num: np.ndarray, den: np.ndarray, s: complex, t: float) -> np.ndarray
     return np.exp(2j * np.pi * t * (1.0 - num / h) - s * np.log(h))
 
 
+def _worker_count(chunks: int) -> int:
+    """Threads for the chunks: one per CPU this process may run on, at most one per chunk."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity off Linux
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks)
+
+
 def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
     """Z_k(s, t) streamed over the level-k row, each 2^20-entry chunk summed exactly.
 
     Requires a finite s with Re(s) > 2 and 0 <= t <= 1.  The result is the
     exact level-k partial sum of the limiting series, up to double-precision
     roundoff.  A term that is not finite (Im(s) * log(den) can overflow)
-    raises ValueError.
+    raises ValueError.  The chunks are summed on one thread per available CPU;
+    each chunk sum is rounded once and math.fsum of them is correctly rounded,
+    so the bits do not depend on which thread sums a chunk.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -225,24 +239,41 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    chunk = min(k, _CHUNK_LEVEL)
     # each chunk is refined and summed 2^_SUB_LEVEL entries at a time
-    pieces = _row_blocks(k, chunk, max_level, _SUB_LEVEL)
-    per_chunk = 1 << max(chunk - _SUB_LEVEL, 0)
-    real_parts, imag_parts = [], []
-    # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
-    with np.errstate(all="ignore"):
-        for _ in range(1 << (k - chunk)):
-            sub_blocks = (_terms(num, den, s, t) for num, den in islice(pieces, per_chunk))
-            try:
-                re, im = _exact_sum(sub_blocks)
-            except ValueError:
-                raise ValueError(
-                    f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}"
-                ) from None
-            real_parts.append(re)
-            imag_parts.append(im)
-    value = complex(math.fsum(real_parts), math.fsum(imag_parts))
+    count, block = _row_blocks(k, min(k, _CHUNK_LEVEL), max_level, _SUB_LEVEL)
+    sums = [None] * count
+    errors = []
+    stop = Event()
+    workers = _worker_count(count)
+
+    def work(first: int) -> None:
+        try:
+            # errstate is per thread; a non-finite term is rejected by
+            # _exact_sum, so its warnings say nothing new
+            with np.errstate(all="ignore"):
+                for c in range(first, count, workers):
+                    if stop.is_set():
+                        return
+                    sums[c] = _exact_sum(_terms(num, den, s, t) for num, den in block(c))
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [Thread(target=work, args=(w,)) for w in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()
+    if errors:
+        if isinstance(errors[0], ValueError):
+            raise ValueError(
+                f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}"
+            ) from None
+        raise errors[0]
+    value = complex(math.fsum(re for re, _ in sums), math.fsum(im for _, im in sums))
     return PartitionEval(k, s, float(t), value, tail_bound(k, s.real))
 
 

@@ -202,8 +202,9 @@ class TestPartition:
 
 
     def test_overflowing_term_exits_1_without_output(self, tmp_path, capsys):
+        # k = 21 has two 2^20-entry chunks, summed on separate threads where there are two CPUs
         out = tmp_path / "z.json"
-        argv = ["partition", "-k", "6", "--s-re", "3", "--s-im", "1e308", "--t", "0.5"]
+        argv = ["partition", "-k", "21", "--s-re", "3", "--s-im", "1e308", "--t", "0.5"]
         assert cli.main([*argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

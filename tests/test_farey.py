@@ -240,12 +240,19 @@ class TestMemoryGuardOffPosix:
         assert np.array_equal(extended_row(4).denominators, two_chain_row(4)[1])
 
 
+def row_pieces(k, j, piece=None):
+    """Every piece of every block of _row_blocks(k, j, piece=piece), blocks in index order."""
+    count, block = _row_blocks(k, j, piece=piece)
+    assert count == 1 << (k - j)
+    return [p for c in range(count) for p in block(c)]
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("k", range(0, 15))
     def test_blocks_concatenate_to_row(self, k):
         row = extended_row(k)
         for j in range(k + 1):
-            blocks = list(_row_blocks(k, j))
+            blocks = row_pieces(k, j)
             assert len(blocks) == 1 << (k - j)
             assert all(len(num) == len(den) == 1 << j for num, den in blocks)
             assert np.array_equal(np.concatenate([b[0] for b in blocks]), row.numerators[:-1])
@@ -253,9 +260,9 @@ class TestRowBlocks:
 
     def test_level_cap_applies_to_the_whole_row(self):
         with pytest.raises(LevelTooLargeError):
-            next(_row_blocks(27, 20))
+            _row_blocks(27, 20)
         with pytest.raises(LevelTooLargeError):
-            next(_row_blocks(7, 3, max_level=6))
+            _row_blocks(7, 3, max_level=6)
 
     def test_coarse_row_takes_the_raised_cap(self, monkeypatch):
         # the level-28 coarse row of k = 48 falls under a cap raised to 48;
@@ -270,14 +277,30 @@ class TestRowBlocks:
 
         monkeypatch.setattr(farey, "extended_row", record)
         with pytest.raises(RuntimeError, match="row allocation attempted"):
-            next(_row_blocks(48, 20, max_level=48))
+            _row_blocks(48, 20, max_level=48)
         assert calls == [(28, 48)]
+
+    def test_blocks_are_independent_iterators(self):
+        # any block, in any order, as often as asked, and interleaved with others
+        k, j = 9, 5
+        expected = row_pieces(k, j, piece=3)
+        count, block = _row_blocks(k, j, piece=3)
+        per_block = 1 << (j - 3)
+        for c in (count - 1, 0, 7, 7):
+            assert all(
+                np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                for got, want in zip(block(c), expected[c * per_block : (c + 1) * per_block], strict=True)
+            )
+        first, last = block(0), block(count - 1)
+        for i in range(per_block):
+            assert np.array_equal(next(last)[0], expected[(count - 1) * per_block + i][0])
+            assert np.array_equal(next(first)[1], expected[i][1])
 
 
 @pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (9, 6, 4), (9, 6, 8), (14, 10, 3)])
 def test_row_block_pieces_concatenate_to_row(k, j, piece):
     row = extended_row(k)
-    pieces = list(_row_blocks(k, j, piece=piece))
+    pieces = row_pieces(k, j, piece)
     size = 1 << min(piece, j)
     assert len(pieces) == (1 << k) // size
     assert all(len(num) == len(den) == size for num, den in pieces)
@@ -290,6 +313,23 @@ def test_row_blocks_check_the_cap_when_called():
     # blocks cannot take the cap error for one of its own
     with pytest.raises(LevelTooLargeError):
         _row_blocks(27, 20)
+
+
+@pytest.mark.parametrize("k, j, level", [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19)])
+def test_row_blocks_build_the_row_one_level_lower(monkeypatch, k, j, level):
+    # a(0..2^max(j, k-j+1)) is all the blocks read: the buffer of level max(j, k-j+1) - 1
+    import fareyspin.farey as farey
+
+    calls = []
+
+    def record(k, max_level=None):
+        calls.append(k)
+        raise RuntimeError("row allocation attempted")
+
+    monkeypatch.setattr(farey, "extended_row", record)
+    with pytest.raises(RuntimeError, match="row allocation attempted"):
+        _row_blocks(k, j)
+    assert calls == [level]
 
 
 class TestFareyValue:

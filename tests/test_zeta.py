@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fareyspin.zeta as zeta
 from fareyspin import (
     LevelTooLargeError,
     check_endpoint_identities,
@@ -167,11 +170,12 @@ class TestPartitionSum:
             partition_sum(4, s, 0.0)
 
     def test_overflowing_term_is_refused_without_a_warning(self):
-        # Im(s) * log(den) overflows for every den > 1
+        # Im(s) * log(den) overflows for every den > 1; k = 21 has a chunk for
+        # each of two workers
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite term"):
-                partition_sum(6, 3 + 1e308j, 0.5)
+                partition_sum(21, 3 + 1e308j, 0.5)
 
     def test_tail_bound_attached(self):
         result = partition_sum(6, 3.5, 0.25)
@@ -259,13 +263,118 @@ class TestStreamedPartitionSum:
 
         monkeypatch.setattr(farey, "extended_row", spy)
         partition_sum(21, 3, 0.0)
-        assert sorted(levels) == [20]
+        assert sorted(levels) == [19]
 
     def test_level_cap_unchanged(self):
         with pytest.raises(LevelTooLargeError):
             partition_sum(7, 3, 0, max_level=6)
         with pytest.raises(LevelTooLargeError):
             partition_sum(27, 3, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def materialized_reference(k, s, t):
+    return materialized_partition_value(k, s, t)
+
+
+def spy_chunks(monkeypatch, fail=None):
+    """Record in a list every chunk index whose block partition_sum asks for;
+    with ``fail``, the block of chunk 0 raises it instead of yielding."""
+    started = []
+    row_blocks = zeta._row_blocks
+
+    def spy(*args):
+        count, block = row_blocks(*args)
+
+        def recorded(c):
+            started.append(c)
+            if fail is not None and c == 0:
+                raise fail
+            return block(c)
+
+        return count, recorded
+
+    monkeypatch.setattr(zeta, "_row_blocks", spy)
+    return started
+
+
+class TestPartitionThreads:
+    # more workers than chunks (2 at k = 21, 4 at k = 22) and than cores at 8
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [21, 22])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
+        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: workers)
+        names = set()
+        exact_sum = zeta._exact_sum
+
+        def spy(blocks):
+            names.add(threading.current_thread().name)
+            return exact_sum(blocks)
+
+        monkeypatch.setattr(zeta, "_exact_sum", spy)
+        started = spy_chunks(monkeypatch)
+        for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
+            names.clear()
+            started.clear()
+            assert partition_sum(k, s, t).value == materialized_reference(k, s, t)
+            # every chunk once, each worker busy while there are chunks for it
+            assert sorted(started) == list(range(1 << (k - 20)))
+            assert len(names) == min(workers, 1 << (k - 20))
+
+    def test_one_worker_per_cpu_at_most_one_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(zeta.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert zeta._worker_count(2) == 2
+        assert zeta._worker_count(1 << 27) == 3
+        monkeypatch.delattr(zeta.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(zeta.os, "cpu_count", lambda: 5)
+        assert zeta._worker_count(1 << 27) == 5
+        monkeypatch.setattr(zeta.os, "cpu_count", lambda: None)
+        assert zeta._worker_count(1 << 27) == 1
+
+    def test_non_finite_term_stops_before_the_other_chunks(self, monkeypatch):
+        # Im(s) * log(den) overflows for every den > 1, so chunk 0 fails first
+        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 1)
+        started = spy_chunks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite term"):
+                partition_sum(21, 3 + 1e308j, 0.5)
+        assert started == [0]
+
+    # 128 chunks of 2^14 entries on two workers: after chunk 0 fails, the
+    # other worker stops well before it has started all 64 of its chunks
+    @pytest.mark.parametrize(
+        "error, message",
+        [(ValueError("cannot sum a non-finite value"), "non-finite term"), (OverflowError("too big"), "too big")],
+    )
+    def test_a_failing_chunk_stops_the_other_worker(self, monkeypatch, error, message):
+        monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
+        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 2)
+        started = spy_chunks(monkeypatch, fail=error)
+        with pytest.raises(type(error), match=message):
+            partition_sum(21, 3, 0.0)
+        assert 0 in started and len(started) < 65
+
+    def test_interrupted_join_stops_the_workers(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
+        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 2)
+        started = spy_chunks(monkeypatch)
+        threads = []
+
+        class Interrupted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                threads.append(self)
+
+            def join(self, timeout=None):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(zeta, "Thread", Interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            partition_sum(21, 3, 0.0)
+        for thread in threads:
+            threading.Thread.join(thread)
+        assert len(started) < 128
 
 
 class TestMoebiusDirichlet:
