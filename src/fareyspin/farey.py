@@ -30,6 +30,7 @@ from typing import IO
 
 import numpy as np
 
+from ._threads import run_pieces
 from .report import CHUNK, CheckReport, write_columns
 
 # Default level cap: a full row at level 26 is one buffer of 2^27 + 1 int64, ~1 GiB.
@@ -39,6 +40,8 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
+# verify_row checks 2^ROW_PIECE_BITS indices at a time.
+ROW_PIECE_BITS = 16
 
 ROW_FIELDS = ("index", "numerator", "denominator", "value")
 
@@ -267,37 +270,44 @@ def verify_row(row: FareyRow) -> list[CheckReport]:
     """Check endpoints, strict monotonicity, unimodularity, and symmetry.
 
     Each property yields one CheckReport; the witness is the first failing
-    index, if any.
+    index, if any.  The row is checked in pieces of 2^ROW_PIECE_BITS indices on
+    one thread per available CPU; each piece finds its first failure of each
+    check, and the lowest of those is the row's.
     """
     num, den, k = row.numerators, row.denominators, row.level
-    reports = []
-
     endpoints_ok = (
         num[0] == 0 and den[0] == 1 and num[-1] == 1 and den[-1] == 1 and len(num) == row.size
     )
-    reports.append(
+    size = len(num)
+    mirror_num, mirror_den = num[::-1], den[::-1]
+    # per piece, the first failure of monotonicity, unimodularity and symmetry
+    firsts = [None] * -(-size // (1 << ROW_PIECE_BITS))
+
+    def check(c: int) -> None:
+        lo, hi = c << ROW_PIECE_BITS, (c + 1) << ROW_PIECE_BITS
+        top = min(hi, size - 1)  # the pairs (s, s + 1) of the piece
+        # Fractions increase strictly, num[s]*den[s+1] < num[s+1]*den[s], and
+        # adjacent ones are unimodular: the larger product exceeds the other by
+        # 1.  Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL, so
+        # their difference, formed in place of the one, carries both comparisons.
+        cross = num[lo + 1 : top + 1] * den[lo:top]
+        cross -= num[lo:top] * den[lo + 1 : top + 1]
+        # Reflection s -> 2^k - s fixes denominators and sends values to 1 - value.
+        symmetric = (num[lo:hi] + mirror_num[lo:hi] == den[lo:hi]) & (
+            den[lo:hi] == mirror_den[lo:hi]
+        )
+        firsts[c] = [
+            None if i is None else lo + i
+            for i in (_first_failure(cross > 0), _first_failure(cross == 1), _first_failure(symmetric))
+        ]
+
+    run_pieces(len(firsts), check)
+    reports = [
         CheckReport("row_endpoints", k, bool(endpoints_ok), witness=None if endpoints_ok else 0)
-    )
-
-    # Fractions increase strictly, num[s]*den[s+1] < num[s+1]*den[s], and
-    # adjacent ones are unimodular: the larger product exceeds the other by 1.
-    # Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL, so their
-    # difference, formed in place of the one, carries both comparisons.
-    cross = num[1:] * den[:-1]
-    cross -= num[:-1] * den[1:]
-    mono = cross > 0
-    unimodular = cross == 1
-    del cross  # free it before the symmetry check
-    reports.append(CheckReport("row_monotone", k, bool(mono.all()), witness=_first_failure(mono)))
-    reports.append(
-        CheckReport("row_unimodular", k, bool(unimodular.all()), witness=_first_failure(unimodular))
-    )
-
-    # Reflection s -> 2^k - s fixes denominators and sends values to 1 - value.
-    symmetric = (num + num[::-1] == den) & (den == den[::-1])
-    reports.append(
-        CheckReport("row_symmetric", k, bool(symmetric.all()), witness=_first_failure(symmetric))
-    )
+    ]
+    for j, name in enumerate(("row_monotone", "row_unimodular", "row_symmetric")):
+        witness = min((f[j] for f in firsts if f[j] is not None), default=None)
+        reports.append(CheckReport(name, k, witness is None, witness=witness))
     return reports
 
 

@@ -9,10 +9,9 @@ Exact mode admits zero tolerance; float mode defaults to 1e-12.
 """
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -144,19 +143,41 @@ def reciprocal_sum(k: int | FareyRow, max_level=None) -> Fraction:
     """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1.
 
     ``k`` is a level, whose row is built, or the FareyRow of that level.  The
-    sum is kept as a reduced integer pair p/q, one gcd per term.
+    terms are summed by a pairwise tree of reduced integer pairs: at each step
+    adjacent fractions p1/q1 and p2/q2 become (p1*q2 + p2*q1)/(q1*q2), reduced
+    by np.gcd, and an odd count is padded with 0/1.  A step runs in int64
+    while 2*max|p|*max|q| and max|q|^2 stay below 2^63 (for the first
+    products d*d', while max|d|^2 does), and it and every later step on
+    Python ints otherwise.  A reduced fraction is unique, so the result does
+    not depend on the order of the additions.
     """
     row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
     if row.level < 1:
         raise ValueError("reciprocal_sum requires level >= 1")
-    dens = row.denominators.tolist()
-    p, q = 0, 1
-    for d, d_next in zip(dens, dens[1:]):
-        m = d * d_next
-        p, q = p * m + q, q * m
-        g = gcd(p, q)
-        p, q = p // g, q // g
-    return Fraction(p, q)
+    d = row.denominators
+    if d.dtype != np.int64 or _magnitude(d) ** 2 >= 1 << 63:
+        d = d.astype(object)
+    if not d.all():
+        raise ZeroDivisionError("the row has a zero denominator")
+    q = d[:-1] * d[1:]
+    p = np.ones_like(q)
+    while q.size > 1:
+        if q.size % 2:
+            p, q = np.append(p, 0), np.append(q, 1)
+        if q.dtype != object:
+            top_p, top_q = _magnitude(p), _magnitude(q)
+            if 2 * top_p * top_q >= 1 << 63 or top_q**2 >= 1 << 63:
+                p, q = p.astype(object), q.astype(object)
+        p, q = p[0::2] * q[1::2] + p[1::2] * q[0::2], q[0::2] * q[1::2]
+        g = np.gcd(p, q)
+        p //= g
+        q //= g
+    return Fraction(int(p[0]), int(q[0]))
+
+
+def _magnitude(a) -> int:
+    """max |a| over a nonempty integer array, as a Python int."""
+    return max(-int(a.min()), int(a.max()))
 
 
 def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
@@ -405,10 +426,14 @@ def verify_suite(
         raise ValueError("k_max must be >= 1")
     top = extended_row(k_max, max_level)
     reports: list[CheckReport] = []
+    # spectra by (level, mode); each level's are dropped at the end of its
+    # iteration, so only levels k and k + 1 are held
+    spectra: dict[tuple[int, str], Spectrum] = {}
 
-    @functools.cache
     def spectrum_at(k: int, mode: str) -> Spectrum:
-        return interaction(top.prefix(k), mode)
+        if (k, mode) not in spectra:
+            spectra[k, mode] = interaction(top.prefix(k), mode)
+        return spectra[k, mode]
 
     for k in range(1, k_max + 1):
         mode = "exact" if k <= K_EXACT else "float"
@@ -430,6 +455,8 @@ def verify_suite(
             reports.append(check_cone_membership(k, cone=cone))
             reports.append(check_spectrum_decomposition(k, spectrum=sp, cone=cone))
             reports.append(check_cone_map_identities(k))
+        sp = pair = None  # no later check reads level k
+        spectra = {key: spectrum for key, spectrum in spectra.items() if key[0] > k}
     reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))
     return reports

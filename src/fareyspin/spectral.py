@@ -18,6 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from ._threads import run_pieces
 from .farey import FareyRow, extended_row
 from .report import CHUNK, write_columns
 
@@ -31,7 +32,8 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
 # The float transform runs its first BLOCK_BITS stages on each contiguous block
 # of 2^BLOCK_BITS entries (512 KiB of float64, within a core's L2 cache), then
-# the remaining stages over the whole array.
+# the remaining stages on strips of 2^(BLOCK_BITS+2) entries across the blocks
+# (2 MiB and 1 MiB of scratch, measured fastest with a 4 MiB L2 cache).
 BLOCK_BITS = 16
 
 
@@ -42,21 +44,25 @@ def _check_power_of_two(n: int) -> int:
 
 
 def _stages(a: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
-    """Butterfly stages of half-width 2^lo .. 2^(hi-1) on the contiguous array a, in order.
+    """Butterfly stages of half-width 2^lo .. 2^(hi-1) along the first axis of a, in order.
 
-    Two stages run per pass: entries x0, x1, x2, x3, 2^s apart, become
-    ((x0 + x1) + (x2 + x3)), ((x0 - x1) + (x2 - x3)), ((x0 + x1) - (x2 + x3))
-    and ((x0 - x1) - (x2 - x3)), the one-stage butterfly twice with the same
-    operands in the same order, so every entry keeps its bits.  ``scratch``
-    holds at least a.size / 2 entries.
+    Further axes of a are columns, each transformed on its own.  a may be a
+    strided view whose first axis splits without a copy, such as a column
+    strip of a contiguous matrix.  Two stages run per pass: entries x0, x1,
+    x2, x3, 2^s apart, become ((x0 + x1) + (x2 + x3)), ((x0 - x1) + (x2 - x3)),
+    ((x0 + x1) - (x2 + x3)) and ((x0 - x1) - (x2 - x3)), the one-stage
+    butterfly twice with the same operands in the same order, so every entry
+    keeps its bits.  ``scratch`` is contiguous and holds at least a.size / 2
+    entries.
     """
-    n = a.size
+    n, cols = a.size, a.shape[1:]
     s = lo
     while s + 1 < hi:
         h = 1 << s
-        b = a.reshape(-1, 4, h)
+        b = a.reshape(-1, 4, h, *cols)
         x0, x1, x2, x3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-        y0, y2 = scratch[: n // 4].reshape(-1, h), scratch[n // 4 : n // 2].reshape(-1, h)
+        y0 = scratch[: n // 4].reshape(-1, h, *cols)
+        y2 = scratch[n // 4 : n // 2].reshape(-1, h, *cols)
         np.add(x0, x1, out=y0)
         np.subtract(x0, x1, out=x1)
         np.add(x2, x3, out=y2)
@@ -68,8 +74,8 @@ def _stages(a: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
         s += 2
     if s < hi:
         h = 1 << s
-        b = a.reshape(-1, 2, h)
-        low = scratch[: n // 2].reshape(-1, h)
+        b = a.reshape(-1, 2, h, *cols)
+        low = scratch[: n // 2].reshape(-1, h, *cols)
         np.subtract(b[:, 0], b[:, 1], out=low)
         b[:, 0] += b[:, 1]
         b[:, 1] = low
@@ -86,9 +92,16 @@ def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
         raise ValueError("normalized fwht on arrays requires a floating or complex dtype")
     scratch = np.empty(a.size // 2, a.dtype)
     low = min(bits, BLOCK_BITS)
-    for block in a.reshape(-1, 1 << low):
-        _stages(block, 0, low, scratch)
-    _stages(a, low, bits, scratch)
+    # The low stages run on each row of m, a contiguous block, and the stages
+    # above on column strips of m of 2^(low+2) entries, as near as its shape
+    # allows.  Each block and each strip has its own row of the scratch, so
+    # the pieces of each phase run on separate threads.
+    m = a.reshape(-1, 1 << low)
+    rows, cols = m.shape
+    width = min(max(4 * cols // rows, 1), cols)
+    blocks, strips = scratch.reshape(rows, -1), scratch.reshape(cols // width, -1)
+    run_pieces(rows, lambda r: _stages(m[r], 0, low, blocks[r]))
+    run_pieces(cols // width, lambda c: _stages(m[:, c * width : (c + 1) * width], 0, bits - low, strips[c]))
     if normalize:
         a *= 2.0 ** -bits  # power-of-two scaling, exact in IEEE
     return a

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from threading import Event, Thread
 
 import numpy as np
 
+from ._threads import run_pieces
 from .farey import _row_blocks, extended_row
 from .report import CheckReport
 
@@ -213,15 +212,6 @@ def _terms(num: np.ndarray, den: np.ndarray, s: complex, t: float) -> np.ndarray
     return np.exp(2j * np.pi * t * (1.0 - num / h) - s * np.log(h))
 
 
-def _worker_count(chunks: int) -> int:
-    """Threads for the chunks: one per CPU this process may run on, at most one per chunk."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity off Linux
-        cpus = os.cpu_count() or 1
-    return min(cpus, chunks)
-
-
 def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
     """Z_k(s, t) streamed over the level-k row, each 2^20-entry chunk summed exactly.
 
@@ -242,37 +232,16 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     # each chunk is refined and summed 2^_SUB_LEVEL entries at a time
     count, block = _row_blocks(k, min(k, _CHUNK_LEVEL), max_level, _SUB_LEVEL)
     sums = [None] * count
-    errors = []
-    stop = Event()
-    workers = _worker_count(count)
 
-    def work(first: int) -> None:
-        try:
-            # errstate is per thread; a non-finite term is rejected by
-            # _exact_sum, so its warnings say nothing new
-            with np.errstate(all="ignore"):
-                for c in range(first, count, workers):
-                    if stop.is_set():
-                        return
-                    sums[c] = _exact_sum(_terms(num, den, s, t) for num, den in block(c))
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
+    def work(c: int) -> None:
+        sums[c] = _exact_sum(_terms(num, den, s, t) for num, den in block(c))
 
-    threads = [Thread(target=work, args=(w,)) for w in range(workers)]
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        stop.set()
-    if errors:
-        if isinstance(errors[0], ValueError):
-            raise ValueError(
-                f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}"
-            ) from None
-        raise errors[0]
+        # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
+        with np.errstate(all="ignore"):
+            run_pieces(count, work)
+    except ValueError:
+        raise ValueError(f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}") from None
     value = complex(math.fsum(re for re, _ in sums), math.fsum(im for _, im in sums))
     return PartitionEval(k, s, float(t), value, tail_bound(k, s.real))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -308,3 +310,42 @@ class TestSuite:
     def test_suite_rejects_bad_range(self):
         with pytest.raises(ValueError):
             verify_suite(0)
+
+    def test_holds_only_the_spectra_later_checks_read(self, monkeypatch):
+        built, alive_at_rows = [], []
+        transform, ferro_verify_row = ferro.interaction, ferro.verify_row
+
+        def spy_interaction(row, mode):
+            spectrum = transform(row, mode)
+            built.append(weakref.ref(spectrum))
+            return spectrum
+
+        def spy_verify_row(row):
+            alive = [ref() for ref in built if ref() is not None]
+            alive_at_rows.append([(sp.level, sp.mode) for sp in alive])
+            return ferro_verify_row(row)
+
+        monkeypatch.setattr(ferro, "interaction", spy_interaction)
+        monkeypatch.setattr(ferro, "verify_row", spy_verify_row)
+        verify_suite(15, trials=5)
+        # every spectrum is built once: exact through K_EXACT, float from
+        # K_EXACT on, since level K_EXACT's convergence check runs in float
+        assert len(built) == 15 + 1
+        # level k's spectrum, built for the convergence check of level k - 1,
+        # is the only one left when level k starts
+        expected = [[]] + [[(k, "exact" if k <= 12 else "float")] for k in range(2, 16)]
+        assert alive_at_rows == expected
+
+    def test_peak_memory_of_a_float_sweep(self):
+        # At k = 20 the traced peak is the level-20 Stern buffer (16 MiB), the
+        # spectra of levels 19 and 20 (4 and 8 MiB) and the two 4 MiB
+        # temporaries of their convergence check: 36.4 MiB measured.  Keeping
+        # every spectrum, or checking the row in whole-row temporaries, each
+        # takes it past the bound (49.0 MiB with both).
+        tracemalloc.start()
+        try:
+            assert all(r.passed for r in verify_suite(20, trials=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20

@@ -5,12 +5,16 @@ The seeded route once ran seed_eval per index, the reciprocal sum added
 Fractions one at a time, and the cone-map identities compared Fractions per
 index.  The copies below are that code, unchanged apart from taking the row
 where it built one; the new kernels must give equal results, report margins
-and witnesses included, margin type too.  The partition sum's exact chunk sum
-replaced math.fsum over a list of Python floats and must give its bits, the
-sign of zero included.  The cache-blocked radix-4 fwht replaced a radix-2
-kernel with one pass per stage and must give its bits; exact spectra, now
-integers over one denominator, must read back the Fractions of the former
-rational path.  The emitter's byte slots replaced one repr or str per value
+and witnesses included, margin type too.  The reciprocal sum, now a pairwise
+tree in int64 that moves to Python ints before a product could overflow, must
+give the Fraction loop's sum on any row.  The row checks, now run in pieces on
+several threads, must give the reports of the whole-row checks.  The partition
+sum's exact chunk sum replaced math.fsum over a list of Python floats and must
+give its bits, the sign of zero included.  The cache-blocked radix-4 fwht
+replaced a radix-2 kernel with one pass per stage and must give its bits, and
+its threaded blocks and column strips must give the bits of the serial blocked
+kernel for any number of workers; exact spectra, now integers over one
+denominator, must read back the Fractions of the former rational path.  The emitter's byte slots replaced one repr or str per value
 and must give its text: shortest round-trip floats against repr, integer
 digits against str, and text cells (NUL and non-ASCII included) against
 csv.writer and json.dump.
@@ -19,6 +23,8 @@ import csv
 import io
 import json
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -41,8 +47,9 @@ from fareyspin import (
     rational_wht,
     reciprocal_sum,
     seed_eval,
+    verify_row,
 )
-from fareyspin import farey, ferro, spectral, zeta
+from fareyspin import _threads, farey, ferro, spectral, zeta
 from fareyspin import report
 from fareyspin.report import CheckReport, write_columns
 
@@ -66,12 +73,43 @@ def ref_cross_check_routes(row):
     return True
 
 
-def ref_reciprocal_sum(k):
-    dens = extended_row(k).denominators.tolist()
+def ref_reciprocal_sum(row):
+    if not isinstance(row, FareyRow):
+        row = extended_row(row)
+    dens = row.denominators.tolist()
     total = Fraction(0)
-    for s in range(1 << k):
+    for s in range(len(dens) - 1):
         total += Fraction(1, dens[s] * dens[s + 1])
     return total
+
+
+def ref_verify_row(row):
+    # the whole-row checks: full-length cross products and symmetry masks
+    num, den, k = row.numerators, row.denominators, row.level
+    reports = []
+
+    endpoints_ok = (
+        num[0] == 0 and den[0] == 1 and num[-1] == 1 and den[-1] == 1 and len(num) == row.size
+    )
+    reports.append(
+        CheckReport("row_endpoints", k, bool(endpoints_ok), witness=None if endpoints_ok else 0)
+    )
+
+    cross = num[1:] * den[:-1]
+    cross -= num[:-1] * den[1:]
+    mono = cross > 0
+    unimodular = cross == 1
+    del cross
+    reports.append(CheckReport("row_monotone", k, bool(mono.all()), witness=farey._first_failure(mono)))
+    reports.append(
+        CheckReport("row_unimodular", k, bool(unimodular.all()), witness=farey._first_failure(unimodular))
+    )
+
+    symmetric = (num + num[::-1] == den) & (den == den[::-1])
+    reports.append(
+        CheckReport("row_symmetric", k, bool(symmetric.all()), witness=farey._first_failure(symmetric))
+    )
+    return reports
 
 
 def ref_cone_observable(k):
@@ -149,6 +187,72 @@ class TestReciprocalSum:
         with pytest.raises(ValueError):
             reciprocal_sum(extended_row(0))
 
+    @pytest.mark.parametrize("k", [5, 10, 14])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutated_rows_match_the_fraction_sum(self, k, seed):
+        rng = np.random.default_rng(seed)
+        dens = extended_row(k).denominators.copy()
+        at = rng.integers(0, dens.size, 3)
+        dens[at] += rng.integers(1, 50, 3)
+        bad = FareyRow(k, extended_row(k).numerators, dens)
+        total = reciprocal_sum(bad)
+        assert total != 1 and total == ref_reciprocal_sum(bad)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 9, 17, 33, 100, 1000, 4097])
+    def test_odd_term_counts_and_cut_rows(self, size):
+        # size - 1 terms: odd counts pad a 0/1 at one or more steps of the tree
+        cut = extended_row(12).denominators[:size]
+        row = FareyRow(12, extended_row(12).numerators[:size], cut)
+        assert reciprocal_sum(row) == ref_reciprocal_sum(row)
+        rng = np.random.default_rng(size)
+        noise = FareyRow(12, row.numerators, rng.integers(1, 1000, size))
+        assert reciprocal_sum(noise) == ref_reciprocal_sum(noise)
+
+    @staticmethod
+    def gcd_dtypes(monkeypatch):
+        """The dtype of each tree step, recorded from its np.gcd call."""
+        seen = []
+        gcd = np.gcd
+
+        def spy(p, q):
+            seen.append(p.dtype)
+            return gcd(p, q)
+
+        monkeypatch.setattr(ferro.np, "gcd", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "top, steps",
+        [
+            # |d| near 2^32: d * d' overflows, so every step is on Python ints
+            (2**32 - 5, [object] * 6),
+            # near 2^31: d * d' fits, the first sum does not
+            (2**31 - 1, [object] * 6),
+            # near 2^10: reduced sums of unrelated terms outgrow int64 after two steps
+            (2**10, [np.int64] * 2 + [object] * 4),
+        ],
+    )
+    def test_switches_to_python_ints_before_an_overflow(self, monkeypatch, top, steps):
+        rng = np.random.default_rng(top)
+        dens = rng.integers(top - 2**9, top, 65)
+        dens[::7] *= -1
+        row = FareyRow(6, np.zeros(65, np.int64), dens)
+        seen = self.gcd_dtypes(monkeypatch)
+        total = reciprocal_sum(row)
+        assert seen == steps
+        assert total == ref_reciprocal_sum(row)
+
+    def test_farey_rows_stay_in_int64(self, monkeypatch):
+        seen = self.gcd_dtypes(monkeypatch)
+        assert reciprocal_sum(16) == 1
+        assert seen == [np.int64] * 16
+
+    def test_zero_denominator_is_refused(self):
+        dens = extended_row(4).denominators.copy()
+        dens[3] = 0
+        with pytest.raises(ZeroDivisionError):
+            reciprocal_sum(FareyRow(4, extended_row(4).numerators, dens))
+
 
 class TestConeMapIdentities:
     @pytest.mark.parametrize("k", range(1, K_EXACT + 1))
@@ -187,6 +291,63 @@ class TestConeMapIdentities:
         monkeypatch.setattr(ferro, "seed_values", seeded)
         report = check_cone_map_identities(4)
         assert not report.passed and report.witness == 9
+
+
+PIECE = 1 << farey.ROW_PIECE_BITS
+
+
+def planted(k, changes):
+    """The level-k row with ``changes``, (array, index, delta) triples, applied."""
+    row = extended_row(k)
+    arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
+    for which, s, delta in changes:
+        arrays[which][s] += delta
+    return FareyRow(k, arrays["num"], arrays["den"])
+
+
+class TestPiecedVerifyRow:
+    @pytest.mark.parametrize("k", range(23))
+    def test_real_rows_like_the_whole_row(self, k):
+        row = extended_row(k)
+        assert verify_row(row) == ref_verify_row(row)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "changes, witnesses",
+        [
+            # at the last index of piece 0 (its last pair reads piece 1), the
+            # first of piece 1 (the middle of the row, its own mirror), the
+            # last but one and the last of the row (mirrored to 1 and 0)
+            ([("num", PIECE - 1, 1)], (PIECE - 1, PIECE - 2, PIECE - 1)),
+            ([("den", PIECE, 1)], (PIECE - 1, PIECE - 1, PIECE)),
+            ([("den", 2 * PIECE - 1, 1)], (2 * PIECE - 2, 2 * PIECE - 2, 1)),
+            ([("num", 2 * PIECE, -1)], (2 * PIECE - 1, 2 * PIECE - 1, 0)),
+            # failures in pieces 0 and 2: each check reports its first
+            ([("num", 2 * PIECE, -1), ("num", 5, 3)], (5, 4, 0)),
+            # a symmetry failure in piece 1 whose mirror, in piece 0, comes first
+            ([("den", PIECE + 7, 1)], (PIECE + 6, PIECE + 6, PIECE - 7)),
+        ],
+    )
+    def test_planted_failures(self, monkeypatch, workers, changes, witnesses):
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+        row = planted(farey.ROW_PIECE_BITS + 1, changes)  # 2 * PIECE + 1 entries, 3 pieces
+        reports = verify_row(row)
+        assert reports == ref_verify_row(row)
+        assert tuple(r.witness for r in reports[1:]) == witnesses
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_small_pieces_like_the_whole_row(self, monkeypatch, workers):
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+        monkeypatch.setattr(farey, "ROW_PIECE_BITS", 2)
+        rng = np.random.default_rng(workers)
+        for k in range(8):
+            for _ in range(20):
+                changes = [
+                    (rng.choice(["num", "den"]), rng.integers(0, (1 << k) + 1), rng.integers(-2, 3))
+                    for _ in range(rng.integers(0, 3))
+                ]
+                row = planted(k, changes)
+                assert verify_row(row) == ref_verify_row(row)
 
 
 def test_suite_builds_one_row(monkeypatch):
@@ -376,6 +537,135 @@ class TestBlockedFwht:
         values = farey_values[:: 1 << (FWHT_TOP - k)]
         old = np.negative(ref_fwht(values.copy(), normalize=True))
         new = interaction(k, "float").values
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def serial_stages(a, lo, hi, scratch):
+    # the serial blocked kernel: radix-4 passes over the contiguous array a
+    n = a.size
+    s = lo
+    while s + 1 < hi:
+        h = 1 << s
+        b = a.reshape(-1, 4, h)
+        x0, x1, x2, x3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+        y0, y2 = scratch[: n // 4].reshape(-1, h), scratch[n // 4 : n // 2].reshape(-1, h)
+        np.add(x0, x1, out=y0)
+        np.subtract(x0, x1, out=x1)
+        np.add(x2, x3, out=y2)
+        np.subtract(x2, x3, out=x0)
+        np.subtract(x1, x0, out=x3)
+        np.add(x1, x0, out=x1)
+        np.add(y0, y2, out=x0)
+        np.subtract(y0, y2, out=x2)
+        s += 2
+    if s < hi:
+        h = 1 << s
+        b = a.reshape(-1, 2, h)
+        low = scratch[: n // 2].reshape(-1, h)
+        np.subtract(b[:, 0], b[:, 1], out=low)
+        b[:, 0] += b[:, 1]
+        b[:, 1] = low
+
+
+def serial_fwht(a, normalize=False):
+    # the low stages block by block on one thread, then the rest over the whole array
+    bits = a.size.bit_length() - 1
+    scratch = np.empty(a.size // 2, a.dtype)
+    low = min(bits, spectral.BLOCK_BITS)
+    for block in a.reshape(-1, 1 << low):
+        serial_stages(block, 0, low, scratch)
+    serial_stages(a, low, bits, scratch)
+    if normalize:
+        a *= 2.0**-bits
+    return a
+
+
+WORKERS = (1, 2, 3, 8)
+
+
+def assert_threads_keep_the_bits(monkeypatch, x, normalize=False):
+    """fwht of x on 1, 2, 3 and 8 workers against the serial kernel, as int64 views."""
+    with np.errstate(all="ignore"):  # inf - inf and overflow in both kernels alike
+        old = serial_fwht(x.copy(), normalize)
+        for workers in WORKERS:
+            monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+            new = fwht(x.copy(), normalize)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64)), workers
+
+
+class TestThreadedFwht:
+    """Blocks and column strips on any number of workers give the serial kernel's bits."""
+
+    @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
+    def test_farey_values(self, monkeypatch, farey_values, k):
+        assert_threads_keep_the_bits(monkeypatch, farey_values[:: 1 << (FWHT_TOP - k)], True)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 16, 17, 18, 19, 20])
+    def test_special_floats(self, monkeypatch, k):
+        x = special_floats(np.random.default_rng(400 + k), 1 << k)
+        assert_threads_keep_the_bits(monkeypatch, x)
+        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+
+    @pytest.mark.parametrize("k", [0, 3, 17, 19])
+    def test_complex(self, monkeypatch, k):
+        z = special_floats(np.random.default_rng(500 + k), 2 << k).view(np.complex128)
+        assert_threads_keep_the_bits(monkeypatch, z, normalize=True)
+
+    @pytest.mark.parametrize("k", [0, 4, 17, 19])
+    def test_int64(self, monkeypatch, k):
+        assert_threads_keep_the_bits(monkeypatch, np.random.default_rng(600 + k).integers(-(2**40), 2**40, 1 << k))
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(11))
+    def test_small_blocks(self, monkeypatch, block_bits, k):
+        # many blocks and strips, with odd and even stage counts on either side
+        monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
+        x = special_floats(np.random.default_rng(700 + k), 1 << k)
+        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+
+    def test_many_workers_with_a_short_switch_interval(self, monkeypatch):
+        # 8 workers on 2 cores, switching threads every microsecond: a piece
+        # that shared scratch or entries with another would lose bits
+        monkeypatch.setattr(spectral, "BLOCK_BITS", 6)
+        x = special_floats(np.random.default_rng(800), 1 << 14)
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with np.errstate(all="ignore"):
+                old = serial_fwht(x.copy())
+                for _ in range(20):
+                    new = fwht(x.copy())
+                    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def infinities(monkeypatch, workers):
+        # inf - inf in block 1 of 2, which a worker thread transforms
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+        x = np.ones(1 << (spectral.BLOCK_BITS + 1))
+        x[[1 << spectral.BLOCK_BITS, (1 << spectral.BLOCK_BITS) + 1]] = np.inf
+        return x
+
+    @pytest.mark.parametrize("workers", WORKERS[1:])
+    def test_raise_reaches_the_caller(self, monkeypatch, workers):
+        x = self.infinities(monkeypatch, workers)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                serial_fwht(x.copy())
+            with pytest.raises(FloatingPointError):
+                fwht(x.copy())
+
+    @pytest.mark.parametrize("workers", WORKERS[1:])
+    def test_ignore_reaches_the_workers(self, monkeypatch, workers):
+        x = self.infinities(monkeypatch, workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                old = serial_fwht(x.copy())
+                new = fwht(x.copy())
+        assert np.isnan(new).any()
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 

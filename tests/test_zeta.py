@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fareyspin.zeta as zeta
+from fareyspin import _threads
 from fareyspin import (
     LevelTooLargeError,
     check_endpoint_identities,
@@ -303,7 +304,7 @@ class TestPartitionThreads:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("k", [21, 22])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
-        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: workers)
+        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: workers)
         names = set()
         exact_sum = zeta._exact_sum
 
@@ -322,18 +323,18 @@ class TestPartitionThreads:
             assert len(names) == min(workers, 1 << (k - 20))
 
     def test_one_worker_per_cpu_at_most_one_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(zeta.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert zeta._worker_count(2) == 2
-        assert zeta._worker_count(1 << 27) == 3
-        monkeypatch.delattr(zeta.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(zeta.os, "cpu_count", lambda: 5)
-        assert zeta._worker_count(1 << 27) == 5
-        monkeypatch.setattr(zeta.os, "cpu_count", lambda: None)
-        assert zeta._worker_count(1 << 27) == 1
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _threads._worker_count(2) == 2
+        assert _threads._worker_count(1 << 27) == 3
+        monkeypatch.delattr(_threads.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_threads.os, "cpu_count", lambda: 5)
+        assert _threads._worker_count(1 << 27) == 5
+        monkeypatch.setattr(_threads.os, "cpu_count", lambda: None)
+        assert _threads._worker_count(1 << 27) == 1
 
     def test_non_finite_term_stops_before_the_other_chunks(self, monkeypatch):
         # Im(s) * log(den) overflows for every den > 1, so chunk 0 fails first
-        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 1)
+        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 1)
         started = spy_chunks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -349,7 +350,7 @@ class TestPartitionThreads:
     )
     def test_a_failing_chunk_stops_the_other_worker(self, monkeypatch, error, message):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
-        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 2)
+        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 2)
         started = spy_chunks(monkeypatch, fail=error)
         with pytest.raises(type(error), match=message):
             partition_sum(21, 3, 0.0)
@@ -357,7 +358,7 @@ class TestPartitionThreads:
 
     def test_interrupted_join_stops_the_workers(self, monkeypatch):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
-        monkeypatch.setattr(zeta, "_worker_count", lambda chunks: 2)
+        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 2)
         started = spy_chunks(monkeypatch)
         threads = []
 
@@ -369,7 +370,7 @@ class TestPartitionThreads:
             def join(self, timeout=None):
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(zeta, "Thread", Interrupted)
+        monkeypatch.setattr(_threads, "Thread", Interrupted)
         with pytest.raises(KeyboardInterrupt):
             partition_sum(21, 3, 0.0)
         for thread in threads:
