@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all checks for k = 1..LEVEL; exit 0 iff all pass")
     p.add_argument("-k", "--level", type=int, default=12, help="top level of the sweep")
-    p.add_argument("--tolerance", type=float, default=1e-12, help="float-mode tolerance (ignored in exact mode)")
     p.add_argument("--seed", type=int, default=ferro.DEFAULT_SEED, help="seed for the randomized identity trials")
     common(p, "json")
 
@@ -72,7 +71,7 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError(f"{args.command} is int64-exact only up to level {top}")
     if args.command == "spectrum":
         if args.mode is None:
-            args.mode = "exact" if args.level <= spectral.K_EXACT else "float"
+            args.mode = spectral._default_mode(args.level)
         if args.mode == "exact" and args.level > spectral.K_EXACT:
             raise ValueError(
                 f"exact mode supports k <= {spectral.K_EXACT}; rerun with --mode float"
@@ -88,8 +87,6 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "verify":
         if args.level < 1:
             raise ValueError("verify needs level >= 1")
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise ValueError("tolerance must be finite and nonnegative")
 
 
 @contextlib.contextmanager
@@ -146,9 +143,7 @@ def cmd_spectrum(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, stream) -> int:
-    reports = ferro.verify_suite(
-        args.level, tol=args.tolerance, seed=args.seed, max_level=args.max_level
-    )
+    reports = ferro.verify_suite(args.level, seed=args.seed, max_level=args.max_level)
     rows = (tuple(r.to_dict().values()) for r in reports)
     write_records(("name", "level", "pass", "margin", "witness"), rows, stream, args.format)
     return 0 if all_passed(reports) else 1

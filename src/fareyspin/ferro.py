@@ -5,13 +5,13 @@ returning a CheckReport: the closed form at tau = 0, nonnegativity off zero,
 the extreme masks, the support-decay bound, the level-increment bound, the
 reciprocal-sum identity, and the cone argument (a bounded observable whose
 transform is nonnegative everywhere, which forces the off-zero signs).
-Exact mode admits zero tolerance; float mode defaults to 1e-12.
+A float verdict must clear the rounding bound of the transform (``_values``).
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, nextafter
 
 import numpy as np
 
@@ -27,20 +27,27 @@ from .farey import (
 )
 from .report import CheckReport
 # rational_wht stays importable here: bench/tracer.py patches ferro.rational_wht
-from .spectral import K_EXACT, Spectrum, _integer_wht, interaction, rational_wht
+from .spectral import K_EXACT, Spectrum, _default_mode, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 
 
-def _values(k, mode, spectrum, tol):
-    """The level-k coefficients as numerators over a unit D, and the tolerance.
+def _values(k, mode, spectrum):
+    """The level-k coefficients as numerators over a unit D, and their rounding bound.
 
-    An exact spectrum gives an object array of its integer numerators and its
-    integer denominator D, a multiple of 2^(k+1), so every bound 2^e * D with
-    -(k+1) <= e <= 0 is an integer (``_pow2``) and each check runs the same
-    numpy code in both modes, on integers or on floats over D = 1.0.  ``tol``
-    applies in float mode only (default 1e-12); exact mode admits zero
-    tolerance.
+    Exact: an object array of integer numerators over an integer D, a multiple
+    of 2^(k+1), so every bound 2^e * D, -(k+1) <= e <= 0, is an integer
+    (``_pow2``), and the bound 0.  Float: the array over D = 1.0, and B_k =
+    gamma_(k+1) = (k+1)u / (1 - (k+1)u), u = 2^-53, rounded up.  Each fl(n/d)
+    errs by at most u times itself, the butterfly is a sum tree of depth k and
+    the scaling by -2^-k is exact, so a coefficient errs by at most B_k times
+    the mean value, below 1/2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3-4).  A correct transform thus meets
+    |f(0) - closed| <= B_k, and a sign check passes when its raw margin
+    fl(a - b) reaches T, the sum of B over the coefficients it reads (2*B_k
+    for the extremes, B_k + B_(k+1) for convergence): the exact margin is then
+    at least T/(1 + u) - T/2 > 0, as the inner difference of convergence adds
+    under u to T/2 >= 2.5u.  With bound 0 these are the exact verdicts.
     """
     if k < 1:
         raise ValueError("checks require level >= 1")
@@ -50,7 +57,13 @@ def _values(k, mode, spectrum, tol):
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
     if spectrum.mode == "exact":
         return np.array(spectrum.numerators, dtype=object), spectrum.denominator, 0
-    return spectrum.numerators, spectrum.denominator, 1e-12 if tol is None else tol
+    return spectrum.numerators, spectrum.denominator, _rounding_bound(k)
+
+
+def _rounding_bound(k) -> float:
+    """B_k = gamma_(k+1) = (k+1)u / (1 - (k+1)u), u = 2^-53, as the float at or above it."""
+    gamma = Fraction(k + 1, (1 << 53) - (k + 1))
+    return float(gamma) if float(gamma) >= gamma else nextafter(float(gamma), inf)
 
 
 def _pow2(e, unit):
@@ -68,37 +81,37 @@ def _first_min(a):
     return i, a[i]
 
 
-def check_zero_coefficient(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
+def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
-    vals, unit, tol = _values(k, mode, spectrum, tol)
+    vals, unit, bound = _values(k, mode, spectrum)
     closed = -(_pow2(-1, unit) - _pow2(-(k + 1), unit))
     error = abs(vals[0] - closed)
-    return CheckReport("zero_coefficient", k, error <= tol, margin=_margin(error, unit), witness=0)
+    return CheckReport("zero_coefficient", k, error <= bound, margin=_margin(error, unit), witness=0)
 
 
-def check_nonnegativity(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
+def check_nonnegativity(k, mode="exact", *, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
-    vals, unit, tol = _values(k, mode, spectrum, tol)
+    vals, unit, bound = _values(k, mode, spectrum)
     i, worst = _first_min(vals[1:])
     return CheckReport(
-        "off_zero_nonnegative", k, worst >= -tol, margin=_margin(worst, unit), witness=i + 1
+        "off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i + 1
     )
 
 
-def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
+def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
     """tau = 0 is the strict minimum and tau = (1,0,...,0) attains the maximum.
 
     Margin is the smaller of the two worst slacks (gap above the minimum, gap
     below the maximum); ties with the maximum are allowed, ties with the
     minimum are not.
     """
-    vals, unit, _ = _values(k, mode, spectrum, tol)
+    vals, unit, bound = _values(k, mode, spectrum)
     top_mask = 1 << (k - 1)
     i_min, min_slack = _first_min(vals[1:] - vals[0])
     gaps_max = vals[top_mask] - vals
     gaps_max[top_mask] = np.inf  # the maximum candidate itself is not a competitor
     i_max, max_slack = _first_min(gaps_max)
-    passed = min_slack > 0 and max_slack >= 0
+    passed = min_slack > 2 * bound and max_slack >= 2 * bound
     if min_slack <= max_slack:
         margin, witness = min_slack, i_min + 1
     else:
@@ -106,9 +119,9 @@ def check_extremes(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
 
 
-def check_decay(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
+def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
-    vals, unit, tol = _values(k, mode, spectrum, tol)
+    vals, unit, bound = _values(k, mode, spectrum)
     # The masks with t trailing zeros, vals[2^t :: 2^(t+1)], share the bound
     # 2^(t-k).  The first minimum of each class, taken again in index order,
     # is argmin's pick over all masks, NaN first included.
@@ -120,23 +133,25 @@ def check_decay(k, mode="exact", *, tol=None, spectrum=None) -> CheckReport:
     i, worst = _first_min(np.array([slack for _, slack in firsts]))
     witness = firsts[i][0]
     return CheckReport(
-        "support_decay", k, worst >= -tol, margin=_margin(worst, unit), witness=witness
+        "support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness
     )
 
 
-def check_convergence(k, mode="exact", *, tol=None, spectrum=None, next_spectrum=None) -> CheckReport:
+def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> CheckReport:
     """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask."""
-    vals, unit, tol = _values(k, mode, spectrum, tol)
+    vals, unit, bound = _values(k, mode, spectrum)
     next_mode = "exact" if isinstance(unit, int) else "float"
-    nxt, next_unit, _ = _values(k + 1, next_mode, next_spectrum, tol)
+    nxt, next_unit, next_bound = _values(k + 1, next_mode, next_spectrum)
     if type(next_unit) is not type(unit):
         raise ValueError("convergence check needs both spectra in the same mode")
     nxt = nxt[0::2]  # appending a zero bit doubles the mask, i.e. even indices one level up
     if isinstance(unit, int):  # both levels over one unit, the lcm of their denominators
         common = lcm(unit, next_unit)
         vals, nxt, unit = vals * (common // unit), nxt * (common // next_unit), common
-    i, worst = _first_min(_pow2(-(k + 1), unit) - np.abs(vals - nxt))
-    return CheckReport("level_increment", k, worst >= -tol, margin=_margin(worst, unit), witness=i)
+    slack = vals - nxt  # the one whole-spectrum temporary; the rest runs in place
+    i, worst = _first_min(np.subtract(_pow2(-(k + 1), unit), np.abs(slack, out=slack), out=slack))
+    passed = worst >= bound + next_bound
+    return CheckReport("level_increment", k, passed, margin=_margin(worst, unit), witness=i)
 
 
 def reciprocal_sum(k: int | FareyRow, max_level=None) -> Fraction:
@@ -229,7 +244,7 @@ def check_spectrum_decomposition(k, *, spectrum=None, cone=None) -> CheckReport:
     twice the identity, multiplied by M, is an identity of integers.
     ``cone`` is ``_cone_transform(k)`` if already at hand; it is not changed.
     """
-    vals, unit, _ = _values(k, "exact", spectrum, None)
+    vals, unit, _ = _values(k, "exact", spectrum)
     if not isinstance(unit, int):
         raise ValueError("decomposition is an exact check")
     cone, cone_unit = _cone_transform(k) if cone is None else cone
@@ -406,15 +421,14 @@ def check_seed_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> Check
 def verify_suite(
     k_max: int = 12,
     *,
-    tol: float = 1e-12,
     trials: int = 1000,
     seed: int = DEFAULT_SEED,
     max_level=None,
 ) -> list[CheckReport]:
     """Run every check for k = 1..k_max plus the level-free checks.
 
-    Levels up to K_EXACT run in exact mode with zero tolerance, higher levels
-    in float mode with tolerance ``tol``.  The heavier exact identities are
+    Levels up to K_EXACT run in exact mode, higher levels in float mode with
+    the certified verdicts of ``_values``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
     the dual-route row comparison at level 16.  Every level's row is a prefix
     of one level-k_max Stern buffer, built first, so a k_max whose row does not
@@ -436,18 +450,17 @@ def verify_suite(
         return spectra[k, mode]
 
     for k in range(1, k_max + 1):
-        mode = "exact" if k <= K_EXACT else "float"
+        mode = _default_mode(k)
         row = top.prefix(k)
         reports.extend(verify_row(row))
         if k <= 16:
             reports.append(CheckReport("dual_route_agreement", k, cross_check_routes(row)))
         sp = spectrum_at(k, mode)
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
-            reports.append(check(k, spectrum=sp, tol=tol))
+            reports.append(check(k, spectrum=sp))
         if k < k_max:
-            pair_mode = "exact" if k + 1 <= K_EXACT else "float"
-            pair = spectrum_at(k, pair_mode), spectrum_at(k + 1, pair_mode)
-            reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1], tol=tol))
+            pair = [spectrum_at(m, _default_mode(k + 1)) for m in (k, k + 1)]
+            reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1]))
         if k <= 18:
             reports.append(check_reciprocal_sum(row))
         if mode == "exact":

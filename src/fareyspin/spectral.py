@@ -37,6 +37,11 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 BLOCK_BITS = 16
 
 
+def _default_mode(k: int) -> str:
+    """The mode of level k when none is given: exact through K_EXACT, float above."""
+    return "exact" if k <= K_EXACT else "float"
+
+
 def _check_power_of_two(n: int) -> int:
     if n <= 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
@@ -113,33 +118,19 @@ def _normalize_entry(v, scale: int):
     return v / scale
 
 
-def _fwht_list(values: list, normalize: bool) -> list:
-    n = len(values)
-    _check_power_of_two(n)
-    h = 1
-    while h < n:
-        for block in range(0, n, 2 * h):
-            for j in range(block, block + h):
-                x, y = values[j], values[j + h]
-                values[j] = x + y
-                values[j + h] = x - y
-        h *= 2
-    if normalize:
-        for i in range(n):
-            values[i] = _normalize_entry(values[i], n)
-    return values
-
-
 def fwht(values, normalize: bool = False):
     """In-place butterfly Walsh-Hadamard transform; returns its argument.
 
-    Accepts a 1-D numpy array (vectorized stages) or a mutable sequence of
-    numbers, including exact Fractions.  With ``normalize`` the result is
-    scaled by 2^-n for length 2^n; exact entries stay exact.
+    Accepts a 1-D numpy array or a list of numbers, exact Fractions included,
+    whose entries run through the same stages in an object array.  With
+    ``normalize`` the result is scaled by 2^-n for length 2^n; exact entries
+    stay exact.
     """
     if isinstance(values, np.ndarray):
         return _fwht_array(values, normalize)
-    return _fwht_list(values, normalize)
+    out = _fwht_array(np.array(values, dtype=object), False).tolist()
+    values[:] = [_normalize_entry(v, len(out)) for v in out] if normalize else out
+    return values
 
 
 def naive_transform(values, normalize: bool = False):
@@ -167,7 +158,8 @@ def naive_transform(values, normalize: bool = False):
 def _integer_wht(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
     """Unnormalized transform of the rationals nums[i] / dens[i] as integers over L = lcm(dens)."""
     common = math.lcm(*set(dens))
-    return _fwht_list([n * (common // d) for n, d in zip(nums, dens)], False), common
+    ints = np.array([n * (common // d) for n, d in zip(nums, dens)], dtype=object)
+    return _fwht_array(ints, False).tolist(), common
 
 
 def rational_wht(values: Sequence, normalize: bool = False) -> list[Fraction]:
@@ -287,9 +279,7 @@ def limit_estimate(tau, k: int, mode: str | None = None) -> LimitEstimate:
     """Evaluate the level-k coefficient at the projection of tau, with tail bound."""
     positions = tuple(sorted({int(p) for p in tau}))
     mask = tau_mask(positions, k)
-    if mode is None:
-        mode = "exact" if k <= K_EXACT else "float"
-    spectrum = interaction(k, mode)
+    spectrum = interaction(k, _default_mode(k) if mode is None else mode)
     return LimitEstimate(positions, k, spectrum[mask], 2.0**-k)
 
 

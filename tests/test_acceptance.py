@@ -83,7 +83,7 @@ def test_c04_off_zero_nonnegative(exact_spectra, float_spectra):
         report = fs.check_nonnegativity(k, spectrum=exact_spectra[k])
         assert report.passed and report.margin >= 0
     for k in FLOAT_LEVELS:
-        report = fs.check_nonnegativity(k, spectrum=float_spectra[k], tol=1e-12)
+        report = fs.check_nonnegativity(k, spectrum=float_spectra[k])
         assert report.passed and float(report.margin) >= -1e-12
     gate(4, "full-spectrum scan: coefficients off tau=0 nonnegative at k=1..22")
 

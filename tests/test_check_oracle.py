@@ -1,9 +1,11 @@
 """The sign checks against a kept copy of their former per-mode code.
 
 Each check once had an exact branch (Python generators over Fractions) and a
-float branch (numpy).  The copies below are those branches, unchanged apart
-from taking the spectra as arguments; the checks must reproduce their
-pass flags, witnesses and margins, margin type included.
+float branch (numpy).  The copies below are those branches, changed only to
+take the spectra as arguments and to compare with the rounding bound of the
+float transform (0 in exact mode) where they compared with a chosen
+tolerance; the checks must reproduce their pass flags, witnesses and
+margins, margin type included.
 """
 from fractions import Fraction
 
@@ -25,20 +27,23 @@ from fareyspin import (
     max_support,
     rational_wht,
 )
+from fareyspin import ferro
 from fareyspin.report import CheckReport
 
 EXACT_LEVELS = range(1, K_EXACT + 1)
 FLOAT_LEVELS = range(1, 17)
 
 
-def _tolerance(sp, tol):
-    if tol is not None:
-        return tol
-    return 0 if sp.mode == "exact" else 1e-12
+def _tolerance(sp):
+    """0 when exact; else gamma_(k+1) = (k+1)u / (1 - (k+1)u), u = 2^-53, rounded up."""
+    if sp.mode == "exact":
+        return 0
+    gamma = Fraction(sp.level + 1, 2**53 - sp.level - 1)
+    return float(gamma) if float(gamma) >= gamma else float(np.nextafter(float(gamma), np.inf))
 
 
-def ref_zero_coefficient(k, sp, tol=None):
-    tol = _tolerance(sp, tol)
+def ref_zero_coefficient(k, sp):
+    tol = _tolerance(sp)
     if sp.mode == "exact":
         closed = Fraction(-((1 << k) - 1), 1 << (k + 1))
     else:
@@ -47,8 +52,8 @@ def ref_zero_coefficient(k, sp, tol=None):
     return CheckReport("zero_coefficient", k, error <= tol, margin=error, witness=0)
 
 
-def ref_nonnegativity(k, sp, tol=None):
-    tol = _tolerance(sp, tol)
+def ref_nonnegativity(k, sp):
+    tol = _tolerance(sp)
     if sp.mode == "float":
         off = sp.values[1:]
         i = int(np.argmin(off))
@@ -57,10 +62,11 @@ def ref_nonnegativity(k, sp, tol=None):
         i, worst = min(
             ((j, v) for j, v in enumerate(sp.values[1:])), key=lambda item: item[1]
         )
-    return CheckReport("off_zero_nonnegative", k, worst >= -tol, margin=worst, witness=i + 1)
+    return CheckReport("off_zero_nonnegative", k, worst >= tol, margin=worst, witness=i + 1)
 
 
 def ref_extremes(k, sp):
+    tol = _tolerance(sp)
     top_mask = 1 << (k - 1)
     vals = sp.values
     if sp.mode == "float":
@@ -79,7 +85,7 @@ def ref_extremes(k, sp):
             ((j, vals[top_mask] - v) for j, v in enumerate(vals) if j != top_mask),
             key=lambda item: item[1],
         )
-    passed = min_slack > 0 and max_slack >= 0
+    passed = min_slack > 2 * tol and max_slack >= 2 * tol
     if min_slack <= max_slack:
         margin, witness = min_slack, i_min + 1
     else:
@@ -87,8 +93,8 @@ def ref_extremes(k, sp):
     return CheckReport("extreme_masks", k, bool(passed), margin=margin, witness=witness)
 
 
-def ref_decay(k, sp, tol=None):
-    tol = _tolerance(sp, tol)
+def ref_decay(k, sp):
+    tol = _tolerance(sp)
     if sp.mode == "float":
         idx = np.arange(1, 1 << k, dtype=np.int64)
         trailing = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
@@ -104,11 +110,11 @@ def ref_decay(k, sp, tol=None):
             ),
             key=lambda item: item[1],
         )
-    return CheckReport("support_decay", k, worst >= -tol, margin=worst, witness=i + 1)
+    return CheckReport("support_decay", k, worst >= tol, margin=worst, witness=i + 1)
 
 
-def ref_convergence(k, sp, nxt, tol=None):
-    tol = _tolerance(sp, tol)
+def ref_convergence(k, sp, nxt):
+    tol = _tolerance(sp) + _tolerance(nxt)
     if sp.mode == "float":
         slack = 2.0 ** -(k + 1) - np.abs(sp.values - nxt.values[0::2])
         i = int(np.argmin(slack))
@@ -119,7 +125,7 @@ def ref_convergence(k, sp, nxt, tol=None):
             ((m, bound - abs(sp.values[m] - nxt.values[m << 1])) for m in range(1 << k)),
             key=lambda item: item[1],
         )
-    return CheckReport("level_increment", k, worst >= -tol, margin=worst, witness=i)
+    return CheckReport("level_increment", k, worst >= tol, margin=worst, witness=i)
 
 
 def ref_cone_membership(k):
@@ -172,11 +178,13 @@ def test_single_level_checks(spectra, k, mode):
 
 @pytest.mark.parametrize("k", FLOAT_LEVELS)
 def test_float_checks_with_explicit_tolerance(spectra, k):
+    # the bound is derived from the level; no check takes a tolerance
     sp = spectra[k, "float"]
-    for tol in (1e-12, 0.0):
-        assert_same(check_zero_coefficient(k, spectrum=sp, tol=tol), ref_zero_coefficient(k, sp, tol))
-        assert_same(check_nonnegativity(k, spectrum=sp, tol=tol), ref_nonnegativity(k, sp, tol))
-        assert_same(check_decay(k, spectrum=sp, tol=tol), ref_decay(k, sp, tol))
+    for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
+        with pytest.raises(TypeError):
+            check(k, spectrum=sp, tol=1e-12)
+    with pytest.raises(TypeError):
+        check_convergence(k, spectrum=sp, next_spectrum=spectra[k + 1, "float"], tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -250,12 +258,11 @@ def test_failing_checks_keep_their_witnesses(spectra):
 
 
 def test_exact_mode_admits_zero_tolerance(spectra):
-    # a float-mode tolerance passed to an exact check does not loosen it
     k = 4
     values = list(spectra[k, "exact"].values)
     values[3] = Fraction(-1, 10**15)
     sp = type(spectra[k, "exact"])(k, "exact", values)
-    report = check_nonnegativity(k, spectrum=sp, tol=1e-12)
+    report = check_nonnegativity(k, spectrum=sp)
     assert not report.passed and report.margin == Fraction(-1, 10**15)
 
 
@@ -278,3 +285,92 @@ def test_nan_coefficient_fails_at_its_index(spectra, k, mask):
         assert (new.name, new.passed, new.witness) == (old.name, old.passed, old.witness)
         assert np.isnan(new.margin) and np.isnan(old.margin)
         assert type(new.margin) is type(old.margin)
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_bound_is_gamma_rounded_up(k):
+    gamma = Fraction(k + 1, 2**53 - k - 1)
+    bound = ferro._rounding_bound(k)
+    assert Fraction(bound) >= gamma > Fraction(float(np.nextafter(bound, 0.0)))
+
+
+@pytest.mark.parametrize("k", EXACT_LEVELS)
+def test_float_coefficients_are_within_the_bound(spectra, k):
+    # |float - exact| <= B_k at every mask, in exact arithmetic over D
+    exact, floats = spectra[k, "exact"], spectra[k, "float"]
+    d = exact.denominator
+    worst = max(abs(Fraction(f) * d - n) for f, n in zip(floats.values.tolist(), exact.numerators))
+    assert worst <= Fraction(_tolerance(floats)) * d
+
+
+# Hand-built float spectra: a real level-10 spectrum with one entry moved to
+# B/2 on either side of a check's threshold.  A chosen tolerance of 1e-12, or
+# a comparison with -B in place of +B, passes the entries meant to fail.
+BOUNDARY_LEVEL = 10
+
+
+def moved(spectra, changes):
+    k = BOUNDARY_LEVEL
+    values = spectra[k, "float"].values.copy()
+    for mask, value in changes.items():
+        values[mask] = value
+    return Spectrum(k, "float", values)
+
+
+def assert_verdict(new, old, passed, witness):
+    assert bool(new.passed) is passed and new.witness == witness
+    assert_same(new, old)
+
+
+@pytest.mark.parametrize("at,passed", [(-0.5, False), (0.5, False), (1.0, True), (1.5, True)])
+def test_nonnegativity_boundary(spectra, at, passed):
+    k = BOUNDARY_LEVEL
+    bound = _tolerance(spectra[k, "float"])
+    sp = moved(spectra, {9: at * bound})
+    new = check_nonnegativity(k, spectrum=sp)
+    assert_verdict(new, ref_nonnegativity(k, sp), passed, 9)
+    assert new.margin == at * bound
+
+
+@pytest.mark.parametrize("at,passed", [(-1.5, False), (-0.5, True), (0.5, True), (1.5, False)])
+def test_zero_coefficient_boundary(spectra, at, passed):
+    k = BOUNDARY_LEVEL
+    bound = _tolerance(spectra[k, "float"])
+    closed = -(1.0 - 2.0**-k) / 2.0
+    sp = moved(spectra, {0: closed + at * bound})
+    assert_verdict(check_zero_coefficient(k, spectrum=sp), ref_zero_coefficient(k, sp), passed, 0)
+
+
+@pytest.mark.parametrize("side", ["minimum", "maximum"])
+@pytest.mark.parametrize("gap,passed", [(1.5, False), (2.5, True)])
+def test_extremes_boundary(spectra, side, gap, passed):
+    # both gaps compare two coefficients, so the threshold is 2*B
+    k = BOUNDARY_LEVEL
+    base = spectra[k, "float"].values
+    bound = _tolerance(spectra[k, "float"])
+    if side == "minimum":
+        sp = moved(spectra, {5: base[0] + gap * bound})
+    else:
+        sp = moved(spectra, {5: base[1 << (k - 1)] - gap * bound})
+    assert_verdict(check_extremes(k, spectrum=sp), ref_extremes(k, sp), passed, 5)
+
+
+@pytest.mark.parametrize("slack,passed", [(0.5, False), (1.5, True)])
+def test_decay_boundary(spectra, slack, passed):
+    # mask 1 has the bound 2^-k
+    k = BOUNDARY_LEVEL
+    bound = _tolerance(spectra[k, "float"])
+    sp = moved(spectra, {1: 2.0**-k - slack * bound})
+    assert_verdict(check_decay(k, spectrum=sp), ref_decay(k, sp), passed, 1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("slack,passed", [(0.5, False), (1.5, True)])
+def test_convergence_boundary(spectra, sign, slack, passed):
+    # the slack compares coefficients of levels k and k + 1: B_k + B_(k+1)
+    k = BOUNDARY_LEVEL
+    nxt = spectra[k + 1, "float"]
+    threshold = _tolerance(spectra[k, "float"]) + _tolerance(nxt)
+    sp = moved(spectra, {3: nxt.values[6] + sign * (2.0 ** -(k + 1) - slack * threshold)})
+    new = check_convergence(k, spectrum=sp, next_spectrum=nxt)
+    assert_verdict(new, ref_convergence(k, sp, nxt), passed, 3)

@@ -151,6 +151,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, value):
+        # float verdicts clear a derived rounding bound, so there is no
+        # --tolerance; argparse rejects the unknown flag with a usage error
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "-k", "2", "--tolerance", value])
         assert exc.value.code == 2

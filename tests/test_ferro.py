@@ -117,6 +117,19 @@ class TestConvergence:
         with pytest.raises(ValueError):
             check_convergence(3, spectrum=interaction(3), next_spectrum=interaction(4, "float"))
 
+    def test_float_pair_holds_one_temporary(self):
+        # the slack is formed once, as the difference of the spectra, and
+        # then updated in place: one level-20 spectrum (8 MiB) beside the
+        # given spectra, where a second whole-spectrum temporary made 16 MiB
+        sp, nxt = interaction(20, "float"), interaction(21, "float")
+        tracemalloc.start()
+        try:
+            assert check_convergence(20, spectrum=sp, next_spectrum=nxt).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sp.values.nbytes
+
 
 class TestReciprocalSum:
     def test_level_one_by_hand(self):
@@ -338,8 +351,8 @@ class TestSuite:
 
     def test_peak_memory_of_a_float_sweep(self):
         # At k = 20 the traced peak is the level-20 Stern buffer (16 MiB), the
-        # spectra of levels 19 and 20 (4 and 8 MiB) and the two 4 MiB
-        # temporaries of their convergence check: 36.4 MiB measured.  Keeping
+        # spectra of levels 19 and 20 (4 and 8 MiB) and the one 4 MiB
+        # temporary of their convergence check: 32.8 MiB measured.  Keeping
         # every spectrum, or checking the row in whole-row temporaries, each
         # takes it past the bound (49.0 MiB with both).
         tracemalloc.start()

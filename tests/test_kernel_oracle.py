@@ -14,7 +14,9 @@ give its bits, the sign of zero included.  The cache-blocked radix-4 fwht
 replaced a radix-2 kernel with one pass per stage and must give its bits, and
 its threaded blocks and column strips must give the bits of the serial blocked
 kernel for any number of workers; exact spectra, now integers over one
-denominator, must read back the Fractions of the former rational path.  The emitter's byte slots replaced one repr or str per value
+denominator, must read back the Fractions of the former rational path.  The
+list fwht, now that kernel on an object array, must give the integers,
+Fractions and float bits of the Python loop it replaced.  The emitter's byte slots replaced one repr or str per value
 and must give its text: shortest round-trip floats against repr, integer
 digits against str, and text cells (NUL and non-ASCII included) against
 csv.writer and json.dump.
@@ -667,6 +669,70 @@ class TestThreadedFwht:
                 new = fwht(x.copy())
         assert np.isnan(new).any()
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def ref_fwht_list(values, normalize=False):
+    # the former list kernel: a Python loop per radix-2 stage, in place
+    n = len(values)
+    h = 1
+    while h < n:
+        for block in range(0, n, 2 * h):
+            for j in range(block, block + h):
+                x, y = values[j], values[j + h]
+                values[j] = x + y
+                values[j + h] = x - y
+        h *= 2
+    if normalize:
+        for i in range(n):
+            values[i] = spectral._normalize_entry(values[i], n)
+    return values
+
+
+def assert_list_like_the_loop(values, normalize=False):
+    new, old = list(values), list(values)
+    with np.errstate(all="ignore"):  # inf - inf on Python floats, reported by numpy's object loops
+        assert fwht(new, normalize) is new
+    ref_fwht_list(old, normalize)
+    assert [type(v) for v in new] == [type(v) for v in old]
+    if all(type(v) is float for v in old):
+        # bits, signed zeros included; which NaN operand an addition passes on
+        # differs between the interpreter's specialized float ops and the
+        # float methods numpy calls, so NaNs need only agree in position
+        new, old = np.array(new), np.array(old)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        new[np.isnan(new)] = old[np.isnan(old)] = np.nan
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    else:
+        assert new == old
+
+
+class TestListFwht:
+    @pytest.mark.parametrize("k", range(K_EXACT + 1))
+    def test_ints(self, k):
+        rng = np.random.default_rng(400 + k)
+        ints = [int(v) << int(s) for v, s in zip(rng.integers(-(2**40), 2**40, 1 << k), rng.integers(0, 60, 1 << k))]
+        assert_list_like_the_loop(ints)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("k", range(K_EXACT + 1))
+    def test_fractions(self, k, normalize):
+        rng = np.random.default_rng(500 + k)
+        nums, dens = rng.integers(-1000, 1000, 1 << k), rng.integers(1, 16, 1 << k)
+        assert_list_like_the_loop([Fraction(int(n), int(d)) for n, d in zip(nums, dens)], normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("k", range(K_EXACT + 1))
+    def test_floats(self, farey_values, k, normalize):
+        assert_list_like_the_loop(farey_values[:: 1 << (FWHT_TOP - k)].tolist(), normalize)
+        assert_list_like_the_loop(special_floats(np.random.default_rng(600 + k), 1 << k).tolist(), normalize)
+
+    @pytest.mark.parametrize("k", [8, K_EXACT])
+    def test_integer_wht(self, k):
+        row = extended_row(k)
+        nums, dens = row.numerators[:-1].tolist(), row.denominators[:-1].tolist()
+        common = math.lcm(*dens)
+        expected = ref_fwht_list([n * (common // d) for n, d in zip(nums, dens)])
+        assert spectral._integer_wht(nums, dens) == (expected, common)
 
 
 def ref_exact_interaction(k):
