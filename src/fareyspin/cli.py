@@ -195,7 +195,7 @@ def main(argv=None) -> int:
         with _output(args.out) as stream:
             return _HANDLERS[args.command](args, stream)
     except farey.RowMemoryError as exc:
-        # raised before the row is allocated: the level cannot run on this machine
+        # raised before the row or spectrum is allocated: the level cannot run on this machine
         parser.error(str(exc))
     except Exception as exc:  # one line on stderr, never a traceback
         print(f"fareyspin: error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ class LevelTooLargeError(ValueError):
 
 
 class RowMemoryError(LevelTooLargeError):
-    """The row of the requested level alone would exceed physical memory."""
+    """The row or float spectrum of the requested level alone would exceed physical memory."""
 
 
 def _check_level(k: int) -> None:
@@ -189,25 +189,30 @@ def _check_cap(k: int, max_level: int | None) -> None:
         )
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    """Raise RowMemoryError if ``what`` needs more than the physical memory.
+
+    Where the physical memory cannot be read (no os.sysconf or no
+    SC_PHYS_PAGES, that is off POSIX systems) nothing is checked.
+    """
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if nbytes > have:
+        raise RowMemoryError(f"{what} needs {nbytes} bytes, more than the {have} bytes of physical memory")
+
+
 def extended_row(k: int, max_level: int | None = None) -> FareyRow:
     """Build the level-k row as two views of one read-only Stern buffer a(0..2^(k+1)).
 
     Block a(2^m..2^(m+1)) is the level-m denominator row, filled from the block
     before it, so every entry is written once.  A buffer larger than physical
-    memory raises RowMemoryError before anything is allocated; where the
-    physical memory cannot be read (no os.sysconf or no SC_PHYS_PAGES, that is
-    off POSIX systems) the row is allocated unchecked.
+    memory raises RowMemoryError before anything is allocated (``_check_memory``).
     """
     _check_cap(k, max_level)
     size = (2 << k) + 1
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        have = None
-    if have is not None and 8 * size > have:
-        raise RowMemoryError(
-            f"the level-{k} row needs {8 * size} bytes, more than the {have} bytes of physical memory"
-        )
+    _check_memory(8 * size, f"the level-{k} row")
     a = np.empty(size, dtype=np.int64)
     a[:3] = 0, 1, 1
     for m in range(k):

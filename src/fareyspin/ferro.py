@@ -25,11 +25,15 @@ from .farey import (
     seed_values,
     verify_row,
 )
+from ._threads import run_pieces
 from .report import CheckReport
 # rational_wht stays importable here: bench/tracer.py patches ferro.rational_wht
 from .spectral import K_EXACT, Spectrum, _default_mode, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
+# The sign checks take their minima in pieces of 2^PIECE_BITS masks, so a
+# float check holds one 256 KiB slack per thread.
+PIECE_BITS = 15
 
 
 def _values(k, mode, spectrum):
@@ -76,9 +80,30 @@ def _margin(x, unit):
     return Fraction(int(x), unit) if isinstance(unit, int) else x
 
 
-def _first_min(a):
-    i = int(np.argmin(a))  # the first minimum, as min() gives
-    return i, a[i]
+def _first_min(n, slack, start=0):
+    """The first minimum of slack over the masks start..n-1, as (mask, value).
+
+    slack(lo, hi) gives the values at masks lo..hi-1 as an array.  The masks
+    run in pieces of 2^PIECE_BITS, aligned at its multiples, on one thread per
+    available CPU; each piece takes its first minimum, and the first of those
+    in mask order is np.argmin's pick over the whole range, the first NaN if
+    there is one.  np.argmin copies a read-only array whole, so a slack that
+    is a view of a spectrum is copied a piece at a time.
+    """
+    size = 1 << PIECE_BITS
+    edges = [start, *range((start // size + 1) * size, n, size), n]
+    masks, minima = [0] * (len(edges) - 1), [None] * (len(edges) - 1)
+
+    def work(c: int) -> None:
+        values = slack(edges[c], edges[c + 1])
+        i = int(np.argmin(values))
+        # kept as a one-entry array of the slack's dtype, not as a view of it
+        masks[c], minima[c] = edges[c] + i, values[i : i + 1].copy()
+
+    run_pieces(len(masks), work)
+    minima = np.concatenate(minima)
+    c = int(np.argmin(minima))
+    return masks[c], minima[c]
 
 
 def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
@@ -92,9 +117,9 @@ def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
 def check_nonnegativity(k, mode="exact", *, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
     vals, unit, bound = _values(k, mode, spectrum)
-    i, worst = _first_min(vals[1:])
+    i, worst = _first_min(len(vals), lambda lo, hi: vals[lo:hi], start=1)
     return CheckReport(
-        "off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i + 1
+        "off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i
     )
 
 
@@ -107,13 +132,18 @@ def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
     """
     vals, unit, bound = _values(k, mode, spectrum)
     top_mask = 1 << (k - 1)
-    i_min, min_slack = _first_min(vals[1:] - vals[0])
-    gaps_max = vals[top_mask] - vals
-    gaps_max[top_mask] = np.inf  # the maximum candidate itself is not a competitor
-    i_max, max_slack = _first_min(gaps_max)
+
+    def below_max(lo, hi):
+        gaps = vals[top_mask] - vals[lo:hi]
+        if lo <= top_mask < hi:
+            gaps[top_mask - lo] = np.inf  # the maximum candidate itself is not a competitor
+        return gaps
+
+    i_min, min_slack = _first_min(len(vals), lambda lo, hi: vals[lo:hi] - vals[0], start=1)
+    i_max, max_slack = _first_min(len(vals), below_max)
     passed = min_slack > 2 * bound and max_slack >= 2 * bound
     if min_slack <= max_slack:
-        margin, witness = min_slack, i_min + 1
+        margin, witness = min_slack, i_min
     else:
         margin, witness = max_slack, i_max
     return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
@@ -122,16 +152,23 @@ def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
 def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
     vals, unit, bound = _values(k, mode, spectrum)
-    # The masks with t trailing zeros, vals[2^t :: 2^(t+1)], share the bound
-    # 2^(t-k).  The first minimum of each class, taken again in index order,
-    # is argmin's pick over all masks, NaN first included.
-    firsts = []
-    for t in range(k):
-        j, slack = _first_min(_pow2(t - k, unit) - vals[1 << t :: 2 << t])
-        firsts.append(((1 << t) + (j << (t + 1)), slack))
-    firsts.sort(key=lambda first: first[0])
-    i, worst = _first_min(np.array([slack for _, slack in firsts]))
-    witness = firsts[i][0]
+    # A mask with t trailing zeros has the bound 2^(t-k).  In a piece aligned
+    # at a multiple of its size, mask lo + i has the trailing zeros of i, for
+    # 0 < i; the first mask of every piece but the first has its own.
+    bounds = np.array([_pow2(t - k, unit) for t in range(k)], dtype=vals.dtype)
+    size = min(1 << PIECE_BITS, len(vals))
+    trailing = np.zeros(size, dtype=np.intp)
+    for t in range(size.bit_length() - 1):
+        trailing[1 << t :: 2 << t] = t
+
+    def slack(lo, hi):
+        at = lo % size
+        s = bounds[trailing[at : at + hi - lo]]
+        if at == 0:
+            s[0] = bounds[(lo & -lo).bit_length() - 1]
+        return np.subtract(s, vals[lo:hi], out=s)
+
+    witness, worst = _first_min(len(vals), slack, start=1)
     return CheckReport(
         "support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness
     )
@@ -148,8 +185,13 @@ def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> 
     if isinstance(unit, int):  # both levels over one unit, the lcm of their denominators
         common = lcm(unit, next_unit)
         vals, nxt, unit = vals * (common // unit), nxt * (common // next_unit), common
-    slack = vals - nxt  # the one whole-spectrum temporary; the rest runs in place
-    i, worst = _first_min(np.subtract(_pow2(-(k + 1), unit), np.abs(slack, out=slack), out=slack))
+    increment = _pow2(-(k + 1), unit)
+
+    def slack(lo, hi):
+        s = vals[lo:hi] - nxt[lo:hi]
+        return np.subtract(increment, np.abs(s, out=s), out=s)
+
+    i, worst = _first_min(len(vals), slack)
     passed = worst >= bound + next_bound
     return CheckReport("level_increment", k, passed, margin=_margin(worst, unit), witness=i)
 
@@ -233,7 +275,7 @@ def check_cone_membership(k, *, cone=None) -> CheckReport:
     if k > K_EXACT:
         raise ValueError(f"cone membership is an exact check; level capped at {K_EXACT}")
     ints, unit = _cone_transform(k) if cone is None else cone
-    i, worst = _first_min(ints)
+    i, worst = _first_min(len(ints), lambda lo, hi: ints[lo:hi])
     return CheckReport("cone_membership", k, worst >= 0, margin=_margin(worst, unit), witness=i)
 
 

@@ -19,7 +19,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._threads import run_pieces
-from .farey import FareyRow, extended_row
+from .farey import FareyRow, _check_cap, _check_memory, _row_blocks, extended_row
 from .report import CHUNK, write_columns
 
 # Exact-path level cap: the integer butterfly and the integer checks of a
@@ -31,10 +31,19 @@ _NAIVE_CAP = 12
 SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 
 # The float transform runs its first BLOCK_BITS stages on each contiguous block
-# of 2^BLOCK_BITS entries (512 KiB of float64, within a core's L2 cache), then
-# the remaining stages on strips of 2^(BLOCK_BITS+2) entries across the blocks
-# (2 MiB and 1 MiB of scratch, measured fastest with a 4 MiB L2 cache).
+# of 2^BLOCK_BITS entries (512 KiB of float64 and 256 KiB of scratch, within a
+# core's L2 cache), then the remaining stages on strips of 2^(BLOCK_BITS+2)
+# entries across the blocks (2 MiB and 1 MiB of scratch, measured fastest with
+# a 4 MiB L2 cache).
 BLOCK_BITS = 16
+
+# A float spectrum of a level is divided from blocks of 2^_ROW_BLOCK_BITS
+# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time.  Blocks of
+# 2^16 read a Stern buffer of 2^max(16, k-15) + 1 entries, under 1 MiB through
+# k = 31; blocks of 2^20 read one of 2^k + 1 entries up to k = 20, as large as
+# the spectrum.
+_ROW_BLOCK_BITS = 16
+_ROW_PIECE_BITS = 14
 
 
 def _default_mode(k: int) -> str:
@@ -86,6 +95,30 @@ def _stages(a: np.ndarray, lo: int, hi: int, scratch: np.ndarray) -> None:
         b[:, 1] = low
 
 
+def _block_stages(block: np.ndarray, low: int) -> None:
+    """Stages 0..low-1 of a contiguous block of 2^low entries, with a scratch of half its size.
+
+    Stages below half = low // 2 pair entries 1..2^(half-1) apart, where numpy
+    iterates rows of a few entries.  So each half of the block, as a
+    2^(low-half-1) x 2^half matrix, is transposed into the scratch, where the
+    same pairs lie 2^(low-half-1) .. 2^(low-2) apart; it runs those stages
+    there, with the half's own entries as their scratch, and is transposed
+    back.  The stages from half on run on the block.  Every entry goes through
+    the same stages in the same order with the same operands, so it keeps its
+    bits.
+    """
+    scratch = np.empty(block.size // 2, block.dtype)
+    half = low // 2
+    if half:
+        rows = 1 << (low - half - 1)
+        transposed = scratch.reshape(1 << half, rows)
+        for part in block.reshape(2, rows, 1 << half):
+            transposed[...] = part.T
+            _stages(scratch, low - half - 1, low - 1, part.reshape(-1))
+            part[...] = transposed.T
+    _stages(block, half, low, scratch)
+
+
 def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError("fwht expects a one-dimensional array")
@@ -95,18 +128,22 @@ def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
     bits = _check_power_of_two(a.size)
     if normalize and not (np.issubdtype(a.dtype, np.floating) or np.issubdtype(a.dtype, np.complexfloating)):
         raise ValueError("normalized fwht on arrays requires a floating or complex dtype")
-    scratch = np.empty(a.size // 2, a.dtype)
     low = min(bits, BLOCK_BITS)
     # The low stages run on each row of m, a contiguous block, and the stages
     # above on column strips of m of 2^(low+2) entries, as near as its shape
-    # allows.  Each block and each strip has its own row of the scratch, so
-    # the pieces of each phase run on separate threads.
+    # allows.  Each block and each strip allocates its own scratch, half its
+    # size, so the pieces of each phase run on separate threads and a thread
+    # holds one piece's scratch at a time.
     m = a.reshape(-1, 1 << low)
     rows, cols = m.shape
     width = min(max(4 * cols // rows, 1), cols)
-    blocks, strips = scratch.reshape(rows, -1), scratch.reshape(cols // width, -1)
-    run_pieces(rows, lambda r: _stages(m[r], 0, low, blocks[r]))
-    run_pieces(cols // width, lambda c: _stages(m[:, c * width : (c + 1) * width], 0, bits - low, strips[c]))
+
+    def strip(c: int) -> None:
+        columns = m[:, c * width : (c + 1) * width]
+        _stages(columns, 0, bits - low, np.empty(columns.size // 2, a.dtype))
+
+    run_pieces(rows, lambda r: _block_stages(m[r], low))
+    run_pieces(cols // width, strip)
     if normalize:
         a *= 2.0 ** -bits  # power-of-two scaling, exact in IEEE
     return a
@@ -222,7 +259,9 @@ def interaction(
 ) -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
-    ``k`` is a level, whose row is built, or the FareyRow of that level.
+    ``k`` is a level or the FareyRow of that level.  For a level, exact mode
+    builds its row; float mode divides the values block by block from
+    ``_row_values`` and never holds the row.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -231,16 +270,43 @@ def interaction(
         raise ValueError(
             f"exact mode supports levels up to {K_EXACT}; use float mode for level {level}"
         )
-    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
     if mode == "exact":
+        row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
         nums = [-n for n in row.numerators[:-1].tolist()]
         ints, common = _integer_wht(nums, row.denominators[:-1].tolist())
         return Spectrum(level, "exact", ints, common << level)
-    values = row.numerators[:-1] / row.denominators[:-1]
+    if isinstance(k, FareyRow):
+        values = k.numerators[:-1] / k.denominators[:-1]
+    else:
+        values = _row_values(k, max_level)
     fwht(values)
     values *= -(2.0**-level)  # normalization and negation in one exact scaling
     values.setflags(write=False)
     return Spectrum(level, "float", values)
+
+
+def _row_values(k: int, max_level: int | None) -> np.ndarray:
+    """The level-k values n/d without the right endpoint, as a new float64 array.
+
+    The blocks of ``farey._row_blocks`` are divided into their part of the
+    array on one thread per available CPU, the same ints into the same
+    quotients as the whole row gives.  The level cap is checked first, then
+    the array's size against physical memory, before any row is built.
+    """
+    _check_cap(k, max_level)
+    _check_memory(8 << k, f"the level-{k} spectrum")
+    count, block = _row_blocks(k, min(k, _ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
+    values = np.empty(1 << k)
+    parts = values.reshape(count, -1)
+
+    def fill(c: int) -> None:
+        lo = 0
+        for num, den in block(c):
+            np.divide(num, den, out=parts[c, lo : lo + len(num)])
+            lo += len(num)
+
+    run_pieces(count, fill)
+    return values
 
 
 def max_support(mask: int, k: int) -> int:

@@ -313,6 +313,10 @@ class TestInt64Guard:
             monkeypatch.setattr(owner, "extended_row", refuse)
         for owner in (cli.farey, cli.zeta):
             monkeypatch.setattr(owner, "_row_blocks", refuse)
+        # with the physical memory unread the memory guard checks nothing, so
+        # a float spectrum, which checks its own size before building any row,
+        # also reaches a row at the highest level the int64 guard passes
+        monkeypatch.delattr(os, "sysconf")
 
     @pytest.mark.parametrize(
         "argv",

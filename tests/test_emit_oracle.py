@@ -11,7 +11,6 @@ import json
 import math
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from hypothesis import strategies as st
 
 from fareyspin import K_EXACT, cli, farey, ferro, max_support, spectral
 from fareyspin.report import CHUNK, write_columns, write_records
+
+from conftest import traced_peak
 
 
 def ref_generate(row, fmt, stream):
@@ -330,10 +331,6 @@ def test_peak_memory_stays_blocked(argv, monkeypatch):
     # (4 MiB at k = 18); the byte slot of a whole column of 2^18 floats and its
     # gather index (200 bytes a value) alone would pass the bound
     monkeypatch.setattr(sys, "stdout", Discard())
-    tracemalloc.start()
-    try:
-        assert cli.main([*argv, "--format", "json"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: cli.main([*argv, "--format", "json"]))
+    assert code == 0
     assert peak < 18 * 2**20

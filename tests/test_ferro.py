@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from fareyspin import (
     cone_map_series,
     cone_map_series_closed,
     cone_observable,
+    extended_row,
     farey_value,
     interaction,
     naive_transform,
@@ -28,8 +28,10 @@ from fareyspin import (
     seed_pair,
     verify_suite,
 )
-from fareyspin import ferro
+from fareyspin import _threads, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
+
+from conftest import traced_peak
 
 
 class TestZeroCoefficient:
@@ -118,17 +120,60 @@ class TestConvergence:
             check_convergence(3, spectrum=interaction(3), next_spectrum=interaction(4, "float"))
 
     def test_float_pair_holds_one_temporary(self):
-        # the slack is formed once, as the difference of the spectra, and
-        # then updated in place: one level-20 spectrum (8 MiB) beside the
-        # given spectra, where a second whole-spectrum temporary made 16 MiB
+        # the slack is formed a piece at a time and updated in place: 0.5 MiB
+        # measured on two workers, where one whole-spectrum slack made 8 MiB
+        # and a second whole-spectrum temporary 16 MiB
         sp, nxt = interaction(20, "float"), interaction(21, "float")
-        tracemalloc.start()
-        try:
-            assert check_convergence(20, spectrum=sp, next_spectrum=nxt).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: check_convergence(20, spectrum=sp, next_spectrum=nxt))
+        assert report.passed
         assert peak < 1.5 * sp.values.nbytes
+
+
+class TestPiecedMemory:
+    """On level-20 spectra, a float sign check or a transform holds one piece's
+    buffer per worker, never a spectrum-sized temporary.  Two workers, as on a
+    two-core machine, whatever the CPUs here."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: min(2, pieces))
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return interaction(20, "float"), interaction(21, "float")
+
+    @pytest.mark.parametrize("check", [check_nonnegativity, check_extremes, check_decay])
+    def test_sign_check(self, pair, check):
+        # a 256 KiB slack per worker, and for decay a 256 KiB table of
+        # trailing zeros: 0.5 and 0.8 MiB measured.  np.argmin's copy of the
+        # read-only spectrum made 8 MiB for nonnegativity and extremes, and
+        # the classes of decay 4 MiB.
+        report, peak = traced_peak(lambda: check(20, spectrum=pair[0]))
+        assert report.passed
+        assert peak < 2**20
+
+    def test_convergence(self, pair):
+        # 0.5 MiB measured, where a whole-spectrum slack made 8 MiB
+        report, peak = traced_peak(
+            lambda: check_convergence(20, spectrum=pair[0], next_spectrum=pair[1])
+        )
+        assert report.passed
+        assert peak < 2**20
+
+    def test_interaction_of_a_row(self):
+        # the 8 MiB values and a 1 MiB strip scratch per worker: 10.0 MiB
+        # measured, where one scratch of half the values made 12.4 MiB
+        row = extended_row(20)
+        spectrum, peak = traced_peak(lambda: interaction(row, "float"))
+        assert peak < spectrum.values.nbytes + 2.5 * 2**20
+
+    def test_interaction_of_a_level(self):
+        # the values, divided from 2^16-entry blocks of the row, and the
+        # transform's scratch: 10.0 MiB measured, where the level-20 row
+        # (16 MiB) made 28.4 MiB and 2^20-entry blocks, reading the level-19
+        # Stern buffer, 16.8 MiB
+        spectrum, peak = traced_peak(lambda: interaction(20, "float"))
+        assert peak < spectrum.values.nbytes + 3 * 2**20
 
 
 class TestReciprocalSum:
@@ -350,15 +395,13 @@ class TestSuite:
         assert alive_at_rows == expected
 
     def test_peak_memory_of_a_float_sweep(self):
-        # At k = 20 the traced peak is the level-20 Stern buffer (16 MiB), the
-        # spectra of levels 19 and 20 (4 and 8 MiB) and the one 4 MiB
-        # temporary of their convergence check: 32.8 MiB measured.  Keeping
-        # every spectrum, or checking the row in whole-row temporaries, each
-        # takes it past the bound (49.0 MiB with both).
-        tracemalloc.start()
-        try:
-            assert all(r.passed for r in verify_suite(20, trials=5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # At k = 20 the traced peak comes as the level-20 spectrum is built:
+        # the level-20 Stern buffer (16 MiB), the level-19 spectrum (4 MiB),
+        # the level-20 values (8 MiB) and the transform's 1 MiB strip scratch
+        # on each of two workers, 30.4 MiB measured (32.8 MiB while the
+        # convergence check formed a 4 MiB slack).  Checking the row in
+        # whole-row temporaries takes it past the bound (41.4 MiB); keeping
+        # every spectrum now stays under it (35.2 MiB).
+        reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
+        assert all(r.passed for r in reports)
         assert peak < 40 * 2**20

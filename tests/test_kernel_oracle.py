@@ -19,7 +19,10 @@ list fwht, now that kernel on an object array, must give the integers,
 Fractions and float bits of the Python loop it replaced.  The emitter's byte slots replaced one repr or str per value
 and must give its text: shortest round-trip floats against repr, integer
 digits against str, and text cells (NUL and non-ASCII included) against
-csv.writer and json.dump.
+csv.writer and json.dump.  The low stages of an fwht block, now run on its
+transposed halves, must give the bits of the stages run on the block, and the
+float spectrum of a level, now divided block by block from the streamed row,
+the bits of the spectrum built from the whole row.
 """
 import csv
 import io
@@ -625,6 +628,27 @@ class TestThreadedFwht:
         x = special_floats(np.random.default_rng(700 + k), 1 << k)
         assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
 
+    @pytest.mark.parametrize("block_bits", [5, 7])
+    @pytest.mark.parametrize("k", [4, 5, 7, 8, 12, 15])
+    def test_odd_blocks(self, monkeypatch, block_bits, k):
+        # an odd block splits unevenly: the transposed halves take the lower
+        # block_bits // 2 stages, the block the rest
+        monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
+        x = special_floats(np.random.default_rng(900 + k), 1 << k)
+        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+
+    @pytest.mark.parametrize("low", range(17))
+    def test_transposed_low_stages(self, low):
+        # one block, its low stages on transposed halves, against all of its
+        # stages run on the block itself
+        x = special_floats(np.random.default_rng(1000 + low), 1 << low)
+        with np.errstate(all="ignore"):
+            old = x.copy()
+            serial_stages(old, 0, low, np.empty(max(x.size // 2, 1)))
+            new = x.copy()
+            spectral._block_stages(new, low)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
     def test_many_workers_with_a_short_switch_interval(self, monkeypatch):
         # 8 workers on 2 cores, switching threads every microsecond: a piece
         # that shared scratch or entries with another would lose bits
@@ -668,6 +692,60 @@ class TestThreadedFwht:
                 old = serial_fwht(x.copy())
                 new = fwht(x.copy())
         assert np.isnan(new).any()
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+class TestStreamedSpectrum:
+    """interaction(k, "float") divides the values block by block from the
+    streamed row; the row-built spectrum divided the whole row at once."""
+
+    @staticmethod
+    def row_built(values, k):
+        # the former float body of interaction, on the row's n / d
+        values = values.copy()
+        fwht(values)
+        values *= -(2.0**-k)
+        return values
+
+    @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
+    def test_streamed_like_row_built(self, farey_values, k):
+        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
+        new = interaction(k, "float").values
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_blocks_on_any_number_of_workers(self, monkeypatch, farey_values, workers):
+        # level 22 has four blocks of 2^20 values
+        k = 22
+        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
+        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+        new = interaction(k, "float").values
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+    @pytest.mark.parametrize("k", [1, 20, 22])
+    def test_never_builds_the_level_k_row(self, monkeypatch, k):
+        levels = []
+        build = farey.extended_row
+
+        def spy(level, max_level=None):
+            levels.append(level)
+            return build(level, max_level)
+
+        monkeypatch.setattr(farey, "extended_row", spy)
+        monkeypatch.setattr(spectral, "extended_row", spy)
+        interaction(k, "float")
+        assert levels and max(levels) < k
+
+    @pytest.mark.parametrize("k", [0, 1, 13, 20])
+    def test_a_given_row_is_used(self, monkeypatch, farey_values, k):
+        row = extended_row(k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row was given")
+
+        monkeypatch.setattr(spectral, "_row_blocks", refuse)
+        new = interaction(row, "float").values
+        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 

@@ -2,7 +2,6 @@ import cmath
 import functools
 import math
 import threading
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -23,6 +22,8 @@ from fareyspin import (
     totient_sieve,
     zeta_oracle,
 )
+
+from conftest import traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
@@ -244,12 +245,7 @@ class TestStreamedPartitionSum:
             assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
 
     def test_peak_memory_stays_streamed(self):
-        tracemalloc.start()
-        try:
-            partition_sum(22, 3.25 - 2.5j, 0.37)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: partition_sum(22, 3.25 - 2.5j, 0.37))
         assert peak < 80 * 2**20
 
     def test_never_builds_a_row_above_the_chunk_level(self, monkeypatch):
