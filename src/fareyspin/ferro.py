@@ -28,7 +28,7 @@ from .farey import (
 from ._threads import run_pieces
 from .report import CheckReport
 # rational_wht stays importable here: bench/tracer.py patches ferro.rational_wht
-from .spectral import K_EXACT, Spectrum, _default_mode, _integer_wht, interaction, rational_wht
+from .spectral import K_EXACT, _default_mode, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 # The sign checks take their minima in pieces of 2^PIECE_BITS masks, so a
@@ -472,46 +472,52 @@ def verify_suite(
     Levels up to K_EXACT run in exact mode, higher levels in float mode with
     the certified verdicts of ``_values``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
-    the dual-route row comparison at level 16.  Every level's row is a prefix
-    of one level-k_max Stern buffer, built first, so a k_max whose row does not
-    fit in memory is refused before any check runs.  The seeded route runs in
-    int64 (``seed_values``), which raises rather than overflows; for the row
-    seeds (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
+    the dual-route row comparison at level 16.  Rows first: every level's row
+    checks run on a prefix of one level-k_max Stern buffer, built first, so a
+    k_max whose row does not fit in memory is refused before any check runs;
+    only their reports are kept.  Then the spectra, each built once from its
+    level under ``max_level`` after the buffer is released and carried to the
+    next level's convergence check, so at most two levels' spectra are held.
+    The reports come level by level.  The seeded route runs in int64
+    (``seed_values``), which raises rather than overflows; for the row seeds
+    (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     top = extended_row(k_max, max_level)
-    reports: list[CheckReport] = []
-    # spectra by (level, mode); each level's are dropped at the end of its
-    # iteration, so only levels k and k + 1 are held
-    spectra: dict[tuple[int, str], Spectrum] = {}
-
-    def spectrum_at(k: int, mode: str) -> Spectrum:
-        if (k, mode) not in spectra:
-            spectra[k, mode] = interaction(top.prefix(k), mode)
-        return spectra[k, mode]
-
+    rows = []  # per level: the reports that precede its spectrum checks, and those after
     for k in range(1, k_max + 1):
-        mode = _default_mode(k)
         row = top.prefix(k)
-        reports.extend(verify_row(row))
+        head = verify_row(row)
         if k <= 16:
-            reports.append(CheckReport("dual_route_agreement", k, cross_check_routes(row)))
-        sp = spectrum_at(k, mode)
+            head.append(CheckReport("dual_route_agreement", k, cross_check_routes(row)))
+        rows.append((head, [check_reciprocal_sum(row)] if k <= 18 else []))
+    top = row = None  # no check below reads a row
+    reports: list[CheckReport] = []
+    sp = interaction(1, _default_mode(1), max_level=max_level)
+    for k, (head, tail) in enumerate(rows, 1):
+        mode = _default_mode(k)
+        reports.extend(head)
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp))
-        if k < k_max:
-            pair = [spectrum_at(m, _default_mode(k + 1)) for m in (k, k + 1)]
-            reports.append(check_convergence(k, spectrum=pair[0], next_spectrum=pair[1]))
-        if k <= 18:
-            reports.append(check_reciprocal_sum(row))
         if mode == "exact":
             cone = _cone_transform(k)
-            reports.append(check_cone_membership(k, cone=cone))
-            reports.append(check_spectrum_decomposition(k, spectrum=sp, cone=cone))
-            reports.append(check_cone_map_identities(k))
-        sp = pair = None  # no later check reads level k
-        spectra = {key: spectrum for key, spectrum in spectra.items() if key[0] > k}
+            tail += [
+                check_cone_membership(k, cone=cone),
+                check_spectrum_decomposition(k, spectrum=sp, cone=cone),
+                check_cone_map_identities(k),
+            ]
+        if k < k_max:
+            next_mode = _default_mode(k + 1)
+            if next_mode != mode:
+                # level K_EXACT's convergence check runs in float; its exact
+                # spectrum is dropped before the float one is built
+                sp = None
+                sp = interaction(k, next_mode, max_level=max_level)
+            nxt = interaction(k + 1, next_mode, max_level=max_level)
+            reports.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
+            sp, nxt = nxt, None
+        reports.extend(tail)
     reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))
     return reports

@@ -19,7 +19,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._threads import run_pieces
-from .farey import FareyRow, _check_cap, _check_memory, _row_blocks, extended_row
+from .farey import _check_cap, _check_memory, _row_blocks, extended_row
 from .report import CHUNK, write_columns
 
 # Exact-path level cap: the integer butterfly and the integer checks of a
@@ -254,35 +254,27 @@ class Spectrum:
         return self.values[mask]
 
 
-def interaction(
-    k: int | FareyRow, mode: str = "exact", *, max_level: int | None = None
-) -> Spectrum:
+def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
-    ``k`` is a level or the FareyRow of that level.  For a level, exact mode
-    builds its row; float mode divides the values block by block from
-    ``_row_values`` and never holds the row.
+    Exact mode builds the level-k row; float mode divides the values block by
+    block from ``_row_values`` and never holds the row.  Either way the level
+    is checked against ``max_level`` first.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    level = k.level if isinstance(k, FareyRow) else k
-    if mode == "exact" and level > K_EXACT:
-        raise ValueError(
-            f"exact mode supports levels up to {K_EXACT}; use float mode for level {level}"
-        )
+    if mode == "exact" and k > K_EXACT:
+        raise ValueError(f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}")
     if mode == "exact":
-        row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
+        row = extended_row(k, max_level)
         nums = [-n for n in row.numerators[:-1].tolist()]
         ints, common = _integer_wht(nums, row.denominators[:-1].tolist())
-        return Spectrum(level, "exact", ints, common << level)
-    if isinstance(k, FareyRow):
-        values = k.numerators[:-1] / k.denominators[:-1]
-    else:
-        values = _row_values(k, max_level)
+        return Spectrum(k, "exact", ints, common << k)
+    values = _row_values(k, max_level)
     fwht(values)
-    values *= -(2.0**-level)  # normalization and negation in one exact scaling
+    values *= -(2.0**-k)  # normalization and negation in one exact scaling
     values.setflags(write=False)
-    return Spectrum(level, "float", values)
+    return Spectrum(k, "float", values)
 
 
 def _row_values(k: int, max_level: int | None) -> np.ndarray:

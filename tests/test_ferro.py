@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fareyspin import (
+    LevelTooLargeError,
     check_cone_map_identities,
     check_cone_map_series,
     check_cone_membership,
@@ -18,7 +19,6 @@ from fareyspin import (
     cone_map_series,
     cone_map_series_closed,
     cone_observable,
-    extended_row,
     farey_value,
     interaction,
     naive_transform,
@@ -28,7 +28,7 @@ from fareyspin import (
     seed_pair,
     verify_suite,
 )
-from fareyspin import _threads, ferro
+from fareyspin import _threads, cli, farey, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
 from conftest import traced_peak
@@ -159,13 +159,6 @@ class TestPiecedMemory:
         )
         assert report.passed
         assert peak < 2**20
-
-    def test_interaction_of_a_row(self):
-        # the 8 MiB values and a 1 MiB strip scratch per worker: 10.0 MiB
-        # measured, where one scratch of half the values made 12.4 MiB
-        row = extended_row(20)
-        spectrum, peak = traced_peak(lambda: interaction(row, "float"))
-        assert peak < spectrum.values.nbytes + 2.5 * 2**20
 
     def test_interaction_of_a_level(self):
         # the values, divided from 2^16-entry blocks of the row, and the
@@ -370,17 +363,20 @@ class TestSuite:
             verify_suite(0)
 
     def test_holds_only_the_spectra_later_checks_read(self, monkeypatch):
-        built, alive_at_rows = [], []
+        built, alive_at_rows, alive_at_builds = [], [], []
         transform, ferro_verify_row = ferro.interaction, ferro.verify_row
 
-        def spy_interaction(row, mode):
-            spectrum = transform(row, mode)
+        def alive():
+            return [(sp.level, sp.mode) for sp in (ref() for ref in built) if sp is not None]
+
+        def spy_interaction(k, mode, *, max_level=None):
+            alive_at_builds.append(alive())
+            spectrum = transform(k, mode, max_level=max_level)
             built.append(weakref.ref(spectrum))
             return spectrum
 
         def spy_verify_row(row):
-            alive = [ref() for ref in built if ref() is not None]
-            alive_at_rows.append([(sp.level, sp.mode) for sp in alive])
+            alive_at_rows.append(alive())
             return ferro_verify_row(row)
 
         monkeypatch.setattr(ferro, "interaction", spy_interaction)
@@ -389,19 +385,61 @@ class TestSuite:
         # every spectrum is built once: exact through K_EXACT, float from
         # K_EXACT on, since level K_EXACT's convergence check runs in float
         assert len(built) == 15 + 1
-        # level k's spectrum, built for the convergence check of level k - 1,
-        # is the only one left when level k starts
-        expected = [[]] + [[(k, "exact" if k <= 12 else "float")] for k in range(2, 16)]
-        assert alive_at_rows == expected
+        # no spectrum is alive while a row is checked
+        assert alive_at_rows == [[]] * 15
+        # a spectrum is built while at most the carried one of the level
+        # below is alive; level K_EXACT's exact one is dropped before its
+        # float one is built
+        exact = [[]] + [[(k - 1, "exact")] for k in range(2, 13)]
+        assert alive_at_builds == exact + [[]] + [[(k - 1, "float")] for k in range(13, 16)]
+
+    def test_no_spectrum_while_the_stern_buffer_is_alive(self, monkeypatch):
+        buffers, alive_at_builds = [], []
+        build, transform = ferro.extended_row, ferro.interaction
+
+        def spy_extended_row(k, max_level=None):
+            row = build(k, max_level)
+            buffers.append(weakref.ref(row.numerators.base))
+            return row
+
+        def spy_interaction(k, mode, *, max_level=None):
+            alive_at_builds.append(any(ref() is not None for ref in buffers))
+            return transform(k, mode, max_level=max_level)
+
+        monkeypatch.setattr(ferro, "extended_row", spy_extended_row)
+        monkeypatch.setattr(ferro, "interaction", spy_interaction)
+        assert all(r.passed for r in verify_suite(14, trials=5))
+        assert len(buffers) == 1
+        assert alive_at_builds == [False] * (14 + 1)
+
+    def test_max_level_reaches_every_spectrum(self, monkeypatch):
+        monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
+        assert all(r.passed for r in verify_suite(14, trials=5, max_level=14))
+        ran = []
+        monkeypatch.setattr(ferro, "verify_row", lambda row: ran.append(row) or [])
+        with pytest.raises(LevelTooLargeError):
+            verify_suite(14, trials=5)
+        assert ran == []
+
+    def test_cli_max_level_reaches_every_spectrum(self, monkeypatch, capsys):
+        monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
+        assert cli.main(["verify", "-k", "14", "--max-level", "14"]) == 0
+        assert '"level": 14' in capsys.readouterr().out
 
     def test_peak_memory_of_a_float_sweep(self):
-        # At k = 20 the traced peak comes as the level-20 spectrum is built:
-        # the level-20 Stern buffer (16 MiB), the level-19 spectrum (4 MiB),
-        # the level-20 values (8 MiB) and the transform's 1 MiB strip scratch
-        # on each of two workers, 30.4 MiB measured (32.8 MiB while the
-        # convergence check formed a 4 MiB slack).  Checking the row in
-        # whole-row temporaries takes it past the bound (41.4 MiB); keeping
-        # every spectrum now stays under it (35.2 MiB).
+        # At k = 20 the traced peak comes in the row checks: the level-20
+        # Stern buffer (16 MiB) and the level-18 reciprocal sum's 6 MiB of
+        # temporaries, 22.0 MiB measured; the spectra that follow peak at
+        # 14.4 MiB.  Checking the row in whole-row temporaries takes it past
+        # the bound (41.4 MiB); keeping every spectrum, with the buffer held
+        # under them, stays under it (35.2 MiB).
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
         assert peak < 40 * 2**20
+
+    def test_peak_memory_without_the_row_under_the_spectra(self):
+        # 22.0 MiB measured; holding the level-20 Stern buffer (16 MiB) while
+        # the spectra were built made 30.4 MiB
+        reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
+        assert all(r.passed for r in reports)
+        assert peak < 26 * 2**20

@@ -58,6 +58,8 @@ from fareyspin import _threads, farey, ferro, spectral, zeta
 from fareyspin import report
 from fareyspin.report import CheckReport, write_columns
 
+from conftest import row_levels
+
 
 def ref_cross_check_routes(row):
     k = row.level
@@ -356,17 +358,13 @@ class TestPiecedVerifyRow:
 
 
 def test_suite_builds_one_row(monkeypatch):
-    built = []
-    real = farey.extended_row
-
-    def spy(k, max_level=None):
-        built.append(k)
-        return real(k, max_level)
-
-    for owner in (farey, spectral, ferro):
-        monkeypatch.setattr(owner, "extended_row", spy)
+    # the level-k_max row, for the row checks, is built once and first; the
+    # spectra build only rows of lower levels: the exact ones their own, the
+    # float ones the coarse buffers they stream from
+    built = row_levels(monkeypatch)
     assert all(r.passed for r in ferro.verify_suite(14))
-    assert built == [14]
+    assert built[0] == 14
+    assert max(built[1:]) < 14
 
 
 SUB = 1 << zeta._SUB_LEVEL
@@ -724,29 +722,9 @@ class TestStreamedSpectrum:
 
     @pytest.mark.parametrize("k", [1, 20, 22])
     def test_never_builds_the_level_k_row(self, monkeypatch, k):
-        levels = []
-        build = farey.extended_row
-
-        def spy(level, max_level=None):
-            levels.append(level)
-            return build(level, max_level)
-
-        monkeypatch.setattr(farey, "extended_row", spy)
-        monkeypatch.setattr(spectral, "extended_row", spy)
+        levels = row_levels(monkeypatch)
         interaction(k, "float")
         assert levels and max(levels) < k
-
-    @pytest.mark.parametrize("k", [0, 1, 13, 20])
-    def test_a_given_row_is_used(self, monkeypatch, farey_values, k):
-        row = extended_row(k)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the row was given")
-
-        monkeypatch.setattr(spectral, "_row_blocks", refuse)
-        new = interaction(row, "float").values
-        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def ref_fwht_list(values, normalize=False):

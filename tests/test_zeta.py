@@ -23,7 +23,7 @@ from fareyspin import (
     zeta_oracle,
 )
 
-from conftest import traced_peak
+from conftest import row_levels, traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
@@ -249,16 +249,7 @@ class TestStreamedPartitionSum:
         assert peak < 80 * 2**20
 
     def test_never_builds_a_row_above_the_chunk_level(self, monkeypatch):
-        import fareyspin.farey as farey
-
-        levels = []
-        build = farey.extended_row
-
-        def spy(k, max_level=None):
-            levels.append(k)
-            return build(k, max_level)
-
-        monkeypatch.setattr(farey, "extended_row", spy)
+        levels = row_levels(monkeypatch)
         partition_sum(21, 3, 0.0)
         assert sorted(levels) == [19]
 
