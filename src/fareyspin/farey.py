@@ -13,9 +13,6 @@ level.  Two independent routes compute the same numbers:
   max(|s0|, |s1|) * Fibonacci(k+2) < 2^63 and refused beyond), where seeds
   (1,1) give denominators and (0,1) numerators.
 
-The level-K buffer holds every lower row as well (``FareyRow.prefix``), so a
-sweep over levels 1..K builds one buffer.
-
 Configurations sigma in (Z/2Z)^k are encoded as integers with sigma_1 as the
 most significant bit, so integer order equals lexicographic order and the
 fraction sequence is increasing in the index.
@@ -40,7 +37,7 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
-# verify_row checks 2^ROW_PIECE_BITS indices at a time.
+# The row checks read the row in blocks of 2^ROW_PIECE_BITS indices.
 ROW_PIECE_BITS = 16
 
 ROW_FIELDS = ("index", "numerator", "denominator", "value")
@@ -162,19 +159,6 @@ class FareyRow:
     def size(self) -> int:
         return (1 << self.level) + 1
 
-    def prefix(self, m: int) -> FareyRow:
-        """The level-m row, 0 <= m <= level, as views of this row's numerators.
-
-        The numerators are Stern's a(0..2^k), and a(0..2^m) and a(2^m..2^(m+1))
-        are the level-m numerators and denominators.
-        """
-        if not 0 <= m <= self.level:
-            raise ValueError(f"level {m} is not a prefix of level {self.level}")
-        if m == self.level:
-            return self
-        num = self.numerators
-        return FareyRow(m, num[: (1 << m) + 1], num[1 << m : (2 << m) + 1])
-
     def fraction(self, s: int) -> Fraction:
         _check_index(self.level, s, extended=True)
         return Fraction(int(self.numerators[s]), int(self.denominators[s]))
@@ -267,65 +251,74 @@ def farey_value(k: int, s: int) -> Fraction:
     return Fraction(seed_eval(k, 0, 1, s), seed_eval(k, 1, 1, s))
 
 
-def _first_failure(ok: np.ndarray) -> int | None:
-    return None if bool(ok.all()) else int(np.argmax(~ok))
+def _first_failure(ok: np.ndarray, then: bool = True) -> int | None:
+    """The first index at which ok, followed by the scalar ``then``, is False; None if none is."""
+    return int(np.argmax(~ok)) if not ok.all() else None if then else len(ok)
 
 
-def verify_row(row: FareyRow) -> list[CheckReport]:
-    """Check endpoints, strict monotonicity, unimodularity, and symmetry.
+def _row_pieces(k: int, max_level: int | None = None):
+    """The row checks' level-k row: the (count, block) of ``_row_blocks(k, j, max_level)``,
+    j = min(k, ROW_PIECE_BITS), as ``spectral._row_values`` divides it, and the level-(k - j)
+    row they refine, whose entry c starts block c and whose last is the right endpoint."""
+    j = min(k, ROW_PIECE_BITS)
+    return (*_row_blocks(k, j, max_level), extended_row(k - j, max_level))
+
+
+def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
+    """Check endpoints, strict monotonicity, unimodularity, and symmetry of the level-k row.
 
     Each property yields one CheckReport; the witness is the first failing
-    index, if any.  The row is checked in pieces of 2^ROW_PIECE_BITS indices on
-    one thread per available CPU; each piece finds its first failure of each
-    check, and the lowest of those is the row's.
+    index, if any.  The row is read from ``_row_pieces``, a piece per pair of
+    blocks c and count - 1 - c on one thread per available CPU; each piece
+    finds its first failure of each check, and the lowest of those is the
+    row's.  Symmetry fails at s iff it fails at 2^k - s, so a piece checks it
+    on block c only, through the next block's first entry, and entry 0 is
+    checked against the right endpoint.
     """
-    num, den, k = row.numerators, row.denominators, row.level
-    endpoints_ok = (
-        num[0] == 0 and den[0] == 1 and num[-1] == 1 and den[-1] == 1 and len(num) == row.size
-    )
-    size = len(num)
-    mirror_num, mirror_den = num[::-1], den[::-1]
+    count, block, coarse = _row_pieces(k, max_level)
+    nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
+    endpoints_ok = nums[0] == 0 and dens[0] == 1 and nums[-1] == 1 and dens[-1] == 1
+    size = (1 << k) // count
     # per piece, the first failure of monotonicity, unimodularity and symmetry
-    firsts = [None] * -(-size // (1 << ROW_PIECE_BITS))
+    firsts = [[None] * 3 for _ in range(max(count // 2, 1))]
 
     def check(c: int) -> None:
-        lo, hi = c << ROW_PIECE_BITS, (c + 1) << ROW_PIECE_BITS
-        top = min(hi, size - 1)  # the pairs (s, s + 1) of the piece
-        # Fractions increase strictly, num[s]*den[s+1] < num[s+1]*den[s], and
-        # adjacent ones are unimodular: the larger product exceeds the other by
-        # 1.  Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL, so
-        # their difference, formed in place of the one, carries both comparisons.
-        cross = num[lo + 1 : top + 1] * den[lo:top]
-        cross -= num[lo:top] * den[lo + 1 : top + 1]
-        # Reflection s -> 2^k - s fixes denominators and sends values to 1 - value.
-        symmetric = (num[lo:hi] + mirror_num[lo:hi] == den[lo:hi]) & (
-            den[lo:hi] == mirror_den[lo:hi]
-        )
-        firsts[c] = [
-            None if i is None else lo + i
-            for i in (_first_failure(cross > 0), _first_failure(cross == 1), _first_failure(symmetric))
-        ]
+        d = count - 1 - c
+        (num, den), = block(c)
+        (mirror_num, mirror_den), = block(d) if d != c else [(num, den)]
+        for b, n, m in ((d, mirror_num, mirror_den), (c, num, den)):  # block c's failures win
+            # Fractions increase strictly, n[s]*m[s+1] < n[s+1]*m[s], and
+            # adjacent ones are unimodular: the larger product exceeds the other
+            # by 1.  Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL,
+            # so their difference, formed in place of the one, carries both
+            # comparisons.  The last pair reads coarse entry b + 1.
+            cross = n[1:] * m[:-1]
+            cross -= n[:-1] * m[1:]
+            last = nums[b + 1] * int(m[-1]) - int(n[-1]) * dens[b + 1]
+            for j, i in enumerate((_first_failure(cross > 0, last > 0), _first_failure(cross == 1, last == 1))):
+                firsts[c][j] = firsts[c][j] if i is None else b * size + i
+        # Reflection s -> 2^k - s fixes denominators and sends values to
+        # 1 - value.  Entry i of block c, 0 < i < size, mirrors entry size - i
+        # of block d, and entry size, coarse entry c + 1, mirrors coarse entry d.
+        symmetric = (num[1:] + mirror_num[:0:-1] == den[1:]) & (den[1:] == mirror_den[:0:-1])
+        i = _first_failure(symmetric, nums[c + 1] + nums[d] == dens[c + 1] == dens[d])
+        firsts[c][2] = None if i is None else c * size + 1 + i
 
     run_pieces(len(firsts), check)
-    reports = [
-        CheckReport("row_endpoints", k, bool(endpoints_ok), witness=None if endpoints_ok else 0)
-    ]
+    firsts.append([None, None, None if nums[0] + nums[-1] == dens[0] == dens[-1] else 0])
+    reports = [CheckReport("row_endpoints", k, endpoints_ok, witness=None if endpoints_ok else 0)]
     for j, name in enumerate(("row_monotone", "row_unimodular", "row_symmetric")):
         witness = min((f[j] for f in firsts if f[j] is not None), default=None)
         reports.append(CheckReport(name, k, witness is None, witness=witness))
     return reports
 
 
-def cross_check_routes(k: int | FareyRow, max_level: int | None = None) -> bool:
-    """True iff the Stern row and the seeded recursion agree at all 2^k indices.
-
-    ``k`` is a level, whose row is built, or a FareyRow to check.
-    """
-    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
-    nums, dens = row.numerators[:-1], row.denominators[:-1]
-    return np.array_equal(seed_values(row.level, 0, 1), nums) and np.array_equal(
-        seed_values(row.level, 1, 1), dens
-    )
+def cross_check_routes(k: int, max_level: int | None = None) -> bool:
+    """True iff the blocks of ``_row_pieces`` and the seeded recursion agree at all 2^k indices."""
+    count, block, _ = _row_pieces(k, max_level)
+    nums, dens = (seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1))
+    pairs = ((num, den, c) for c in range(count) for num, den in block(c))
+    return all(np.array_equal(num, nums[c]) and np.array_equal(den, dens[c]) for num, den, c in pairs)
 
 
 def row_records(row: FareyRow):

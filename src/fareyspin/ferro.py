@@ -15,9 +15,12 @@ from math import inf, lcm, nextafter
 
 import numpy as np
 
+# extended_row and rational_wht stay importable here: bench/tracer.py patches them in ferro
 from .farey import (
-    FareyRow,
+    _check_cap,
+    _check_memory,
     _first_failure,
+    _row_pieces,
     cross_check_routes,
     extended_row,
     seed_eval,
@@ -27,7 +30,6 @@ from .farey import (
 )
 from ._threads import run_pieces
 from .report import CheckReport
-# rational_wht stays importable here: bench/tracer.py patches ferro.rational_wht
 from .spectral import K_EXACT, _default_mode, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
@@ -196,22 +198,29 @@ def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> 
     return CheckReport("level_increment", k, passed, margin=_margin(worst, unit), witness=i)
 
 
-def reciprocal_sum(k: int | FareyRow, max_level=None) -> Fraction:
+def reciprocal_sum(k: int, max_level=None) -> Fraction:
     """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1.
 
-    ``k`` is a level, whose row is built, or the FareyRow of that level.  The
-    terms are summed by a pairwise tree of reduced integer pairs: at each step
-    adjacent fractions p1/q1 and p2/q2 become (p1*q2 + p2*q1)/(q1*q2), reduced
-    by np.gcd, and an odd count is padded with 0/1.  A step runs in int64
-    while 2*max|p|*max|q| and max|q|^2 stay below 2^63 (for the first
+    The denominators are those ``verify_row`` reads (``farey._row_pieces``).
+    """
+    if k < 1:
+        raise ValueError("reciprocal_sum requires level >= 1")
+    count, block, coarse = _row_pieces(k, max_level)
+    dens = (den for c in range(count) for _, den in block(c))
+    return _sum_reciprocal_products(np.concatenate([*dens, coarse.denominators[-1:]]))
+
+
+def _sum_reciprocal_products(d) -> Fraction:
+    """Exact sum of 1/(d[s] * d[s+1]) over the adjacent entries of an integer array d.
+
+    The terms are summed by a pairwise tree of reduced integer pairs: at each
+    step adjacent fractions p1/q1 and p2/q2 become (p1*q2 + p2*q1)/(q1*q2),
+    reduced by np.gcd, and an odd count is padded with 0/1.  A step runs in
+    int64 while 2*max|p|*max|q| and max|q|^2 stay below 2^63 (for the first
     products d*d', while max|d|^2 does), and it and every later step on
     Python ints otherwise.  A reduced fraction is unique, so the result does
     not depend on the order of the additions.
     """
-    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
-    if row.level < 1:
-        raise ValueError("reciprocal_sum requires level >= 1")
-    d = row.denominators
     if d.dtype != np.int64 or _magnitude(d) ** 2 >= 1 << 63:
         d = d.astype(object)
     if not d.all():
@@ -238,10 +247,9 @@ def _magnitude(a) -> int:
 
 
 def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
-    """The reciprocal-sum identity at a level, or on a FareyRow of that level."""
-    row = k if isinstance(k, FareyRow) else extended_row(k, max_level)
-    total = reciprocal_sum(row)
-    return CheckReport("reciprocal_sum", row.level, total == 1, margin=abs(total - 1))
+    """The reciprocal-sum identity at level k."""
+    total = reciprocal_sum(k, max_level)
+    return CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))
 
 
 def cone_observable(k: int) -> list[Fraction]:
@@ -472,34 +480,31 @@ def verify_suite(
     Levels up to K_EXACT run in exact mode, higher levels in float mode with
     the certified verdicts of ``_values``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
-    the dual-route row comparison at level 16.  Rows first: every level's row
-    checks run on a prefix of one level-k_max Stern buffer, built first, so a
-    k_max whose row does not fit in memory is refused before any check runs;
-    only their reports are kept.  Then the spectra, each built once from its
-    level under ``max_level`` after the buffer is released and carried to the
-    next level's convergence check, so at most two levels' spectra are held.
-    The reports come level by level.  The seeded route runs in int64
-    (``seed_values``), which raises rather than overflows; for the row seeds
-    (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
+    the dual-route row comparison at level 16.  Each level's row is checked
+    as its spectrum reads it (``verify_row``), then its spectrum is checked,
+    built once from its level under ``max_level`` and carried to the next
+    level's convergence check, so at most two levels' spectra are held.  The
+    level-k_max spectrum is the sweep's largest allocation, so a k_max over
+    the cap or past physical memory is refused before any check runs.  The
+    seeded route runs in int64 (``seed_values``), which raises rather than
+    overflows; for the row seeds (0,1) and (1,1) it is exact through
+    INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    top = extended_row(k_max, max_level)
-    rows = []  # per level: the reports that precede its spectrum checks, and those after
-    for k in range(1, k_max + 1):
-        row = top.prefix(k)
-        head = verify_row(row)
-        if k <= 16:
-            head.append(CheckReport("dual_route_agreement", k, cross_check_routes(row)))
-        rows.append((head, [check_reciprocal_sum(row)] if k <= 18 else []))
-    top = row = None  # no check below reads a row
+    _check_cap(k_max, max_level)
+    _check_memory(8 << k_max, f"the level-{k_max} spectrum")
     reports: list[CheckReport] = []
     sp = interaction(1, _default_mode(1), max_level=max_level)
-    for k, (head, tail) in enumerate(rows, 1):
+    for k in range(1, k_max + 1):
         mode = _default_mode(k)
-        reports.extend(head)
+        reports.extend(verify_row(k, max_level))
+        if k <= 16:
+            reports.append(CheckReport("dual_route_agreement", k, cross_check_routes(k, max_level)))
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp))
+        # reported after the convergence check, run before it: the cone checks read level k's spectrum
+        tail = [check_reciprocal_sum(k, max_level=max_level)] if k <= 18 else []
         if mode == "exact":
             cone = _cone_transform(k)
             tail += [

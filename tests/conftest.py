@@ -3,6 +3,8 @@ import tracemalloc
 
 from fareyspin import farey, ferro, spectral, zeta
 
+_build = farey.extended_row
+
 
 def traced_peak(fn):
     """Call fn() under tracemalloc; return its result and the traced peak in bytes."""
@@ -31,3 +33,37 @@ def row_levels(monkeypatch):
     for owner in (farey, spectral, ferro, zeta):
         monkeypatch.setattr(owner, "extended_row", spy)
     return levels
+
+
+def planted_row(monkeypatch, k, changes):
+    """The level-k row with ``changes``, (array, index, delta) triples on "num"
+    or "den", applied, served to the row checks from now on.
+
+    farey._row_blocks serves slices of the planted row, and farey.extended_row
+    at a level m <= k serves its entries at the multiples of 2^(k-m), the
+    level-m row of a real row.  Returns the planted FareyRow.
+    """
+    row = _build(k)
+    arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
+    for which, s, delta in changes:
+        arrays[which][s] += delta
+    num, den = arrays["num"], arrays["den"]
+
+    def row_blocks(level, j, max_level=None, piece=None):
+        assert level == k
+        size = 1 << (j if piece is None else min(piece, j))
+
+        def block(c):
+            for lo in range(c << j, (c + 1) << j, size):
+                yield num[lo : lo + size], den[lo : lo + size]
+
+        return 1 << (k - j), block
+
+    def coarse(level, max_level=None):
+        assert level <= k
+        step = 1 << (k - level)
+        return farey.FareyRow(level, num[::step], den[::step])
+
+    monkeypatch.setattr(farey, "_row_blocks", row_blocks)
+    monkeypatch.setattr(farey, "extended_row", coarse)
+    return farey.FareyRow(k, num, den)

@@ -397,15 +397,15 @@ class TestMaxLevelGuards:
         assert "the level-1 row needs 40 bytes, more than the 39 bytes" in capsys.readouterr().err
 
     def test_verify_is_refused_before_any_check(self, monkeypatch, capsys):
-        # the sweep's one buffer is the level-3 row, 8 * 17 bytes; the rows of
-        # levels 1 and 2 would fit, but none is built and no check runs
-        self.physical_memory(monkeypatch, 135)
+        # the sweep's largest allocation is the level-3 spectrum, 8 * 8 bytes;
+        # the checks of levels 1 and 2 would fit, but none runs
+        self.physical_memory(monkeypatch, 63)
         checked = []
-        monkeypatch.setattr(cli.ferro, "verify_row", checked.append)
+        monkeypatch.setattr(cli.ferro, "verify_row", lambda *args: checked.append(args))
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "-k", "3"])
         assert exc.value.code == 2
-        assert "the level-3 row needs 136 bytes, more than the 135 bytes" in capsys.readouterr().err
+        assert "the level-3 spectrum needs 64 bytes, more than the 63 bytes" in capsys.readouterr().err
         assert checked == []
 
     def test_row_that_fits_exactly_is_allocated(self, monkeypatch, capsys):

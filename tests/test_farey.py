@@ -19,7 +19,9 @@ from fareyspin import (
     verify_row,
     write_row_csv,
 )
-from fareyspin.farey import FareyRow, _row_blocks, seed_values
+from fareyspin.farey import _row_blocks, seed_values
+
+from conftest import planted_row
 
 # Reference rows 0..4, frozen from the mediant construction by hand.
 ROWS = {
@@ -189,23 +191,6 @@ class TestSternRow:
                 view.setflags(write=True)
 
 
-class TestPrefix:
-    def test_every_lower_row_is_a_view_of_one_buffer(self):
-        top = extended_row(12)
-        for m in range(13):
-            row, own = top.prefix(m), extended_row(m)
-            assert row.level == m
-            assert np.array_equal(row.numerators, own.numerators)
-            assert np.array_equal(row.denominators, own.denominators)
-            assert row.numerators.base is row.denominators.base is top.numerators.base
-            assert not (row.numerators.flags.writeable or row.denominators.flags.writeable)
-
-    @pytest.mark.parametrize("m", [-1, 4])
-    def test_rejects_levels_outside_the_row(self, m):
-        with pytest.raises(ValueError):
-            extended_row(3).prefix(m)
-
-
 class TestSeedValues:
     @pytest.mark.parametrize("seeds", [(0, 1), (1, 1), (1, -1), (2, 1), (7, -4), (-3, 5)])
     def test_matches_seed_eval(self, seeds):
@@ -371,7 +356,7 @@ class TestFareyValue:
 class TestVerifyRow:
     def test_clean_rows_pass(self):
         for k in (0, 1, 2, 5, 9):
-            reports = verify_row(extended_row(k))
+            reports = verify_row(k)
             assert all(r.passed for r in reports)
 
     def test_unimodular_spot_value(self):
@@ -383,20 +368,15 @@ class TestVerifyRow:
         row = extended_row(3)
         assert row.numerators[2] + row.numerators[6] == row.denominators[2]  # 1 + 2 = 3
 
-    def test_corrupted_denominator_fails_unimodularity(self):
-        row = extended_row(3)
-        bad_den = row.denominators.copy()
-        bad_den[3] += 1
-        bad = FareyRow(3, row.numerators, bad_den)
-        by_name = {r.name: r for r in verify_row(bad)}
+    def test_corrupted_denominator_fails_unimodularity(self, monkeypatch):
+        planted_row(monkeypatch, 3, [("den", 3, 1)])
+        by_name = {r.name: r for r in verify_row(3)}
         assert not by_name["row_unimodular"].passed
         assert by_name["row_unimodular"].witness in (2, 3)
 
-    def test_corrupted_endpoint_reported(self):
-        row = extended_row(2)
-        bad_num = row.numerators.copy()
-        bad_num[0] = 1
-        by_name = {r.name: r for r in verify_row(FareyRow(2, bad_num, row.denominators))}
+    def test_corrupted_endpoint_reported(self, monkeypatch):
+        planted_row(monkeypatch, 2, [("num", 0, 1)])
+        by_name = {r.name: r for r in verify_row(2)}
         assert not by_name["row_endpoints"].passed
 
 

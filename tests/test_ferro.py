@@ -31,7 +31,7 @@ from fareyspin import (
 from fareyspin import _threads, cli, farey, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
-from conftest import traced_peak
+from conftest import row_levels, traced_peak
 
 
 class TestZeroCoefficient:
@@ -375,9 +375,9 @@ class TestSuite:
             built.append(weakref.ref(spectrum))
             return spectrum
 
-        def spy_verify_row(row):
+        def spy_verify_row(k, max_level=None):
             alive_at_rows.append(alive())
-            return ferro_verify_row(row)
+            return ferro_verify_row(k, max_level)
 
         monkeypatch.setattr(ferro, "interaction", spy_interaction)
         monkeypatch.setattr(ferro, "verify_row", spy_verify_row)
@@ -385,38 +385,26 @@ class TestSuite:
         # every spectrum is built once: exact through K_EXACT, float from
         # K_EXACT on, since level K_EXACT's convergence check runs in float
         assert len(built) == 15 + 1
-        # no spectrum is alive while a row is checked
-        assert alive_at_rows == [[]] * 15
+        # while a row is checked, only the spectrum of its level is alive
+        assert alive_at_rows == [[(k, "exact" if k <= 12 else "float")] for k in range(1, 16)]
         # a spectrum is built while at most the carried one of the level
         # below is alive; level K_EXACT's exact one is dropped before its
         # float one is built
         exact = [[]] + [[(k - 1, "exact")] for k in range(2, 13)]
         assert alive_at_builds == exact + [[]] + [[(k - 1, "float")] for k in range(13, 16)]
 
-    def test_no_spectrum_while_the_stern_buffer_is_alive(self, monkeypatch):
-        buffers, alive_at_builds = [], []
-        build, transform = ferro.extended_row, ferro.interaction
-
-        def spy_extended_row(k, max_level=None):
-            row = build(k, max_level)
-            buffers.append(weakref.ref(row.numerators.base))
-            return row
-
-        def spy_interaction(k, mode, *, max_level=None):
-            alive_at_builds.append(any(ref() is not None for ref in buffers))
-            return transform(k, mode, max_level=max_level)
-
-        monkeypatch.setattr(ferro, "extended_row", spy_extended_row)
-        monkeypatch.setattr(ferro, "interaction", spy_interaction)
-        assert all(r.passed for r in verify_suite(14, trials=5))
-        assert len(buffers) == 1
-        assert alive_at_builds == [False] * (14 + 1)
+    def test_builds_no_row_above_level_15(self, monkeypatch):
+        # the row checks read the blocks the float spectra divide, refined
+        # from the level-15 row, and the coarse row of level k - 16
+        built = row_levels(monkeypatch)
+        assert all(r.passed for r in verify_suite(22, trials=5))
+        assert max(built) == 15
 
     def test_max_level_reaches_every_spectrum(self, monkeypatch):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
         assert all(r.passed for r in verify_suite(14, trials=5, max_level=14))
         ran = []
-        monkeypatch.setattr(ferro, "verify_row", lambda row: ran.append(row) or [])
+        monkeypatch.setattr(ferro, "verify_row", lambda k, max_level=None: ran.append(k) or [])
         with pytest.raises(LevelTooLargeError):
             verify_suite(14, trials=5)
         assert ran == []
@@ -427,19 +415,19 @@ class TestSuite:
         assert '"level": 14' in capsys.readouterr().out
 
     def test_peak_memory_of_a_float_sweep(self):
-        # At k = 20 the traced peak comes in the row checks: the level-20
-        # Stern buffer (16 MiB) and the level-18 reciprocal sum's 6 MiB of
-        # temporaries, 22.0 MiB measured; the spectra that follow peak at
-        # 14.4 MiB.  Checking the row in whole-row temporaries takes it past
-        # the bound (41.4 MiB); keeping every spectrum, with the buffer held
-        # under them, stays under it (35.2 MiB).
+        # At k = 20 the traced peak comes with the spectra: the level-19 and
+        # level-20 spectra (4 and 8 MiB) and the transform's scratch, 15.0 MiB
+        # measured.  Checking the row in whole-row temporaries takes it past
+        # the bound (41.4 MiB); keeping every spectrum, with the level-20
+        # Stern buffer held under them, stays under it (35.2 MiB).
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
         assert peak < 40 * 2**20
 
     def test_peak_memory_without_the_row_under_the_spectra(self):
-        # 22.0 MiB measured; holding the level-20 Stern buffer (16 MiB) while
-        # the spectra were built made 30.4 MiB
+        # 15.0 MiB measured; the level-20 Stern buffer (16 MiB) made 22.0 MiB
+        # when the row checks read it before the spectra were built, and
+        # 30.4 MiB when it was held while they were built
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
-        assert peak < 26 * 2**20
+        assert peak < 18 * 2**20

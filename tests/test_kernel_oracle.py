@@ -58,7 +58,7 @@ from fareyspin import _threads, farey, ferro, spectral, zeta
 from fareyspin import report
 from fareyspin.report import CheckReport, write_columns
 
-from conftest import row_levels
+from conftest import planted_row, row_levels
 
 
 def ref_cross_check_routes(row):
@@ -151,18 +151,14 @@ def assert_same(new, old):
 class TestSeededRoute:
     @pytest.mark.parametrize("k", range(17))
     def test_cross_check_matches_the_loop(self, k):
-        row = extended_row(k)
-        assert ref_cross_check_routes(row) is True
-        assert cross_check_routes(k) is cross_check_routes(row) is True
+        assert ref_cross_check_routes(extended_row(k)) is True
+        assert cross_check_routes(k) is True
 
     @pytest.mark.parametrize("which", ["numerators", "denominators"])
     @pytest.mark.parametrize("s", [0, 5, 63])
-    def test_corrupted_row_fails(self, which, s):
-        row = extended_row(6)
-        arrays = {"numerators": row.numerators.copy(), "denominators": row.denominators.copy()}
-        arrays[which][s] += 1
-        bad = FareyRow(6, arrays["numerators"], arrays["denominators"])
-        assert cross_check_routes(bad) is False
+    def test_corrupted_row_fails(self, monkeypatch, which, s):
+        bad = planted_row(monkeypatch, 6, [({"numerators": "num", "denominators": "den"}[which], s, 1)])
+        assert cross_check_routes(6) is False
         assert ref_cross_check_routes(bad) is False
 
     @pytest.mark.parametrize("k", range(1, K_EXACT + 1))
@@ -176,33 +172,28 @@ class TestReciprocalSum:
     @pytest.mark.parametrize("k", range(1, 19))
     def test_matches_the_fraction_sum(self, k):
         old = ref_reciprocal_sum(k)
-        assert reciprocal_sum(k) == reciprocal_sum(extended_row(k)) == old
-        new_report = check_reciprocal_sum(extended_row(k))
+        assert reciprocal_sum(k) == old
         old_report = CheckReport("reciprocal_sum", k, old == 1, margin=abs(old - 1))
-        assert_same(new_report, old_report)
         assert_same(check_reciprocal_sum(k), old_report)
 
-    def test_corrupted_row_fails(self):
-        row = extended_row(5)
-        cut = FareyRow(5, row.numerators, row.denominators.copy())
-        cut.denominators[-1] = 2
+    def test_corrupted_row_fails(self, monkeypatch):
+        # the right endpoint's denominator, 1, made 2: it is read, not assumed
+        row = planted_row(monkeypatch, 5, [("den", 32, 1)])
         d = int(row.denominators[-2])
-        assert reciprocal_sum(cut) == 1 - Fraction(1, d * 1) + Fraction(1, d * 2)
-        assert not check_reciprocal_sum(cut).passed
+        assert reciprocal_sum(5) == 1 - Fraction(1, d * 1) + Fraction(1, d * 2)
+        assert not check_reciprocal_sum(5).passed
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):
-            reciprocal_sum(extended_row(0))
+            reciprocal_sum(0)
 
     @pytest.mark.parametrize("k", [5, 10, 14])
     @pytest.mark.parametrize("seed", range(3))
-    def test_mutated_rows_match_the_fraction_sum(self, k, seed):
+    def test_mutated_rows_match_the_fraction_sum(self, monkeypatch, k, seed):
         rng = np.random.default_rng(seed)
-        dens = extended_row(k).denominators.copy()
-        at = rng.integers(0, dens.size, 3)
-        dens[at] += rng.integers(1, 50, 3)
-        bad = FareyRow(k, extended_row(k).numerators, dens)
-        total = reciprocal_sum(bad)
+        at = rng.integers(0, (1 << k) + 1, 3)
+        bad = planted_row(monkeypatch, k, [("den", s, d) for s, d in zip(at, rng.integers(1, 50, 3))])
+        total = reciprocal_sum(k)
         assert total != 1 and total == ref_reciprocal_sum(bad)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 9, 17, 33, 100, 1000, 4097])
@@ -210,10 +201,10 @@ class TestReciprocalSum:
         # size - 1 terms: odd counts pad a 0/1 at one or more steps of the tree
         cut = extended_row(12).denominators[:size]
         row = FareyRow(12, extended_row(12).numerators[:size], cut)
-        assert reciprocal_sum(row) == ref_reciprocal_sum(row)
+        assert ferro._sum_reciprocal_products(cut) == ref_reciprocal_sum(row)
         rng = np.random.default_rng(size)
         noise = FareyRow(12, row.numerators, rng.integers(1, 1000, size))
-        assert reciprocal_sum(noise) == ref_reciprocal_sum(noise)
+        assert ferro._sum_reciprocal_products(noise.denominators) == ref_reciprocal_sum(noise)
 
     @staticmethod
     def gcd_dtypes(monkeypatch):
@@ -245,7 +236,7 @@ class TestReciprocalSum:
         dens[::7] *= -1
         row = FareyRow(6, np.zeros(65, np.int64), dens)
         seen = self.gcd_dtypes(monkeypatch)
-        total = reciprocal_sum(row)
+        total = ferro._sum_reciprocal_products(dens)
         assert seen == steps
         assert total == ref_reciprocal_sum(row)
 
@@ -254,11 +245,10 @@ class TestReciprocalSum:
         assert reciprocal_sum(16) == 1
         assert seen == [np.int64] * 16
 
-    def test_zero_denominator_is_refused(self):
-        dens = extended_row(4).denominators.copy()
-        dens[3] = 0
+    def test_zero_denominator_is_refused(self, monkeypatch):
+        planted_row(monkeypatch, 4, [("den", 3, -int(extended_row(4).denominators[3]))])
         with pytest.raises(ZeroDivisionError):
-            reciprocal_sum(FareyRow(4, extended_row(4).numerators, dens))
+            reciprocal_sum(4)
 
 
 class TestConeMapIdentities:
@@ -303,46 +293,74 @@ class TestConeMapIdentities:
 PIECE = 1 << farey.ROW_PIECE_BITS
 
 
-def planted(k, changes):
-    """The level-k row with ``changes``, (array, index, delta) triples, applied."""
-    row = extended_row(k)
-    arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
-    for which, s, delta in changes:
-        arrays[which][s] += delta
-    return FareyRow(k, arrays["num"], arrays["den"])
+def two_block_cases(piece):
+    """Planted changes to the level-k row of two blocks of ``piece`` entries,
+    with the witnesses of row_monotone, row_unimodular and row_symmetric."""
+    s, t = min(5, piece - 1), min(7, piece - 1)  # 5 and 7 unless the blocks are smaller
+    return [
+        # at the last index of block 0 (its last pair reads the coarse entry
+        # that starts block 1), that entry (the middle of the row, its own
+        # mirror), the last but one and the last of the row (mirrored to 1 and 0)
+        ([("num", piece - 1, 1)], (piece - 1, piece - 2, piece - 1)),
+        ([("den", piece, 1)], (piece - 1, piece - 1, piece)),
+        ([("den", 2 * piece - 1, 1)], (2 * piece - 2, 2 * piece - 2, 1)),
+        ([("num", 2 * piece, -1)], (2 * piece - 1, 2 * piece - 1, 0)),
+        # failures in block 0 and at the right endpoint: each check reports its first
+        ([("num", 2 * piece, -1), ("num", s, 3)], (s, s - 1, 0)),
+        # a symmetry failure in block 1 whose mirror, in block 0, comes first
+        ([("den", piece + t, 1)], (piece + t - 1, piece + t - 1, piece - t)),
+    ]
+
+
+def four_block_cases(piece):
+    """As two_block_cases, on the level-k row of four blocks."""
+    half = piece // 2
+    return [
+        # the last pair of block 2, into the coarse entry that starts block 3
+        ([("num", 3 * piece, -1)], (3 * piece - 1, 3 * piece - 1, piece)),
+        # the middle entry 2^(k-1), the first of block 2: the only symmetry failure
+        ([("num", 2 * piece, 1)], (2 * piece, 2 * piece - 1, 2 * piece)),
+        # a failure in the upper mirrored block 3 only, seen from block 0
+        ([("den", 3 * piece + half, 1)], (3 * piece + half - 1, 3 * piece + half - 1, piece - half)),
+        # the right endpoint's denominator
+        ([("den", 4 * piece, 1)], (4 * piece - 1, 4 * piece - 1, 0)),
+    ]
 
 
 class TestPiecedVerifyRow:
     @pytest.mark.parametrize("k", range(23))
     def test_real_rows_like_the_whole_row(self, k):
-        row = extended_row(k)
-        assert verify_row(row) == ref_verify_row(row)
+        assert verify_row(k) == ref_verify_row(extended_row(k))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "changes, witnesses",
-        [
-            # at the last index of piece 0 (its last pair reads piece 1), the
-            # first of piece 1 (the middle of the row, its own mirror), the
-            # last but one and the last of the row (mirrored to 1 and 0)
-            ([("num", PIECE - 1, 1)], (PIECE - 1, PIECE - 2, PIECE - 1)),
-            ([("den", PIECE, 1)], (PIECE - 1, PIECE - 1, PIECE)),
-            ([("den", 2 * PIECE - 1, 1)], (2 * PIECE - 2, 2 * PIECE - 2, 1)),
-            ([("num", 2 * PIECE, -1)], (2 * PIECE - 1, 2 * PIECE - 1, 0)),
-            # failures in pieces 0 and 2: each check reports its first
-            ([("num", 2 * PIECE, -1), ("num", 5, 3)], (5, 4, 0)),
-            # a symmetry failure in piece 1 whose mirror, in piece 0, comes first
-            ([("den", PIECE + 7, 1)], (PIECE + 6, PIECE + 6, PIECE - 7)),
-        ],
-    )
-    def test_planted_failures(self, monkeypatch, workers, changes, witnesses):
+    @staticmethod
+    def check_planted(monkeypatch, workers, bits, k, changes, witnesses):
         monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
-        row = planted(farey.ROW_PIECE_BITS + 1, changes)  # 2 * PIECE + 1 entries, 3 pieces
-        reports = verify_row(row)
+        monkeypatch.setattr(farey, "ROW_PIECE_BITS", bits)
+        row = planted_row(monkeypatch, k, changes)
+        reports = verify_row(k)
         assert reports == ref_verify_row(row)
         assert tuple(r.witness for r in reports[1:]) == witnesses
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("changes, witnesses", two_block_cases(PIECE))
+    def test_planted_failures(self, monkeypatch, workers, changes, witnesses):
+        bits = farey.ROW_PIECE_BITS
+        self.check_planted(monkeypatch, workers, bits, bits + 1, changes, witnesses)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("changes, witnesses", two_block_cases(4))
+    def test_planted_failures_in_small_blocks(self, monkeypatch, workers, changes, witnesses):
+        self.check_planted(monkeypatch, workers, 2, 3, changes, witnesses)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "bits, changes, witnesses",
+        [(bits, *case) for bits in (2, 16) for case in four_block_cases(1 << bits)],
+    )
+    def test_planted_failures_in_four_blocks(self, monkeypatch, workers, bits, changes, witnesses):
+        self.check_planted(monkeypatch, workers, bits, bits + 2, changes, witnesses)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_small_pieces_like_the_whole_row(self, monkeypatch, workers):
         monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
         monkeypatch.setattr(farey, "ROW_PIECE_BITS", 2)
@@ -353,18 +371,16 @@ class TestPiecedVerifyRow:
                     (rng.choice(["num", "den"]), rng.integers(0, (1 << k) + 1), rng.integers(-2, 3))
                     for _ in range(rng.integers(0, 3))
                 ]
-                row = planted(k, changes)
-                assert verify_row(row) == ref_verify_row(row)
+                row = planted_row(monkeypatch, k, changes)
+                assert verify_row(k) == ref_verify_row(row)
 
 
 def test_suite_builds_one_row(monkeypatch):
-    # the level-k_max row, for the row checks, is built once and first; the
-    # spectra build only rows of lower levels: the exact ones their own, the
-    # float ones the coarse buffers they stream from
+    # no row of the top level is built: the row checks and the float spectra
+    # read coarse rows of lower levels, the exact spectra build their own
     built = row_levels(monkeypatch)
     assert all(r.passed for r in ferro.verify_suite(14))
-    assert built[0] == 14
-    assert max(built[1:]) < 14
+    assert max(built) < 14
 
 
 SUB = 1 << zeta._SUB_LEVEL
