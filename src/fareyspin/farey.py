@@ -37,8 +37,12 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
-# The row checks read the row in blocks of 2^ROW_PIECE_BITS indices.
-ROW_PIECE_BITS = 16
+# The row checks and the float spectra read a level's row in blocks of
+# 2^ROW_BLOCK_BITS entries (``_row_pieces``, ``spectral._row_values``), so
+# verify checks the very values it transforms.  Blocks of 2^16 read a Stern
+# buffer of 2^max(16, k-15) + 1 entries, under 1 MiB through k = 31; blocks
+# of 2^20 read one of 2^k + 1 entries up to k = 20, as large as the spectrum.
+ROW_BLOCK_BITS = 16
 
 ROW_FIELDS = ("index", "numerator", "denominator", "value")
 
@@ -109,13 +113,8 @@ def seed_eval(k: int, s0, s1, s: int):
     s-th modified Farey fraction.
     """
     _check_index(k, s)
-    a, b = s0, s1
-    for i in range(k - 1, -1, -1):
-        if (s >> i) & 1:
-            a = a + b
-        else:
-            b = a + b
-    return a
+    # the zero top bit of level k + 1 starts seed_pair from (s0, s1)
+    return seed_pair(k + 1, s0, s1, s)[0]
 
 
 def seed_values(k: int, s0: int, s1: int) -> np.ndarray:
@@ -258,9 +257,9 @@ def _first_failure(ok: np.ndarray, then: bool = True) -> int | None:
 
 def _row_pieces(k: int, max_level: int | None = None):
     """The row checks' level-k row: the (count, block) of ``_row_blocks(k, j, max_level)``,
-    j = min(k, ROW_PIECE_BITS), as ``spectral._row_values`` divides it, and the level-(k - j)
+    j = min(k, ROW_BLOCK_BITS), as ``spectral._row_values`` divides it, and the level-(k - j)
     row they refine, whose entry c starts block c and whose last is the right endpoint."""
-    j = min(k, ROW_PIECE_BITS)
+    j = min(k, ROW_BLOCK_BITS)
     return (*_row_blocks(k, j, max_level), extended_row(k - j, max_level))
 
 

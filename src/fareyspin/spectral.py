@@ -18,6 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import farey
 from ._threads import run_pieces
 from .farey import _check_cap, _check_memory, _row_blocks, extended_row
 from .report import CHUNK, write_columns
@@ -37,12 +38,8 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 # a 4 MiB L2 cache).
 BLOCK_BITS = 16
 
-# A float spectrum of a level is divided from blocks of 2^_ROW_BLOCK_BITS
-# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time.  Blocks of
-# 2^16 read a Stern buffer of 2^max(16, k-15) + 1 entries, under 1 MiB through
-# k = 31; blocks of 2^20 read one of 2^k + 1 entries up to k = 20, as large as
-# the spectrum.
-_ROW_BLOCK_BITS = 16
+# A float spectrum of a level is divided from the blocks of 2^farey.ROW_BLOCK_BITS
+# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time.
 _ROW_PIECE_BITS = 14
 
 
@@ -287,7 +284,7 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
     """
     _check_cap(k, max_level)
     _check_memory(8 << k, f"the level-{k} spectrum")
-    count, block = _row_blocks(k, min(k, _ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
+    count, block = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
     values = np.empty(1 << k)
     parts = values.reshape(count, -1)
 

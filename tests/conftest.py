@@ -1,7 +1,7 @@
 """Helpers shared by the test modules."""
 import tracemalloc
 
-from fareyspin import farey, ferro, spectral, zeta
+from fareyspin import _threads, farey, ferro, spectral, zeta
 
 _build = farey.extended_row
 
@@ -15,6 +15,11 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def pin_workers(monkeypatch, n):
+    """Run every run_pieces call from now on on n workers, whatever the CPUs and pieces."""
+    monkeypatch.setattr(_threads, "_worker_count", lambda pieces: n)
 
 
 def row_levels(monkeypatch):

@@ -8,7 +8,6 @@ tolerance; the checks must reproduce their pass flags, witnesses and
 margins, margin type included.
 """
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import pytest
@@ -28,8 +27,10 @@ from fareyspin import (
     max_support,
     rational_wht,
 )
-from fareyspin import _threads, ferro
+from fareyspin import ferro
 from fareyspin.report import CheckReport
+
+from conftest import pin_workers
 
 EXACT_LEVELS = range(1, K_EXACT + 1)
 FLOAT_LEVELS = range(1, 17)
@@ -377,73 +378,12 @@ def test_convergence_boundary(spectra, sign, slack, passed):
     assert_verdict(new, ref_convergence(k, sp, nxt), passed, 3)
 
 
-# The whole-array bodies that the pieced checks replaced: one np.argmin over
-# the slack of every mask at once (decay: over each class of masks with the
-# same trailing zeros, then over the classes' first minima in mask order).
-# The pieced checks must give their reports, margin bits and type included,
-# on any number of workers.
-
-
-def _whole_first_min(a):
-    i = int(np.argmin(a))
-    return i, a[i]
-
-
-def ref_whole_nonnegativity(k, sp):
-    vals, unit, bound = ferro._values(k, None, sp)
-    i, worst = _whole_first_min(vals[1:])
-    return CheckReport(
-        "off_zero_nonnegative", k, worst >= bound, margin=ferro._margin(worst, unit), witness=i + 1
-    )
-
-
-def ref_whole_extremes(k, sp):
-    vals, unit, bound = ferro._values(k, None, sp)
-    top_mask = 1 << (k - 1)
-    i_min, min_slack = _whole_first_min(vals[1:] - vals[0])
-    gaps_max = vals[top_mask] - vals
-    gaps_max[top_mask] = np.inf
-    i_max, max_slack = _whole_first_min(gaps_max)
-    passed = min_slack > 2 * bound and max_slack >= 2 * bound
-    if min_slack <= max_slack:
-        margin, witness = min_slack, i_min + 1
-    else:
-        margin, witness = max_slack, i_max
-    return CheckReport("extreme_masks", k, passed, margin=ferro._margin(margin, unit), witness=witness)
-
-
-def ref_whole_decay(k, sp):
-    vals, unit, bound = ferro._values(k, None, sp)
-    firsts = []
-    for t in range(k):
-        j, slack = _whole_first_min(ferro._pow2(t - k, unit) - vals[1 << t :: 2 << t])
-        firsts.append(((1 << t) + (j << (t + 1)), slack))
-    firsts.sort(key=lambda first: first[0])
-    i, worst = _whole_first_min(np.array([slack for _, slack in firsts], dtype=vals.dtype))
-    return CheckReport(
-        "support_decay", k, worst >= bound, margin=ferro._margin(worst, unit), witness=firsts[i][0]
-    )
-
-
-def ref_whole_convergence(k, sp, nxt_sp):
-    vals, unit, bound = ferro._values(k, None, sp)
-    nxt, next_unit, next_bound = ferro._values(k + 1, None, nxt_sp)
-    nxt = nxt[0::2]
-    if isinstance(unit, int):
-        common = lcm(unit, next_unit)
-        vals, nxt, unit = vals * (common // unit), nxt * (common // next_unit), common
-    slack = vals - nxt
-    i, worst = _whole_first_min(
-        np.subtract(ferro._pow2(-(k + 1), unit), np.abs(slack, out=slack), out=slack)
-    )
-    passed = worst >= bound + next_bound
-    return CheckReport("level_increment", k, passed, margin=ferro._margin(worst, unit), witness=i)
-
-
-WHOLE = (
-    (check_nonnegativity, ref_whole_nonnegativity),
-    (check_extremes, ref_whole_extremes),
-    (check_decay, ref_whole_decay),
+# The pieced checks must give the reports of the per-mode copies above, margin
+# bits and type included, on any number of workers.
+PIECED = (
+    (check_nonnegativity, ref_nonnegativity),
+    (check_extremes, ref_extremes),
+    (check_decay, ref_decay),
 )
 WORKERS = (1, 2, 3, 8)
 
@@ -462,16 +402,16 @@ def assert_same_report(new, old):
         assert new.margin == old.margin
 
 
-def assert_pieced_like_whole(monkeypatch, k, sp, nxt=None):
+def assert_pieced_like_the_copies(monkeypatch, k, sp, nxt=None):
     """The pieced checks of sp (and of the pair sp, nxt) on 1, 2, 3 and 8 workers
-    against the whole-array bodies; returns the reports."""
+    against the per-mode copies; returns the reports."""
     with np.errstate(invalid="ignore"):  # inf - inf in both alike
-        old = [ref(k, sp) for _, ref in WHOLE]
+        old = [ref(k, sp) for _, ref in PIECED]
         if nxt is not None:
-            old.append(ref_whole_convergence(k, sp, nxt))
+            old.append(ref_convergence(k, sp, nxt))
         for workers in WORKERS:
-            monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
-            new = [check(k, spectrum=sp) for check, _ in WHOLE]
+            pin_workers(monkeypatch, workers)
+            new = [check(k, spectrum=sp) for check, _ in PIECED]
             if nxt is not None:
                 new.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
             for a, b in zip(new, old, strict=True):
@@ -486,7 +426,7 @@ def test_pieced_checks_on_real_spectra(monkeypatch, k):
     for mode in modes:
         sp = interaction(k, mode)
         nxt = interaction(k + 1, mode) if mode == "float" or k < K_EXACT else None
-        reports = assert_pieced_like_whole(monkeypatch, k, sp, nxt)
+        reports = assert_pieced_like_the_copies(monkeypatch, k, sp, nxt)
         assert all(r.passed for r in reports.values())
 
 
@@ -517,7 +457,7 @@ def hand_built(mode, changes, k=HAND_LEVEL):
 @pytest.mark.parametrize("mask", [3, 4, N_HAND - 1, 0], ids=["piece-1", "piece", "N-1", "tau0"])
 def test_planted_entry(monkeypatch, mode, value, mask):
     sp = hand_built(mode, {mask: value})
-    reports = assert_pieced_like_whole(monkeypatch, HAND_LEVEL, sp, interaction(HAND_LEVEL + 1, mode))
+    reports = assert_pieced_like_the_copies(monkeypatch, HAND_LEVEL, sp, interaction(HAND_LEVEL + 1, mode))
     if mask:
         assert not reports["nonnegativity"].passed
         assert reports["nonnegativity"].witness == reports["convergence"].witness == mask
@@ -531,7 +471,7 @@ def test_equal_minima_in_two_pieces(monkeypatch, mode, value):
     # convergence slacks tie as well.
     sp = hand_built(mode, {6: value, 13: value})
     nxt = hand_built(mode, {12: 0, 26: 0}, HAND_LEVEL + 1)
-    reports = assert_pieced_like_whole(monkeypatch, HAND_LEVEL, sp, nxt)
+    reports = assert_pieced_like_the_copies(monkeypatch, HAND_LEVEL, sp, nxt)
     for name in ("nonnegativity", "extremes", "convergence"):
         assert reports[name].witness == 6
 
@@ -547,11 +487,11 @@ def test_top_mask_at_a_piece_edge(monkeypatch, mode, k, piece_bits):
     # with it, on either side of it, is the witness with margin 0
     monkeypatch.setattr(ferro, "PIECE_BITS", piece_bits)
     top = 1 << (k - 1)
-    assert_pieced_like_whole(monkeypatch, k, interaction(k, mode))
+    assert_pieced_like_the_copies(monkeypatch, k, interaction(k, mode))
     for rival in (top - 1, top + 1):
         if 0 < rival < 1 << k:
             sp = hand_built(mode, {rival: interaction(k, mode).values[top]}, k)
-            extremes = assert_pieced_like_whole(monkeypatch, k, sp)["extremes"]
+            extremes = assert_pieced_like_the_copies(monkeypatch, k, sp)["extremes"]
             assert extremes.witness == rival and extremes.margin == 0
 
 
@@ -565,5 +505,5 @@ def test_a_bad_coefficient_fails_each_check(monkeypatch, mode, check, value):
     # mask 9 moved below 0 and the tau = 0 coefficient, or above its decay
     # bound 2^-5 and far from the next level's coefficient
     sp = hand_built(mode, {9: value})
-    reports = assert_pieced_like_whole(monkeypatch, HAND_LEVEL, sp, interaction(HAND_LEVEL + 1, mode))
+    reports = assert_pieced_like_the_copies(monkeypatch, HAND_LEVEL, sp, interaction(HAND_LEVEL + 1, mode))
     assert not reports[check].passed and reports[check].witness == 9

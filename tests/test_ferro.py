@@ -28,10 +28,10 @@ from fareyspin import (
     seed_pair,
     verify_suite,
 )
-from fareyspin import _threads, cli, farey, ferro
+from fareyspin import cli, farey, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
-from conftest import row_levels, traced_peak
+from conftest import pin_workers, row_levels, traced_peak
 
 
 class TestZeroCoefficient:
@@ -136,7 +136,7 @@ class TestPiecedMemory:
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: min(2, pieces))
+        pin_workers(monkeypatch, 2)
 
     @pytest.fixture(scope="class")
     def pair(self):

@@ -11,20 +11,21 @@ give the Fraction loop's sum on any row.  The row checks, now run in pieces on
 several threads, must give the reports of the whole-row checks.  The partition
 sum's exact chunk sum replaced math.fsum over a list of Python floats and must
 give its bits, the sign of zero included.  The cache-blocked radix-4 fwht
-replaced a radix-2 kernel with one pass per stage and must give its bits, and
-its threaded blocks and column strips must give the bits of the serial blocked
-kernel for any number of workers; exact spectra, now integers over one
+replaced a radix-2 kernel with one pass per stage: its threaded blocks and
+column strips, on any number of workers, and the transposed low stages of a
+block must give the bits of that kernel, and so must the negated float
+spectrum of a level, now divided block by block from the streamed row, of the
+values divided from the whole row.  Exact spectra, now integers over one
 denominator, must read back the Fractions of the former rational path.  The
 list fwht, now that kernel on an object array, must give the integers,
-Fractions and float bits of the Python loop it replaced.  The emitter's byte slots replaced one repr or str per value
-and must give its text: shortest round-trip floats against repr, integer
-digits against str, and text cells (NUL and non-ASCII included) against
-csv.writer and json.dump.  The low stages of an fwht block, now run on its
-transposed halves, must give the bits of the stages run on the block, and the
-float spectrum of a level, now divided block by block from the streamed row,
-the bits of the spectrum built from the whole row.
+Fractions and float bits of the Python loop it replaced.  The emitter's byte
+slots replaced one repr or str per value and must give its text: shortest
+round-trip floats against repr, integer digits against str, and text cells
+(NUL and non-ASCII included) against csv.writer and json.dump.
 """
 import csv
+import functools
+import hashlib
 import io
 import json
 import math
@@ -54,11 +55,11 @@ from fareyspin import (
     seed_eval,
     verify_row,
 )
-from fareyspin import _threads, farey, ferro, spectral, zeta
+from fareyspin import farey, ferro, spectral, zeta
 from fareyspin import report
 from fareyspin.report import CheckReport, write_columns
 
-from conftest import planted_row, row_levels
+from conftest import pin_workers, planted_row, row_levels
 
 
 def ref_cross_check_routes(row):
@@ -290,7 +291,7 @@ class TestConeMapIdentities:
         assert not report.passed and report.witness == 9
 
 
-PIECE = 1 << farey.ROW_PIECE_BITS
+PIECE = 1 << farey.ROW_BLOCK_BITS
 
 
 def two_block_cases(piece):
@@ -334,8 +335,8 @@ class TestPiecedVerifyRow:
 
     @staticmethod
     def check_planted(monkeypatch, workers, bits, k, changes, witnesses):
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
-        monkeypatch.setattr(farey, "ROW_PIECE_BITS", bits)
+        pin_workers(monkeypatch, workers)
+        monkeypatch.setattr(farey, "ROW_BLOCK_BITS", bits)
         row = planted_row(monkeypatch, k, changes)
         reports = verify_row(k)
         assert reports == ref_verify_row(row)
@@ -344,7 +345,7 @@ class TestPiecedVerifyRow:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("changes, witnesses", two_block_cases(PIECE))
     def test_planted_failures(self, monkeypatch, workers, changes, witnesses):
-        bits = farey.ROW_PIECE_BITS
+        bits = farey.ROW_BLOCK_BITS
         self.check_planted(monkeypatch, workers, bits, bits + 1, changes, witnesses)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -362,8 +363,8 @@ class TestPiecedVerifyRow:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_small_pieces_like_the_whole_row(self, monkeypatch, workers):
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
-        monkeypatch.setattr(farey, "ROW_PIECE_BITS", 2)
+        pin_workers(monkeypatch, workers)
+        monkeypatch.setattr(farey, "ROW_BLOCK_BITS", 2)
         rng = np.random.default_rng(workers)
         for k in range(8):
             for _ in range(20):
@@ -475,7 +476,8 @@ class TestExactSum:
 
 
 def ref_fwht(a, normalize=False):
-    # the radix-2 kernel: one pass over the array and a new temporary per stage
+    # the radix-2 kernel, the one reference of every array transform below:
+    # one pass over the array and a new temporary per stage
     bits = a.size.bit_length() - 1
     h = 1
     while h < a.size:
@@ -489,15 +491,8 @@ def ref_fwht(a, normalize=False):
     return a
 
 
-def assert_same_bits(x, normalize=False):
-    """fwht of a copy of x against the radix-2 kernel on another, compared as int64 views."""
-    with np.errstate(all="ignore"):  # inf - inf and overflow in both kernels alike
-        new = fwht(x.copy(), normalize)
-        old = ref_fwht(x.copy(), normalize)
-    assert np.array_equal(new.view(np.int64), old.view(np.int64))
-
-
 FWHT_TOP = 24
+WORKERS = (1, 2, 3, 8)
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +501,24 @@ def farey_values():
     # bits changes neither numerator nor denominator, so not the float quotient
     row = extended_row(FWHT_TOP)
     return row.numerators[:-1] / row.denominators[:-1]
+
+
+def bits_digest(a):
+    """sha256 of the bytes of an array: equal digests, equal bits."""
+    return hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def farey_transforms(farey_values):
+    """k -> the digest of ref_fwht(level-k Farey values, normalize=True), each
+    level transformed once.  Digests, not arrays: the transforms of levels
+    0..24 together take 256 MiB."""
+
+    @functools.cache
+    def digest(k):
+        return bits_digest(ref_fwht(farey_values[:: 1 << (FWHT_TOP - k)].copy(), normalize=True))
+
+    return digest
 
 
 def special_floats(rng, n):
@@ -517,122 +530,44 @@ def special_floats(rng, n):
     return x
 
 
-class TestBlockedFwht:
-    @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
-    def test_farey_values_keep_their_bits(self, farey_values, k):
-        values = farey_values[:: 1 << (FWHT_TOP - k)]
-        assert values.size == 1 << k
-        assert_same_bits(values, normalize=True)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 15, 16, 17, 18])
-    def test_special_floats_keep_their_bits(self, k):
-        rng = np.random.default_rng(k)
-        x = special_floats(rng, 1 << k)
-        assert_same_bits(x)
-        assert_same_bits(x, normalize=True)
-
-    @pytest.mark.parametrize("k", [0, 1, 3, 16, 17, 18])
-    def test_complex_keeps_its_bits(self, k):
-        rng = np.random.default_rng(100 + k)
-        z = special_floats(rng, 2 << k).view(np.complex128)
-        assert_same_bits(z)
-        assert_same_bits(z, normalize=True)
-
-    @pytest.mark.parametrize("k", [0, 1, 4, 16, 17, 18])
-    def test_int64_matches(self, k):
-        rng = np.random.default_rng(200 + k)
-        assert_same_bits(rng.integers(-(2**40), 2**40, 1 << k))
-
-    @pytest.mark.parametrize("block_bits", [1, 2, 3])
-    @pytest.mark.parametrize("k", range(9))
-    def test_small_blocks_keep_the_stage_order(self, block_bits, k, monkeypatch):
-        # blocks smaller than the array, with odd and even stage counts on either side
-        monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
-        assert_same_bits(special_floats(np.random.default_rng(300 + k), 1 << k))
-
-    @pytest.mark.parametrize("k", [1, 12, 17, 22])
-    def test_interaction_is_the_negated_normalized_transform(self, farey_values, k):
-        # one multiply by -2^-k gives the bits of normalizing, then negating
-        values = farey_values[:: 1 << (FWHT_TOP - k)]
-        old = np.negative(ref_fwht(values.copy(), normalize=True))
-        new = interaction(k, "float").values
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
-
-
-def serial_stages(a, lo, hi, scratch):
-    # the serial blocked kernel: radix-4 passes over the contiguous array a
-    n = a.size
-    s = lo
-    while s + 1 < hi:
-        h = 1 << s
-        b = a.reshape(-1, 4, h)
-        x0, x1, x2, x3 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-        y0, y2 = scratch[: n // 4].reshape(-1, h), scratch[n // 4 : n // 2].reshape(-1, h)
-        np.add(x0, x1, out=y0)
-        np.subtract(x0, x1, out=x1)
-        np.add(x2, x3, out=y2)
-        np.subtract(x2, x3, out=x0)
-        np.subtract(x1, x0, out=x3)
-        np.add(x1, x0, out=x1)
-        np.add(y0, y2, out=x0)
-        np.subtract(y0, y2, out=x2)
-        s += 2
-    if s < hi:
-        h = 1 << s
-        b = a.reshape(-1, 2, h)
-        low = scratch[: n // 2].reshape(-1, h)
-        np.subtract(b[:, 0], b[:, 1], out=low)
-        b[:, 0] += b[:, 1]
-        b[:, 1] = low
-
-
-def serial_fwht(a, normalize=False):
-    # the low stages block by block on one thread, then the rest over the whole array
-    bits = a.size.bit_length() - 1
-    scratch = np.empty(a.size // 2, a.dtype)
-    low = min(bits, spectral.BLOCK_BITS)
-    for block in a.reshape(-1, 1 << low):
-        serial_stages(block, 0, low, scratch)
-    serial_stages(a, low, bits, scratch)
-    if normalize:
-        a *= 2.0**-bits
-    return a
-
-
-WORKERS = (1, 2, 3, 8)
-
-
-def assert_threads_keep_the_bits(monkeypatch, x, normalize=False):
-    """fwht of x on 1, 2, 3 and 8 workers against the serial kernel, as int64 views."""
+def assert_like_the_radix_2_kernel(monkeypatch, x, normalize=False):
+    """fwht of x on 1, 2, 3 and 8 workers against ref_fwht, as int64 views."""
     with np.errstate(all="ignore"):  # inf - inf and overflow in both kernels alike
-        old = serial_fwht(x.copy(), normalize)
+        old = ref_fwht(x.copy(), normalize)
         for workers in WORKERS:
-            monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+            pin_workers(monkeypatch, workers)
             new = fwht(x.copy(), normalize)
             assert np.array_equal(new.view(np.int64), old.view(np.int64)), workers
 
 
 class TestThreadedFwht:
-    """Blocks and column strips on any number of workers give the serial kernel's bits."""
+    """The blocked radix-4 fwht, in blocks and column strips on any number of
+    workers, gives the bits of the radix-2 kernel."""
 
     @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
-    def test_farey_values(self, monkeypatch, farey_values, k):
-        assert_threads_keep_the_bits(monkeypatch, farey_values[:: 1 << (FWHT_TOP - k)], True)
+    def test_farey_values(self, monkeypatch, farey_values, farey_transforms, k):
+        values = farey_values[:: 1 << (FWHT_TOP - k)]
+        assert values.size == 1 << k
+        for workers in WORKERS:
+            pin_workers(monkeypatch, workers)
+            assert bits_digest(fwht(values.copy(), normalize=True)) == farey_transforms(k), workers
 
-    @pytest.mark.parametrize("k", [0, 1, 5, 16, 17, 18, 19, 20])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 15, 16, 17, 18, 19, 20])
     def test_special_floats(self, monkeypatch, k):
         x = special_floats(np.random.default_rng(400 + k), 1 << k)
-        assert_threads_keep_the_bits(monkeypatch, x)
-        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+        assert_like_the_radix_2_kernel(monkeypatch, x)
+        assert_like_the_radix_2_kernel(monkeypatch, x, normalize=True)
 
-    @pytest.mark.parametrize("k", [0, 3, 17, 19])
+    @pytest.mark.parametrize("k", [0, 1, 3, 16, 17, 18, 19])
     def test_complex(self, monkeypatch, k):
         z = special_floats(np.random.default_rng(500 + k), 2 << k).view(np.complex128)
-        assert_threads_keep_the_bits(monkeypatch, z, normalize=True)
+        assert_like_the_radix_2_kernel(monkeypatch, z)
+        assert_like_the_radix_2_kernel(monkeypatch, z, normalize=True)
 
-    @pytest.mark.parametrize("k", [0, 4, 17, 19])
+    @pytest.mark.parametrize("k", [0, 1, 4, 16, 17, 18, 19])
     def test_int64(self, monkeypatch, k):
-        assert_threads_keep_the_bits(monkeypatch, np.random.default_rng(600 + k).integers(-(2**40), 2**40, 1 << k))
+        x = np.random.default_rng(600 + k).integers(-(2**40), 2**40, 1 << k)
+        assert_like_the_radix_2_kernel(monkeypatch, x)
 
     @pytest.mark.parametrize("block_bits", [1, 2, 3])
     @pytest.mark.parametrize("k", range(11))
@@ -640,7 +575,8 @@ class TestThreadedFwht:
         # many blocks and strips, with odd and even stage counts on either side
         monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
         x = special_floats(np.random.default_rng(700 + k), 1 << k)
-        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+        assert_like_the_radix_2_kernel(monkeypatch, x)
+        assert_like_the_radix_2_kernel(monkeypatch, x, normalize=True)
 
     @pytest.mark.parametrize("block_bits", [5, 7])
     @pytest.mark.parametrize("k", [4, 5, 7, 8, 12, 15])
@@ -649,16 +585,15 @@ class TestThreadedFwht:
         # block_bits // 2 stages, the block the rest
         monkeypatch.setattr(spectral, "BLOCK_BITS", block_bits)
         x = special_floats(np.random.default_rng(900 + k), 1 << k)
-        assert_threads_keep_the_bits(monkeypatch, x, normalize=True)
+        assert_like_the_radix_2_kernel(monkeypatch, x, normalize=True)
 
     @pytest.mark.parametrize("low", range(17))
     def test_transposed_low_stages(self, low):
-        # one block, its low stages on transposed halves, against all of its
-        # stages run on the block itself
+        # one block, its low stages on transposed halves, against the radix-2
+        # kernel on the block
         x = special_floats(np.random.default_rng(1000 + low), 1 << low)
         with np.errstate(all="ignore"):
-            old = x.copy()
-            serial_stages(old, 0, low, np.empty(max(x.size // 2, 1)))
+            old = ref_fwht(x.copy())
             new = x.copy()
             spectral._block_stages(new, low)
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
@@ -668,12 +603,12 @@ class TestThreadedFwht:
         # that shared scratch or entries with another would lose bits
         monkeypatch.setattr(spectral, "BLOCK_BITS", 6)
         x = special_floats(np.random.default_rng(800), 1 << 14)
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: 8)
+        pin_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with np.errstate(all="ignore"):
-                old = serial_fwht(x.copy())
+                old = ref_fwht(x.copy())
                 for _ in range(20):
                     new = fwht(x.copy())
                     assert np.array_equal(new.view(np.int64), old.view(np.int64))
@@ -683,7 +618,7 @@ class TestThreadedFwht:
     @staticmethod
     def infinities(monkeypatch, workers):
         # inf - inf in block 1 of 2, which a worker thread transforms
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
+        pin_workers(monkeypatch, workers)
         x = np.ones(1 << (spectral.BLOCK_BITS + 1))
         x[[1 << spectral.BLOCK_BITS, (1 << spectral.BLOCK_BITS) + 1]] = np.inf
         return x
@@ -693,7 +628,7 @@ class TestThreadedFwht:
         x = self.infinities(monkeypatch, workers)
         with np.errstate(all="raise"):
             with pytest.raises(FloatingPointError):
-                serial_fwht(x.copy())
+                ref_fwht(x.copy())
             with pytest.raises(FloatingPointError):
                 fwht(x.copy())
 
@@ -703,7 +638,7 @@ class TestThreadedFwht:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
-                old = serial_fwht(x.copy())
+                old = ref_fwht(x.copy())
                 new = fwht(x.copy())
         assert np.isnan(new).any()
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
@@ -711,36 +646,41 @@ class TestThreadedFwht:
 
 class TestStreamedSpectrum:
     """interaction(k, "float") divides the values block by block from the
-    streamed row; the row-built spectrum divided the whole row at once."""
-
-    @staticmethod
-    def row_built(values, k):
-        # the former float body of interaction, on the row's n / d
-        values = values.copy()
-        fwht(values)
-        values *= -(2.0**-k)
-        return values
+    streamed row; negated, it has the bits of ref_fwht(values, normalize=True)
+    of the values divided from the whole row."""
 
     @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
-    def test_streamed_like_row_built(self, farey_values, k):
-        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
-        new = interaction(k, "float").values
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    def test_streamed_like_row_built(self, farey_transforms, k):
+        # one multiply by -2^-k gives the bits of normalizing, then negating
+        assert bits_digest(np.negative(interaction(k, "float").values)) == farey_transforms(k)
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_blocks_on_any_number_of_workers(self, monkeypatch, farey_values, workers):
-        # level 22 has four blocks of 2^20 values
-        k = 22
-        old = self.row_built(farey_values[:: 1 << (FWHT_TOP - k)], k)
-        monkeypatch.setattr(_threads, "_worker_count", lambda pieces: workers)
-        new = interaction(k, "float").values
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    def test_blocks_on_any_number_of_workers(self, monkeypatch, farey_transforms, workers):
+        # level 22 has 64 blocks of 2^16 values
+        pin_workers(monkeypatch, workers)
+        assert bits_digest(np.negative(interaction(22, "float").values)) == farey_transforms(22)
 
     @pytest.mark.parametrize("k", [1, 20, 22])
     def test_never_builds_the_level_k_row(self, monkeypatch, k):
         levels = row_levels(monkeypatch)
         interaction(k, "float")
         assert levels and max(levels) < k
+
+    def test_verify_checks_the_blocks_it_transforms(self, monkeypatch):
+        # one block size for both readers of the row, read when they are called
+        monkeypatch.setattr(farey, "ROW_BLOCK_BITS", 3)
+        sizes = []
+        row_blocks = farey._row_blocks
+
+        def spy(k, j, *args):
+            sizes.append(j)
+            return row_blocks(k, j, *args)
+
+        for owner in (farey, spectral):
+            monkeypatch.setattr(owner, "_row_blocks", spy)
+        verify_row(5)
+        interaction(5, "float")
+        assert sizes == [3, 3]
 
 
 def ref_fwht_list(values, normalize=False):

@@ -23,14 +23,16 @@ from fareyspin import (
     zeta_oracle,
 )
 
-from conftest import row_levels, traced_peak
+from conftest import pin_workers, row_levels, traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
 
+@functools.cache
 def materialized_partition_value(k, s, t):
     """Z_k(s, t) summed over the fully materialized level-k row in chunks of
-    2^20 entries: the reference the streamed partition sum must match bit for bit."""
+    2^20 entries: the reference the streamed and threaded partition sums must
+    match bit for bit.  Cached: each value is computed once per test run."""
     s = complex(s)
     row = extended_row(k)
     num, den = row.numerators, row.denominators
@@ -260,11 +262,6 @@ class TestStreamedPartitionSum:
             partition_sum(27, 3, 0)
 
 
-@functools.lru_cache(maxsize=None)
-def materialized_reference(k, s, t):
-    return materialized_partition_value(k, s, t)
-
-
 def spy_chunks(monkeypatch, fail=None):
     """Record in a list every chunk index whose block partition_sum asks for;
     with ``fail``, the block of chunk 0 raises it instead of yielding."""
@@ -291,7 +288,7 @@ class TestPartitionThreads:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("k", [21, 22])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
-        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: workers)
+        pin_workers(monkeypatch, workers)
         names = set()
         exact_sum = zeta._exact_sum
 
@@ -304,7 +301,7 @@ class TestPartitionThreads:
         for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
             names.clear()
             started.clear()
-            assert partition_sum(k, s, t).value == materialized_reference(k, s, t)
+            assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
             # every chunk once, each worker busy while there are chunks for it
             assert sorted(started) == list(range(1 << (k - 20)))
             assert len(names) == min(workers, 1 << (k - 20))
@@ -321,7 +318,7 @@ class TestPartitionThreads:
 
     def test_non_finite_term_stops_before_the_other_chunks(self, monkeypatch):
         # Im(s) * log(den) overflows for every den > 1, so chunk 0 fails first
-        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 1)
+        pin_workers(monkeypatch, 1)
         started = spy_chunks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -337,7 +334,7 @@ class TestPartitionThreads:
     )
     def test_a_failing_chunk_stops_the_other_worker(self, monkeypatch, error, message):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
-        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 2)
+        pin_workers(monkeypatch, 2)
         started = spy_chunks(monkeypatch, fail=error)
         with pytest.raises(type(error), match=message):
             partition_sum(21, 3, 0.0)
@@ -345,7 +342,7 @@ class TestPartitionThreads:
 
     def test_interrupted_join_stops_the_workers(self, monkeypatch):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
-        monkeypatch.setattr(_threads, "_worker_count", lambda chunks: 2)
+        pin_workers(monkeypatch, 2)
         started = spy_chunks(monkeypatch)
         threads = []
 
