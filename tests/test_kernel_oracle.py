@@ -544,13 +544,14 @@ class TestThreadedFwht:
     """The blocked radix-4 fwht, in blocks and column strips on any number of
     workers, gives the bits of the radix-2 kernel."""
 
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("k", range(FWHT_TOP + 1))
-    def test_farey_values(self, monkeypatch, farey_values, farey_transforms, k):
+    def test_farey_values(self, monkeypatch, farey_values, farey_transforms, k, workers):
+        # one case per level and worker count; each level's reference is built once
         values = farey_values[:: 1 << (FWHT_TOP - k)]
         assert values.size == 1 << k
-        for workers in WORKERS:
-            pin_workers(monkeypatch, workers)
-            assert bits_digest(fwht(values.copy(), normalize=True)) == farey_transforms(k), workers
+        pin_workers(monkeypatch, workers)
+        assert bits_digest(fwht(values.copy(), normalize=True)) == farey_transforms(k)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 15, 16, 17, 18, 19, 20])
     def test_special_floats(self, monkeypatch, k):
