@@ -125,11 +125,10 @@ def _output(path):
 
 
 def cmd_generate(args: argparse.Namespace, stream) -> int:
-    row = farey.extended_row(args.level, args.max_level)
     if args.format == "csv":
-        farey.write_row_csv(row, stream)
+        farey.write_row_csv(args.level, stream, args.max_level)
     else:
-        write_columns(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
+        write_columns(farey.ROW_FIELDS, farey.row_records(args.level, args.max_level), stream, "json")
     return 0
 
 

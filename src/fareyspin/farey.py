@@ -7,7 +7,7 @@ level.  Two independent routes compute the same numbers:
 * the row route (``extended_row``): one buffer filled in place with Stern's
   diatomic sequence a(2m) = a(m), a(2m+1) = a(m) + a(m+1), whose a(0..2^k)
   are the level-k numerators and a(2^k..2^(k+1)) the denominators (Stern
-  1858; Northshield, Amer. Math. Monthly 2010),
+  1858; Northshield, Amer. Math. Monthly 2010), read in blocks (``_row_blocks``),
 * the seeded complement-pair recursion (``seed_eval`` per configuration,
   ``seed_values`` for all 2^k configurations at once in int64, exact while
   max(|s0|, |s1|) * Fibonacci(k+2) < 2^63 and refused beyond), where seeds
@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import truediv
 from typing import IO
 
@@ -37,11 +38,11 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
-# The row checks and the float spectra read a level's row in blocks of
-# 2^ROW_BLOCK_BITS entries (``_row_pieces``, ``spectral._row_values``), so
-# verify checks the very values it transforms.  Blocks of 2^16 read a Stern
-# buffer of 2^max(16, k-15) + 1 entries, under 1 MiB through k = 31; blocks
-# of 2^20 read one of 2^k + 1 entries up to k = 20, as large as the spectrum.
+# Every reader of a level's row (the row checks, both spectrum modes and
+# ``row_records``) takes its blocks of 2^ROW_BLOCK_BITS entries from
+# ``_row_blocks``, so verify checks the values that are transformed and
+# emitted.  They read a Stern buffer of 2^max(16, k-15) + 1 entries, under
+# 1 MiB through k = 31; blocks of 2^20 would read one as large as a spectrum.
 ROW_BLOCK_BITS = 16
 
 ROW_FIELDS = ("index", "numerator", "denominator", "value")
@@ -208,11 +209,12 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
 
 
 def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None = None):
-    """The level-k row without its right endpoint as 2^(k-j) blocks of 2^j
-    entries, 0 <= j <= k: a pair (count, block) where block(c) is a new
-    iterator over the (numerators, denominators) of block c in index order,
-    0 <= c < count; with ``piece``, it yields the block as its consecutive
-    pieces of 2^min(piece, j) entries.
+    """The level-k row as 2^(k-j) blocks of 2^j entries, 0 <= j <= k: a tuple
+    (count, block, nums, dens) where block(c) is a new iterator over the
+    (numerators, denominators) of block c in index order, 0 <= c < count (with
+    ``piece``, as its consecutive pieces of 2^min(piece, j) entries), and nums
+    and dens list the level-(k-j) row, whose entry c starts block c and whose
+    last is the right endpoint.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
@@ -239,7 +241,7 @@ def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None 
                 dens[c] * tail[lo : lo + size] + dens[c + 1] * head[lo : lo + size],
             )
 
-    return 1 << (k - j), block
+    return 1 << (k - j), block, nums, dens
 
 
 def farey_value(k: int, s: int) -> Fraction:
@@ -255,27 +257,18 @@ def _first_failure(ok: np.ndarray, then: bool = True) -> int | None:
     return int(np.argmax(~ok)) if not ok.all() else None if then else len(ok)
 
 
-def _row_pieces(k: int, max_level: int | None = None):
-    """The row checks' level-k row: the (count, block) of ``_row_blocks(k, j, max_level)``,
-    j = min(k, ROW_BLOCK_BITS), as ``spectral._row_values`` divides it, and the level-(k - j)
-    row they refine, whose entry c starts block c and whose last is the right endpoint."""
-    j = min(k, ROW_BLOCK_BITS)
-    return (*_row_blocks(k, j, max_level), extended_row(k - j, max_level))
-
-
 def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
     """Check endpoints, strict monotonicity, unimodularity, and symmetry of the level-k row.
 
     Each property yields one CheckReport; the witness is the first failing
-    index, if any.  The row is read from ``_row_pieces``, a piece per pair of
-    blocks c and count - 1 - c on one thread per available CPU; each piece
-    finds its first failure of each check, and the lowest of those is the
-    row's.  Symmetry fails at s iff it fails at 2^k - s, so a piece checks it
-    on block c only, through the next block's first entry, and entry 0 is
-    checked against the right endpoint.
+    index, if any.  The row is read from ``_row_blocks(k, min(k,
+    ROW_BLOCK_BITS))``, a piece per pair of blocks c and count - 1 - c on one
+    thread per available CPU; each piece finds its first failure of each
+    check, and the lowest of those is the row's.  Symmetry fails at s iff it
+    fails at 2^k - s, so a piece checks it on block c only, through the next
+    block's first entry, and entry 0 is checked against the right endpoint.
     """
-    count, block, coarse = _row_pieces(k, max_level)
-    nums, dens = coarse.numerators.tolist(), coarse.denominators.tolist()
+    count, block, nums, dens = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level)
     endpoints_ok = nums[0] == 0 and dens[0] == 1 and nums[-1] == 1 and dens[-1] == 1
     size = (1 << k) // count
     # per piece, the first failure of monotonicity, unimodularity and symmetry
@@ -313,29 +306,38 @@ def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
 
 
 def cross_check_routes(k: int, max_level: int | None = None) -> bool:
-    """True iff the blocks of ``_row_pieces`` and the seeded recursion agree at all 2^k indices."""
-    count, block, _ = _row_pieces(k, max_level)
+    """True iff the blocks that ``verify_row`` reads and the seeded recursion agree at all 2^k indices."""
+    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level)
     nums, dens = (seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1))
     pairs = ((num, den, c) for c in range(count) for num, den in block(c))
     return all(np.array_equal(num, nums[c]) and np.array_equal(den, dens[c]) for num, den, c in pairs)
 
 
-def row_records(row: FareyRow):
-    """ROW_FIELDS of the row in blocks of CHUNK indices, one column per field.
+def row_records(k: int, max_level: int | None = None):
+    """ROW_FIELDS of the extended level-k row in blocks of at most CHUNK indices.
 
-    The values are Python's correctly rounded n / d of the ints.  In
-    [0, 2^53) n and d are exact in float64, so the float64 division rounds the
-    same quotient once; past 2^53 it would round n and d first.
+    The blocks are read from ``_row_blocks``, called here, before the first
+    record; the last is the right endpoint, the coarse row's last entry.  The
+    values are Python's correctly rounded n / d of the ints.  In [0, 2^53) n
+    and d are exact in float64, so the float64 division rounds the same
+    quotient once; past 2^53 it would round n and d first.
     """
-    for lo in range(0, len(row.numerators), CHUNK):
-        nums, dens = row.numerators[lo : lo + CHUNK], row.denominators[lo : lo + CHUNK]
-        if 0 <= min(nums.min(), dens.min()) and max(nums.max(), dens.max()) < 1 << 53:
-            values = nums / dens
-        else:
-            values = np.array(list(map(truediv, nums.tolist(), dens.tolist())))
-        yield np.arange(lo, lo + len(nums)), nums, dens, values
+    count, block, nums, dens = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level, CHUNK.bit_length() - 1)
+    pieces = chain((p for c in range(count) for p in block(c)), [(np.array(nums[-1:]), np.array(dens[-1:]))])
+
+    def records():
+        lo = 0
+        for num, den in pieces:
+            if 0 <= min(num.min(), den.min()) and max(num.max(), den.max()) < 1 << 53:
+                values = num / den
+            else:
+                values = np.array(list(map(truediv, num.tolist(), den.tolist())))
+            yield np.arange(lo, lo + len(num)), num, den, values
+            lo += len(num)
+
+    return records()
 
 
-def write_row_csv(row: FareyRow, stream: IO[str]) -> None:
-    """Emit index, numerator, denominator, value with '.' decimals, one row per index."""
-    write_columns(ROW_FIELDS, row_records(row), stream, "csv")
+def write_row_csv(k: int, stream: IO[str], max_level: int | None = None) -> None:
+    """Emit index, numerator, denominator, value of the extended level-k row with '.' decimals."""
+    write_columns(ROW_FIELDS, row_records(k, max_level), stream, "csv")

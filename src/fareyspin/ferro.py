@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import inf, lcm, nextafter
+from math import factorial, inf, lcm, nextafter
 
 import numpy as np
+
+from . import farey
 
 # extended_row and rational_wht stay importable here: bench/tracer.py patches them in ferro
 from .farey import (
     _check_cap,
     _check_memory,
     _first_failure,
-    _row_pieces,
+    _row_blocks,
     cross_check_routes,
     extended_row,
     seed_eval,
@@ -201,13 +203,15 @@ def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> 
 def reciprocal_sum(k: int, max_level=None) -> Fraction:
     """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1.
 
-    The denominators are those ``verify_row`` reads (``farey._row_pieces``).
+    Each block of denominators that ``verify_row`` reads, followed by the
+    coarse entry that starts the next, is summed on its own, and the block sums
+    are added as Fractions: a reduced fraction is unique, whatever the order.
     """
     if k < 1:
         raise ValueError("reciprocal_sum requires level >= 1")
-    count, block, coarse = _row_pieces(k, max_level)
-    dens = (den for c in range(count) for _, den in block(c))
-    return _sum_reciprocal_products(np.concatenate([*dens, coarse.denominators[-1:]]))
+    count, block, _, dens = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level)
+    sums = (_sum_reciprocal_products(np.append(den, dens[c + 1])) for c in range(count) for _, den in block(c))
+    return sum(sums, Fraction(0))
 
 
 def _sum_reciprocal_products(d) -> Fraction:
@@ -358,20 +362,12 @@ def cone_map_polynomials(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
     return out_plus, out_minus
 
 
-def _factorials(n_max: int) -> list[int]:
-    out = [1]
-    for n in range(1, n_max + 1):
-        out.append(out[-1] * n)
-    return out
-
-
 def cone_map_series(n_max: int) -> tuple[list[Fraction], list[Fraction]]:
     """Taylor coefficients at 0 of the sum and difference maps, via the derivative recursion."""
     polys_plus, polys_minus = cone_map_polynomials(n_max)
-    fact = _factorials(n_max)
 
     def coeff(p, n):
-        return Fraction(p[0] if p else 0, 9 ** (n + 1) * fact[n])
+        return Fraction(p[0] if p else 0, 9 ** (n + 1) * factorial(n))
 
     return (
         [coeff(p, n) for n, p in enumerate(polys_plus)],

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import farey
 from ._threads import run_pieces
+# extended_row stays importable here: bench/tracer.py patches it in spectral
 from .farey import _check_cap, _check_memory, _row_blocks, extended_row
 from .report import CHUNK, write_columns
 
@@ -254,18 +255,18 @@ class Spectrum:
 def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
-    Exact mode builds the level-k row; float mode divides the values block by
-    block from ``_row_values`` and never holds the row.  Either way the level
-    is checked against ``max_level`` first.
+    Both read the blocks of ``farey._row_blocks`` that ``verify_row`` checks:
+    exact mode its one block (k <= K_EXACT < ROW_BLOCK_BITS), float mode all of
+    them (``_row_values``).  The level is checked against ``max_level`` first.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and k > K_EXACT:
         raise ValueError(f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}")
     if mode == "exact":
-        row = extended_row(k, max_level)
-        nums = [-n for n in row.numerators[:-1].tolist()]
-        ints, common = _integer_wht(nums, row.denominators[:-1].tolist())
+        _, block, _, _ = _row_blocks(k, k, max_level)
+        (num, den), = block(0)
+        ints, common = _integer_wht((-num).tolist(), den.tolist())
         return Spectrum(k, "exact", ints, common << k)
     values = _row_values(k, max_level)
     fwht(values)
@@ -284,7 +285,7 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
     """
     _check_cap(k, max_level)
     _check_memory(8 << k, f"the level-{k} spectrum")
-    count, block = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
+    count, block, _, _ = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
     values = np.empty(1 << k)
     parts = values.reshape(count, -1)
 

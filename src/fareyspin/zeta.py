@@ -230,7 +230,7 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     # each chunk is refined and summed 2^_SUB_LEVEL entries at a time
-    count, block = _row_blocks(k, min(k, _CHUNK_LEVEL), max_level, _SUB_LEVEL)
+    count, block, _, _ = _row_blocks(k, min(k, _CHUNK_LEVEL), max_level, _SUB_LEVEL)
     sums = [None] * count
 
     def work(c: int) -> None:

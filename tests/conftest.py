@@ -3,8 +3,6 @@ import tracemalloc
 
 from fareyspin import _threads, farey, ferro, spectral, zeta
 
-_build = farey.extended_row
-
 
 def traced_peak(fn):
     """Call fn() under tracemalloc; return its result and the traced peak in bytes."""
@@ -44,11 +42,11 @@ def planted_row(monkeypatch, k, changes):
     """The level-k row with ``changes``, (array, index, delta) triples on "num"
     or "den", applied, served to the row checks from now on.
 
-    farey._row_blocks serves slices of the planted row, and farey.extended_row
-    at a level m <= k serves its entries at the multiples of 2^(k-m), the
-    level-m row of a real row.  Returns the planted FareyRow.
+    farey._row_blocks, where farey and ferro look it up, serves slices of the
+    planted row as its blocks, and its entries at the multiples of the block
+    size as the coarse row.  Returns the planted FareyRow.
     """
-    row = _build(k)
+    row = farey.extended_row(k)
     arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
     for which, s, delta in changes:
         arrays[which][s] += delta
@@ -62,13 +60,8 @@ def planted_row(monkeypatch, k, changes):
             for lo in range(c << j, (c + 1) << j, size):
                 yield num[lo : lo + size], den[lo : lo + size]
 
-        return 1 << (k - j), block
+        return 1 << (k - j), block, num[:: 1 << j].tolist(), den[:: 1 << j].tolist()
 
-    def coarse(level, max_level=None):
-        assert level <= k
-        step = 1 << (k - level)
-        return farey.FareyRow(level, num[::step], den[::step])
-
-    monkeypatch.setattr(farey, "_row_blocks", row_blocks)
-    monkeypatch.setattr(farey, "extended_row", coarse)
+    for owner in (farey, ferro):
+        monkeypatch.setattr(owner, "_row_blocks", row_blocks)
     return farey.FareyRow(k, num, den)

@@ -419,13 +419,32 @@ def assert_pieced_like_the_copies(monkeypatch, k, sp, nxt=None):
     return dict(zip(("nonnegativity", "extremes", "decay", "convergence"), old))
 
 
+@pytest.fixture(scope="module")
+def real_spectra(spectra):
+    """interaction(k, mode), built once for the module: the module's
+    ``spectra`` where they hold it, else built and kept for the next case,
+    whose level k is this one's k + 1, with only the last two levels kept."""
+    kept = {}
+
+    def spectrum(k, mode):
+        if (k, mode) in spectra:
+            return spectra[k, mode]
+        if (k, mode) not in kept:
+            for key in [key for key in kept if key[0] < k - 1]:
+                del kept[key]
+            kept[k, mode] = interaction(k, mode)
+        return kept[k, mode]
+
+    return spectrum
+
+
 @pytest.mark.parametrize("k", range(1, 23))
-def test_pieced_checks_on_real_spectra(monkeypatch, k):
+def test_pieced_checks_on_real_spectra(monkeypatch, real_spectra, k):
     # from level 16 on a float spectrum has two or more pieces of 2^15 masks
     modes = ("exact", "float") if k <= K_EXACT else ("float",)
     for mode in modes:
-        sp = interaction(k, mode)
-        nxt = interaction(k + 1, mode) if mode == "float" or k < K_EXACT else None
+        sp = real_spectra(k, mode)
+        nxt = real_spectra(k + 1, mode) if mode == "float" or k < K_EXACT else None
         reports = assert_pieced_like_the_copies(monkeypatch, k, sp, nxt)
         assert all(r.passed for r in reports.values())
 

@@ -10,6 +10,8 @@ import pytest
 from fareyspin import cli
 from fareyspin.report import CheckReport
 
+from conftest import row_levels
+
 K4_ROW = "0/1 1/5 1/4 2/7 1/3 3/8 2/5 3/7 1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 1/1".split()
 
 
@@ -238,7 +240,7 @@ class TestUsage:
 class TestOutFile:
     @staticmethod
     def fail_midway(monkeypatch):
-        def partial_then_fail(row, stream):
+        def partial_then_fail(k, stream, max_level=None):
             stream.write("index,numerator\n0,")
             raise ValueError("synthetic failure")
 
@@ -256,6 +258,37 @@ class TestOutFile:
         assert cli.main(["generate", "-k", "2", "--out", str(target)]) == 1
         assert target.read_bytes() == b"earlier output\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier output\n"], ids=["new", "existing"])
+    def test_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys, earlier):
+        # generate -k 17 streams two blocks of 2^16 entries; the header and the
+        # first block are written before the second fails
+        target = tmp_path / "row.csv"
+        if earlier is not None:
+            target.write_bytes(earlier)
+        started = []
+        row_blocks = cli.farey._row_blocks
+
+        def spy(*args):
+            count, block, *coarse = row_blocks(*args)
+
+            def failing(c):
+                started.append(c)
+                if c == 1:
+                    raise ValueError("synthetic failure")
+                return block(c)
+
+            return count, failing, *coarse
+
+        monkeypatch.setattr(cli.farey, "_row_blocks", spy)
+        assert cli.main(["generate", "-k", "17", "--out", str(target)]) == 1
+        assert started == [0, 1]
+        assert "synthetic failure" in capsys.readouterr().err
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert target.read_bytes() == earlier
+            assert list(tmp_path.iterdir()) == [target]
 
     def test_success_replaces_existing_file(self, tmp_path, capsys):
         target = tmp_path / "row.csv"
@@ -291,6 +324,14 @@ class TestErrors:
     def test_level_cap_message(self, capsys):
         assert cli.main(["partition", "-k", "27", "--s-re", "3"]) == 1
         err = capsys.readouterr().err
+        assert err == "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_generate_over_the_cap_writes_nothing(self, capsys, fmt):
+        # the cap is checked before the CSV header or the JSON array is opened
+        assert cli.main(["generate", "-k", "27", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err == "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
 
     def test_uncaught_exception_is_one_line(self, capsys, monkeypatch):
@@ -377,10 +418,7 @@ class TestMaxLevelGuards:
         assert exc.value.code == 2
         assert "--max-level must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["generate", "-k", "40"], ["spectrum", "-k", "40", "--mode", "float"]],
-    )
+    @pytest.mark.parametrize("argv", [["spectrum", "-k", "40", "--mode", "float"]])
     def test_row_past_physical_memory_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--max-level", "40"])
@@ -389,12 +427,13 @@ class TestMaxLevelGuards:
 
     @pytest.mark.parametrize("argv", [["generate", "-k", "1"], ["spectrum", "-k", "1"]])
     def test_guard_reads_physical_memory(self, argv, monkeypatch, capsys):
-        # the level-1 row is 8 * 5 bytes, one byte more than the patched physical memory
-        self.physical_memory(monkeypatch, 39)
+        # both read the level-1 row in one block refined from the level-0 Stern
+        # buffer, 8 * 3 bytes, one byte more than the patched physical memory
+        self.physical_memory(monkeypatch, 23)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "the level-1 row needs 40 bytes, more than the 39 bytes" in capsys.readouterr().err
+        assert "the level-0 row needs 24 bytes, more than the 23 bytes" in capsys.readouterr().err
 
     def test_verify_is_refused_before_any_check(self, monkeypatch, capsys):
         # the sweep's largest allocation is the level-3 spectrum, 8 * 8 bytes;
@@ -409,7 +448,7 @@ class TestMaxLevelGuards:
         assert checked == []
 
     def test_row_that_fits_exactly_is_allocated(self, monkeypatch, capsys):
-        self.physical_memory(monkeypatch, 40)
+        self.physical_memory(monkeypatch, 24)
         assert cli.main(["generate", "-k", "1"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
@@ -430,6 +469,30 @@ class TestMaxLevelGuards:
         # partition streams the level-40 row from two level-20 rows
         assert cli.main(["partition", "-k", "40", "--s-re", "3", "--max-level", "40"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
+
+    def test_generate_is_exempt(self, capsys):
+        # generate streams the level-40 row from the level-24 Stern buffer
+        assert cli.main(["generate", "-k", "40", "--max-level", "40"]) == 1
+        assert "row allocation attempted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, top",
+    [
+        (lambda: cli.main(["generate", "-k", "20", "--out", os.devnull]) == 0, 15),
+        (lambda: cli.main(["generate", "-k", "20", "--format", "json", "--out", os.devnull]) == 0, 15),
+        (lambda: cli.main(["spectrum", "-k", "12", "--out", os.devnull]) == 0, 11),
+        (lambda: all(r.passed for r in cli.ferro.verify_suite(22, trials=5)), 15),
+    ],
+    ids=["generate-csv", "generate-json", "spectrum-exact", "verify-suite"],
+)
+def test_no_stern_buffer_above_the_block_level(monkeypatch, command, top):
+    # every level-k row is read in blocks from farey._row_blocks: blocks of
+    # 2^16 entries refined from the level-15 buffer, or at k <= 12 one block
+    # refined from the level-(k - 1) buffer
+    built = row_levels(monkeypatch)
+    assert command()
+    assert max(built) == top
 
 
 class TestTopEnvelope:

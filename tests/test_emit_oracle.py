@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fareyspin import K_EXACT, cli, farey, ferro, max_support, spectral
 from fareyspin.report import CHUNK, write_columns, write_records
 
-from conftest import traced_peak
+from conftest import planted_row, traced_peak
 
 
 def ref_generate(row, fmt, stream):
@@ -303,16 +303,25 @@ BIG = [
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_row_values_past_2_53_are_correctly_rounded(fmt):
+def test_row_values_past_2_53_are_correctly_rounded(monkeypatch, fmt):
     assert all(float(n) / float(d) != n / d for n, d in BIG)
-    nums, dens = (np.array(column, dtype=np.int64) for column in zip(*BIG))
-    row = farey.FareyRow(1, nums, dens)
+    # BIG planted as the level-1 row: two entries of its one block, and the right endpoint
+    row = farey.extended_row(1)
+    planted_row(
+        monkeypatch,
+        1,
+        [
+            (which, s, big - int(real[s]))
+            for s, (n, d) in enumerate(BIG)
+            for which, big, real in (("num", n, row.numerators), ("den", d, row.denominators))
+        ],
+    )
     stream = io.StringIO()
     if fmt == "csv":
-        farey.write_row_csv(row, stream)
+        farey.write_row_csv(1, stream)
         cells = [line.split(",")[3] for line in stream.getvalue().splitlines()[1:]]
     else:
-        write_columns(farey.ROW_FIELDS, farey.row_records(row), stream, "json")
+        write_columns(farey.ROW_FIELDS, farey.row_records(1), stream, "json")
         cells = re.findall(r'"value": (.*)', stream.getvalue())
     assert cells == [repr(n / d) for n, d in BIG]
 
@@ -327,10 +336,23 @@ class Discard:
     [["generate", "-k", "18"], ["spectrum", "-k", "18", "--mode", "float"]],
 )
 def test_peak_memory_stays_blocked(argv, monkeypatch):
-    # formatting a block at a time keeps the traced peak near the row itself
-    # (4 MiB at k = 18); the byte slot of a whole column of 2^18 floats and its
-    # gather index (200 bytes a value) alone would pass the bound
+    # formatting a block at a time keeps the traced peak near the spectrum
+    # itself (2 MiB at k = 18; 8.8 MiB measured) and, as generate holds no
+    # row, below it (6.2 MiB measured); the byte slot of a whole column of
+    # 2^18 floats and its gather index (200 bytes a value) alone would pass
+    # the bound
     monkeypatch.setattr(sys, "stdout", Discard())
     code, peak = traced_peak(lambda: cli.main([*argv, "--format", "json"]))
     assert code == 0
     assert peak < 18 * 2**20
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_generate_streams_the_row(monkeypatch, fmt):
+    # 5.8 MiB measured at k = 20, the formatting of a block of CHUNK records
+    # and the level-15 Stern buffer; the level-20 row alone is 16 MiB (21.0
+    # MiB measured when generate built it)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    code, peak = traced_peak(lambda: cli.main(["generate", "-k", "20", "--format", fmt]))
+    assert code == 0
+    assert peak < 8 * 2**20

@@ -227,7 +227,7 @@ class TestMemoryGuardOffPosix:
 
 def row_pieces(k, j, piece=None):
     """Every piece of every block of _row_blocks(k, j, piece=piece), blocks in index order."""
-    count, block = _row_blocks(k, j, piece=piece)
+    count, block, _, _ = _row_blocks(k, j, piece=piece)
     assert count == 1 << (k - j)
     return [p for c in range(count) for p in block(c)]
 
@@ -242,6 +242,10 @@ class TestRowBlocks:
             assert all(len(num) == len(den) == 1 << j for num, den in blocks)
             assert np.array_equal(np.concatenate([b[0] for b in blocks]), row.numerators[:-1])
             assert np.array_equal(np.concatenate([b[1] for b in blocks]), row.denominators[:-1])
+            # the coarse row, as Python ints: entry c starts block c, the last is the right endpoint
+            _, _, nums, dens = _row_blocks(k, j)
+            assert nums == row.numerators[:: 1 << j].tolist() and type(nums[0]) is int
+            assert dens == row.denominators[:: 1 << j].tolist() and type(dens[-1]) is int
 
     def test_level_cap_applies_to_the_whole_row(self):
         with pytest.raises(LevelTooLargeError):
@@ -269,7 +273,7 @@ class TestRowBlocks:
         # any block, in any order, as often as asked, and interleaved with others
         k, j = 9, 5
         expected = row_pieces(k, j, piece=3)
-        count, block = _row_blocks(k, j, piece=3)
+        count, block, _, _ = _row_blocks(k, j, piece=3)
         per_block = 1 << (j - 3)
         for c in (count - 1, 0, 7, 7):
             assert all(
@@ -409,7 +413,7 @@ class TestBijectivity:
 
 def test_row_csv_golden():
     buf = io.StringIO()
-    write_row_csv(extended_row(1), buf)
+    write_row_csv(1, buf)
     assert buf.getvalue() == (
         "index,numerator,denominator,value\n0,0,1,0.0\n1,1,2,0.5\n2,1,1,1.0\n"
     )

@@ -31,7 +31,7 @@ from fareyspin import (
 from fareyspin import cli, farey, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
-from conftest import pin_workers, row_levels, traced_peak
+from conftest import pin_workers, traced_peak
 
 
 class TestZeroCoefficient:
@@ -392,13 +392,6 @@ class TestSuite:
         # float one is built
         exact = [[]] + [[(k - 1, "exact")] for k in range(2, 13)]
         assert alive_at_builds == exact + [[]] + [[(k - 1, "float")] for k in range(13, 16)]
-
-    def test_builds_no_row_above_level_15(self, monkeypatch):
-        # the row checks read the blocks the float spectra divide, refined
-        # from the level-15 row, and the coarse row of level k - 16
-        built = row_levels(monkeypatch)
-        assert all(r.passed for r in verify_suite(22, trials=5))
-        assert max(built) == 15
 
     def test_max_level_reaches_every_spectrum(self, monkeypatch):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)

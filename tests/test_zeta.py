@@ -269,7 +269,7 @@ def spy_chunks(monkeypatch, fail=None):
     row_blocks = zeta._row_blocks
 
     def spy(*args):
-        count, block = row_blocks(*args)
+        count, block, *coarse = row_blocks(*args)
 
         def recorded(c):
             started.append(c)
@@ -277,7 +277,7 @@ def spy_chunks(monkeypatch, fail=None):
                 raise fail
             return block(c)
 
-        return count, recorded
+        return count, recorded, *coarse
 
     monkeypatch.setattr(zeta, "_row_blocks", spy)
     return started
