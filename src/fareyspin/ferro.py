@@ -84,30 +84,51 @@ def _margin(x, unit):
     return Fraction(int(x), unit) if isinstance(unit, int) else x
 
 
-def _first_min(n, slack, start=0):
-    """The first minimum of slack over the masks start..n-1, as (mask, value).
+def _first_minima(n, slack, starts):
+    """The first minimum of each of several slacks, slack j over the masks
+    starts[j]..n-1, as a list of (mask, value).
 
-    slack(lo, hi) gives the values at masks lo..hi-1 as an array.  The masks
-    run in pieces of 2^PIECE_BITS, aligned at its multiples, on one thread per
-    available CPU; each piece takes its first minimum, and the first of those
-    in mask order is np.argmin's pick over the whole range, the first NaN if
-    there is one.  np.argmin copies a read-only array whole, so a slack that
-    is a view of a spectrum is copied a piece at a time.
+    slack(lo, hi) gives an iterator of arrays, one per slack in turn, of the
+    values at masks lo..hi-1.  The masks from min(starts) run in pieces of
+    2^PIECE_BITS, aligned at its multiples, on one thread per available CPU,
+    so one pass reads each piece for all the slacks; each piece takes its
+    first minimum of each slack, and the first of those in mask order is
+    np.argmin's pick over the whole range, the first NaN if there is one.
+    np.argmin copies a read-only array whole, so a slack that is a view of a
+    spectrum is copied a piece at a time, and a piece's slacks are formed
+    one after another.
     """
     size = 1 << PIECE_BITS
-    edges = [start, *range((start // size + 1) * size, n, size), n]
-    masks, minima = [0] * (len(edges) - 1), [None] * (len(edges) - 1)
+    first = min(starts)
+    edges = [first, *range((first // size + 1) * size, n, size), n]
+    found = [[None] * (len(edges) - 1) for _ in starts]
 
     def work(c: int) -> None:
-        values = slack(edges[c], edges[c + 1])
-        i = int(np.argmin(values))
-        # kept as a one-entry array of the slack's dtype, not as a view of it
-        masks[c], minima[c] = edges[c] + i, values[i : i + 1].copy()
+        lo = edges[c]
+        slacks = slack(lo, edges[c + 1])
+        for start, minima in zip(starts, found):
+            values = next(slacks)
+            skip = max(start - lo, 0)
+            if skip < len(values):
+                i = skip + int(np.argmin(values[skip:]))
+                # kept as a one-entry array of the slack's dtype, not as a view of it
+                minima[c] = lo + i, values[i : i + 1].copy()
+            del values  # a slack may reuse its buffer for the next
 
-    run_pieces(len(masks), work)
-    minima = np.concatenate(minima)
-    c = int(np.argmin(minima))
-    return masks[c], minima[c]
+    run_pieces(len(edges) - 1, work)
+    result = []
+    for minima in found:
+        minima = [m for m in minima if m is not None]
+        values = np.concatenate([value for _, value in minima])
+        c = int(np.argmin(values))
+        result.append((minima[c][0], values[c]))
+    return result
+
+
+def _first_min(n, slack, start=0):
+    """The first minimum of slack(lo, hi), an array of the values at masks
+    lo..hi-1, over the masks start..n-1, as (mask, value); see _first_minima."""
+    return _first_minima(n, lambda lo, hi: iter((slack(lo, hi),)), (start,))[0]
 
 
 def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
@@ -137,14 +158,17 @@ def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
     vals, unit, bound = _values(k, mode, spectrum)
     top_mask = 1 << (k - 1)
 
-    def below_max(lo, hi):
-        gaps = vals[top_mask] - vals[lo:hi]
+    def slacks(lo, hi):
+        # one buffer a piece: the gaps above the minimum candidate (from
+        # tau = 1), then below the maximum candidate (from tau = 0)
+        gaps = vals[lo:hi] - vals[0]
+        yield gaps
+        np.subtract(vals[top_mask], vals[lo:hi], out=gaps)
         if lo <= top_mask < hi:
             gaps[top_mask - lo] = np.inf  # the maximum candidate itself is not a competitor
-        return gaps
+        yield gaps
 
-    i_min, min_slack = _first_min(len(vals), lambda lo, hi: vals[lo:hi] - vals[0], start=1)
-    i_max, max_slack = _first_min(len(vals), below_max)
+    (i_min, min_slack), (i_max, max_slack) = _first_minima(len(vals), slacks, (1, 0))
     passed = min_slack > 2 * bound and max_slack >= 2 * bound
     if min_slack <= max_slack:
         margin, witness = min_slack, i_min

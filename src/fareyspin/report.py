@@ -6,28 +6,38 @@ slot: a uint8 matrix with one row per record, the text of each cell
 right-aligned in its row, and the per-row lengths.  An integer array becomes
 its decimal digits, a finite float64 array the shortest round-trip digits of
 ``repr`` (Schubfach, below), a bytes array its bytes, each in a few numpy
-passes; any other column is formatted one value at a time.  The block's
-separators and slots are then joined and compacted once and written with one
-``write``.  The text is what ``csv.writer`` or ``json.dump(records,
-indent=2)`` writes for the same rows.
+passes; a Coded column gathers the slot of its Table; any other column is
+formatted one value at a time.  The blocks' slots are formed on the workers
+of ``_threads.run_pieces``; in block order, each block's separators and
+slots are joined and compacted _PIECE rows at a time and written, as bytes
+where the stream has a binary buffer.  The text is what ``csv.writer`` or
+``json.dump(records, indent=2)`` writes for the same rows.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from threading import Condition, Lock
 
 import numpy as np
+
+from . import _threads
 
 # Rows per block: large enough that formatting runs as a few calls per column,
 # small enough that a block's text stays near a megabyte.
 CHUNK = 1 << 14
+# rows of a block joined at once, and of a float slot's gather index: a
+# piece's text and mask stay in cache and take a quarter of a block's memory
+_PIECE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -142,21 +152,35 @@ def _schubfach_tables():
 
 
 def _mulhi(a, b):
-    """The high 64 bits of the 128-bit products of two uint64 arrays."""
+    """The high 64 bits of the 128-bit products of two uint64 arrays.
+
+    In place where it can: five arrays of the inputs' size are alive at once."""
     a_lo, a_hi = a & _LOW32, a >> _U64(32)
     b_lo, b_hi = b & _LOW32, b >> _U64(32)
-    hi_lo = a_hi * b_lo
-    cross = (a_lo * b_lo >> _U64(32)) + (hi_lo & _LOW32) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> _U64(32)) + (cross >> _U64(32))
+    cross = a_lo * b_lo
+    cross >>= _U64(32)
+    a_lo *= b_hi
+    cross += a_lo
+    hi_lo = np.multiply(a_hi, b_lo, out=b_lo)
+    a_hi *= b_hi
+    cross += np.bitwise_and(hi_lo, _LOW32, out=a_lo)
+    a_hi += hi_lo >> _U64(32)
+    a_hi += cross >> _U64(32)
+    return a_hi
 
 
 def _round_to_odd(g1, g0, cp):
     """cp * g / 2^127, truncated and with its lowest bit set if anything was cut off."""
-    x1 = _mulhi(g0, cp)
-    y0 = g1 * cp
-    z = (y0 >> _U64(1)) + x1
-    vbp = _mulhi(g1, cp) + (z >> _U64(63))
-    return (vbp | ((z & _LOW63) + _LOW63) >> _U64(63)).view(np.int64)
+    z = g1 * cp
+    z >>= _U64(1)
+    z += _mulhi(g0, cp)
+    vbp = _mulhi(g1, cp)
+    vbp += z >> _U64(63)
+    z &= _LOW63
+    z += _LOW63
+    z >>= _U64(63)
+    vbp |= z
+    return vbp.view(np.int64)
 
 
 def _shortest_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,22 +188,29 @@ def _shortest_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     decimal that rounds to |x| (the digits of ``repr``); finite float64 x.
 
     Among shortest decimals the one closest to |x| is taken, ties to an even
-    last digit; f may end in zeros.  Zeros give f = 0.
+    last digit; f may end in zeros.  Zeros give f = 0.  Temporaries are
+    released as soon as they are used.
     """
     k_table, h_table, g1_table, g0_table = _schubfach_tables()
     bits = x.view(_U64)
-    field = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)
-    fraction = bits & _U64((1 << 52) - 1)
-    c = np.where(field > 0, fraction | _U64(1 << 52), fraction)
-    irregular = (fraction == 0) & (field > 1)
-    row = field + 2048 * irregular
-    h, g1, g0 = h_table[row], g1_table[row], g0_table[row]
+    row = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)  # the exponent field
+    c = bits & _U64((1 << 52) - 1)  # the fraction field, then the significand
+    irregular = (c == 0) & (row > 1)
+    np.bitwise_or(c, _U64(1 << 52), out=c, where=row > 0)
+    np.add(row, 2048, out=row, where=irregular)
+    h, g1, g0, e = h_table[row], g1_table[row], g0_table[row], k_table[row]
+    del row
     cb = c << _U64(2)
     vb = _round_to_odd(g1, g0, cb << h)
     vbl = _round_to_odd(g1, g0, (cb - _U64(2) + irregular) << h)
-    vbr = _round_to_odd(g1, g0, (cb + _U64(2)) << h)
-    vbl += (c & _U64(1)).view(np.int64)  # an odd c leaves the ends of R_v out
-    vbr -= (c & _U64(1)).view(np.int64)
+    cb += _U64(2)
+    cb <<= h
+    vbr = _round_to_odd(g1, g0, cb)
+    del h, g1, g0, cb
+    odd = (c & _U64(1)).view(np.int64)
+    vbl += odd  # an odd c leaves the ends of R_v out
+    vbr -= odd
+    del odd
     s = vb >> 2
     # one digit fewer: the multiples s10 and s10 + 10 of 10^k below and above v
     s10 = s // 10 * 10
@@ -189,7 +220,7 @@ def _shortest_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cmp = vb - (4 * s + 2)
     lower = np.where(low != high, low, (cmp < 0) | (cmp == 0) & (s & 1 == 0))
     f = np.where(short_low != short_high, np.where(short_low, s10, s10 + 10), np.where(lower, s, s + 1))
-    return np.where(c == 0, 0, f), k_table[row]
+    return np.where(c == 0, 0, f), e
 
 
 # --- Byte slots ---------------------------------------------------------------
@@ -200,10 +231,10 @@ _QUADS = _QUADS.view(np.uint32)[:, 0]
 _POW10 = np.array([10**i for i in range(20)], _U64)
 
 
-def _digits(m: np.ndarray, quads: int) -> np.ndarray:
-    """The 4 * quads low decimal digits of the uint64 array m, four ASCII bytes to a uint32."""
-    words = np.empty((len(m), quads), np.uint32)
-    for i in range(quads - 1, -1, -1):
+def _digits(m: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The low decimal digits of the uint64 array m, four ASCII bytes to a
+    uint32, written into the columns of ``words`` and returned."""
+    for i in range(words.shape[1] - 1, -1, -1):
         high = m // _U64(10**4)
         words[:, i] = _QUADS[m - high * _U64(10**4)]
         m = high
@@ -220,9 +251,9 @@ def _int_slot(column: np.ndarray):
         negative = signed < 0
         magnitude = signed.view(_U64).copy()
         np.negative(magnitude, out=magnitude, where=negative)  # wraps, so int64 min is 2^63
-    lengths = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1) + negative
+    lengths = (np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1) + negative).astype(np.uint8)
     width = int(lengths.max())
-    slot = _digits(magnitude, -(-width // 4)).view(np.uint8)[:, -width:]
+    slot = _digits(magnitude, np.empty((len(column), -(-width // 4)), np.uint32)).view(np.uint8)[:, -width:]
     slot[negative, width - lengths[negative]] = ord("-")
     return slot, lengths
 
@@ -264,17 +295,18 @@ def _float_layouts():
     table = np.zeros((len(layouts), _FLOAT_WIDTH), np.intp)
     for row, layout in zip(table, layouts):
         row[_FLOAT_WIDTH - len(layout) :] = layout
-    return table, np.array(list(map(len, layouts)))
+    return table, np.array(list(map(len, layouts)), np.uint8)
 
 
 def _float_slot(column: np.ndarray):
     """A finite float64 array as the text of repr of each value."""
-    f, e = _shortest_decimal(column)
+    f, point = _shortest_decimal(column)
     f = f.view(_U64)
     count = np.searchsorted(_POW10, f, side="right")  # digits of f; 0 for zeros
-    point = e + count - 1  # decimal exponent of the leading digit
+    point += count - 1  # decimal exponent of the leading digit
     source = np.empty((len(f), 7), np.uint32)
-    source[:, :5] = _digits(f * _POW10[17 - count], 5)
+    _digits(f * _POW10[17 - count], source[:, :5])
+    del count
     source[:, 5] = _EXP_TEXT[point + 400]
     source[:, 6] = np.frombuffer(b"-.0e", np.uint32)[0]
     source = source.view(np.uint8)
@@ -284,13 +316,21 @@ def _float_slot(column: np.ndarray):
         (point + 4) * 17 + significant - 1,
         340 + 2 * (significant - 1) + (np.abs(point) >= 100),
     )
+    del point, significant
     category[f == 0] = 374
+    del f
     category += 375 * np.signbit(column)
     layouts, layout_lengths = _float_layouts()
     lengths = layout_lengths[category]
-    index = layouts[:, _FLOAT_WIDTH - lengths.max() :].take(category, axis=0)
-    index += np.arange(0, source.size, source.shape[1])[:, None]
-    return source.reshape(-1).take(index), lengths
+    layouts = layouts[:, _FLOAT_WIDTH - int(lengths.max()) :]
+    slot = np.empty((len(column), layouts.shape[1]), np.uint8)
+    # the gather index takes 8 bytes a slot byte: it is built _PIECE rows at a time
+    for lo in range(0, len(column), _PIECE):
+        index = layouts.take(category[lo : lo + _PIECE], axis=0)
+        index += np.arange(lo, lo + len(index))[:, None] * source.shape[1]
+        source.reshape(-1).take(index, out=slot[lo : lo + _PIECE], mode="clip")  # "raise" would copy
+        del index
+    return slot, lengths
 
 
 # bytes a bytes column may hold to be written as is, in CSV and in a JSON string
@@ -306,7 +346,7 @@ def _bytes_slot(column: np.ndarray, fmt):
         return None
     if fmt == "json":
         slot = np.pad(slot, ((0, 0), (1, 1)), constant_values=ord('"'))
-    return slot, np.full(len(column), slot.shape[1])
+    return slot, np.broadcast_to(slot.shape[1], len(column))
 
 
 def _text_slot(texts: list[str]):
@@ -319,8 +359,38 @@ def _text_slot(texts: list[str]):
     return slot, lengths
 
 
+class Table:
+    """A column's few distinct cells, shared by its blocks, which read them as
+    Coded columns.  The cells are formatted once per format, by the first
+    block that reads them; each block gathers its rows from that slot."""
+
+    def __init__(self, values):
+        self.values = values
+        self._slots = {}
+
+    def slot(self, fmt, lone: bool):
+        key = fmt, lone
+        if key not in self._slots:  # two workers may both form it; either result is kept
+            self._slots[key] = _slot(self.values, fmt, lone)
+        return self._slots[key]
+
+
+@dataclass(frozen=True)
+class Coded:
+    """A column of a block as indices into a Table: the cells values[codes]."""
+
+    table: Table
+    codes: np.ndarray
+
+    def __getitem__(self, rows: slice) -> "Coded":
+        return Coded(self.table, self.codes[rows])
+
+
 def _slot(column, fmt, lone: bool):
     """The byte slot of one column of a block; ``lone`` for the only field of a CSV row."""
+    if isinstance(column, Coded):
+        slot, lengths = column.table.slot(fmt, lone)
+        return slot.take(column.codes, axis=0), lengths.take(column.codes)
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu":
             return _int_slot(column)
@@ -339,10 +409,6 @@ def _slot(column, fmt, lone: bool):
     return _text_slot(texts)
 
 
-# rows of a block laid out at once: the piece's text and mask stay in cache
-_PIECE = 1 << 12
-
-
 @functools.cache
 def _right_aligned(width: int) -> np.ndarray:
     """Row n is the mask of the last n of ``width`` bytes."""
@@ -350,47 +416,122 @@ def _right_aligned(width: int) -> np.ndarray:
 
 
 def _join(separators: list[bytes], slots) -> np.ndarray:
-    """The bytes of a block as a uint8 array: per row, separators[0], slot 0,
-    separators[1], ..., the last slot and separators[-1].
-
-    Rows are laid out and compacted _PIECE rows at a time, in one buffer
-    whose separator bytes are written once.
-    """
+    """The bytes of a piece of a block as a uint8 array: per row,
+    separators[0], slot 0, separators[1], ..., the last slot and
+    separators[-1], laid out in one buffer and compacted."""
     rows = len(slots[0][1])
     widths = [len(s) for s in separators] + [slot.shape[1] for slot, _ in slots]
-    text = np.empty((min(rows, _PIECE), sum(widths)), np.uint8)
+    text = np.empty((rows, sum(widths)), np.uint8)
     keep = np.ones(text.shape, bool)
-    spans = []
     at = 0
     for separator, slot in zip(separators, [*slots, None]):
         text[:, at : at + len(separator)] = np.frombuffer(separator, np.uint8)
         at += len(separator)
         if slot is not None:
-            spans.append((at, *slot))
-            at += slot[0].shape[1]
-    out = np.empty(rows * sum(map(len, separators)) + sum(int(n.sum()) for _, n in slots), np.uint8)
-    done = 0
-    for lo in range(0, rows, _PIECE):
-        hi = min(lo + _PIECE, rows)
-        for at, slot, lengths in spans:
+            slot, lengths = slot
             width = slot.shape[1]
-            text[: hi - lo, at : at + width] = slot[lo:hi]
-            keep[: hi - lo, at : at + width] = _right_aligned(width).take(lengths[lo:hi], axis=0)
-        part = text[: hi - lo][keep[: hi - lo]]
-        out[done : done + part.size] = part
-        done += part.size
-    return out
+            text[:, at : at + width] = slot
+            keep[:, at : at + width] = _right_aligned(width).take(lengths, axis=0)
+            at += width
+    return text[keep]
+
+
+def _binary(stream):
+    """The binary buffer under a UTF-8 text stream, else None.  On POSIX, where
+    text streams write newlines as they are, the UTF-8 bytes of a text written
+    there are what the stream would write for it."""
+    buffer = getattr(stream, "buffer", None)
+    encoding = getattr(stream, "encoding", None)
+    if buffer is None or not isinstance(encoding, str) or codecs.lookup(encoding).name != "utf-8":
+        return None
+    return buffer
+
+
+def _holds_no_str(column) -> bool:
+    """Whether a column's cells come from no str, so its text holds no lone surrogate."""
+    if isinstance(column, Coded):
+        column = column.table.values
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biufS"
+
+
+def _in_order(blocks, work, write) -> int:
+    """write(n, work(block)) for each block n = 0, 1, ... of an iterable, in
+    order; returns the number of blocks.
+
+    Each worker of ``run_pieces`` takes the next block (the iterable is read
+    under a lock), works on it, waits until every earlier block is written and
+    writes its own; so a worker holds at most one block, and no worker waits
+    for a window of others.  With one worker this is a plain loop on the
+    calling thread, and fewer than two blocks never start a thread.  The first
+    error in a worker stops the others at their next step, waiting ones
+    included, and is raised once.
+    """
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    if len(head) < 2:
+        for n, block in enumerate(head):
+            write(n, work(block))
+        return len(head)
+    blocks = chain(head, blocks)
+    del head
+    source, turn = Lock(), Condition()
+    taken = written = 0
+    failed = False
+
+    def stop() -> None:
+        nonlocal failed
+        with turn:
+            failed = True
+            turn.notify_all()
+
+    def run(_) -> None:
+        nonlocal taken, written
+        try:
+            while not failed:
+                with source:
+                    block = next(blocks, None)
+                    n, taken = taken, taken + 1
+                if block is None:
+                    return
+                result = work(block)
+                del block
+                with turn:
+                    turn.wait_for(lambda: written == n or failed)
+                if failed:
+                    return
+                write(n, result)
+                del result  # before the next block is taken
+                with turn:
+                    written += 1
+                    turn.notify_all()
+        except BaseException:
+            stop()
+            raise
+
+    try:
+        # one piece per worker: any count of blocks may follow
+        _threads.run_pieces(_threads._worker_count(sys.maxsize), run)
+    except BaseException:
+        stop()  # an interrupt while waiting for the workers stops them too
+        raise
+    return written
 
 
 def write_columns(fields, blocks, stream, fmt) -> None:
     """Write blocks of records as CSV under a header, or as a JSON array.
 
     A block is one sequence per field, all of one length (at most CHUNK
-    rows keeps the text of a block small); each block is formatted column by
-    column and written with one ``stream.write``.  Integer, finite float64
-    and bytes arrays (ASCII text) take the byte kernels; other columns are
-    formatted per value.  The text equals csv.writer's for the same rows, or
-    json.dump([dict(zip(fields, row)) ...], indent=2) plus a newline.
+    rows keeps the text of a block small), or a Coded column.  Integer,
+    finite float64 and bytes arrays (ASCII text) take the byte kernels; other
+    columns are formatted per value.  The workers of ``run_pieces`` form the
+    blocks' slots; in block order (``_in_order``) each block is joined and
+    written _PIECE rows at a time.  Into a UTF-8 text stream with a binary
+    ``buffer`` (a file, stdout) a block of arrays goes out as bytes.  A
+    block with a column of Python values, where a str may hold a lone
+    surrogate, is decoded and written through the text stream and its error
+    handler, as is every block into a stream without a buffer.  The text
+    equals csv.writer's for the same rows, or json.dump([dict(zip(fields,
+    row)) ...], indent=2) plus a newline.
     """
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerow(fields)
@@ -399,18 +540,35 @@ def write_columns(fields, blocks, stream, fmt) -> None:
         # each record is led by ",\n", the first of the array by "[\n"
         keys = [f"{_encode(name)}: ".encode() for name in fields]
         separators = [b",\n  {\n    " + keys[0]] + [b",\n    " + key for key in keys[1:]] + [b"\n  }"]
-    opening = b"[\n"
-    for block in blocks:
-        if not (block and len(block[0])):
-            continue
+    binary = _binary(stream)
+    if binary is not None:
+        stream.flush()  # the header, before any bytes
+
+    def work(block):
         lone = fmt == "csv" and len(block) == 1
-        text = _join(separators, [_slot(column, fmt, lone) for column in block])
-        if fmt == "json":
-            text[:2], opening = np.frombuffer(opening, np.uint8), b",\n"
-        stream.write(str(text.data, "utf-8", "surrogatepass"))
-        del text  # before the next block is formatted
+        as_bytes = binary is not None and all(map(_holds_no_str, block))
+        return [_slot(column, fmt, lone) for column in block], as_bytes
+
+    def write(n, formatted):
+        slots, as_bytes = formatted
+        for lo in range(0, len(slots[0][1]), _PIECE):
+            piece = [(slot[lo : lo + _PIECE], lengths[lo : lo + _PIECE]) for slot, lengths in slots]
+            text = _join(separators, piece)
+            if fmt == "json" and n == lo == 0:
+                text[:2] = np.frombuffer(b"[\n", np.uint8)
+            if as_bytes:
+                text = memoryview(text)
+                while text:  # a raw buffer, as of unbuffered stdout, may take a part
+                    text = text[binary.write(text) :]
+            else:
+                stream.write(str(text.data, "utf-8", "surrogatepass"))
+            del text  # before the next piece is joined
+        if binary is not None and not as_bytes:
+            stream.flush()
+
+    count = _in_order((block for block in blocks if block and len(block[0])), work, write)
     if fmt == "json":
-        stream.write("[]\n" if opening == b"[\n" else "\n]\n")
+        stream.write("[]\n" if count == 0 else "\n]\n")
 
 
 def write_records(fields, rows, stream, fmt) -> None:

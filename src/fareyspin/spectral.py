@@ -22,7 +22,7 @@ from . import farey
 from ._threads import run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in spectral
 from .farey import _check_cap, _check_memory, _row_blocks, extended_row
-from .report import CHUNK, write_columns
+from .report import CHUNK, Coded, Table, write_columns
 
 # Exact-path level cap: the integer butterfly and the integer checks of a
 # 4096-entry level take milliseconds.
@@ -345,13 +345,15 @@ def spectrum_records(spectrum: Spectrum):
     tau_bits is a bytes column of max(k, 1) ASCII bits, most significant
     first.  Exact values are 'p/q' strings.  tau = 0 has no decay bound and
     is a block of its own; every other mask's bound 2^-max_support is its
-    lowest set bit times 2^-k, exact in float.
+    lowest set bit times 2^-k, one of the k powers 2^(t-k) for t trailing
+    zeros, so the bounds are a Table of those powers, formatted once.
     """
     k = spectrum.level
     width = max(k, 1)
     values = spectrum.values
     if spectrum.mode == "exact":
         values = [f"{v.numerator}/{v.denominator}" for v in values]
+    bounds = Table(np.ldexp(1.0, np.arange(-k, 0)))
     for lo in range(0, 1 << k, CHUNK):
         tau = np.arange(lo, min(lo + CHUNK, 1 << k))
         bits = np.empty((len(tau), width), np.uint8)
@@ -359,8 +361,8 @@ def spectrum_records(spectrum: Spectrum):
             bits[:, i] = tau >> (width - 1 - i) & 1
         bits += ord("0")
         bits = bits.view(f"S{width}")[:, 0]
-        bound = (tau & -tau) * 2.0**-k
-        block = tau, bits, values[lo : lo + len(tau)], bound
+        trailing = np.frexp(tau & -tau)[1] - 1  # of tau = 0 (-1) is sliced off below
+        block = tau, bits, values[lo : lo + len(tau)], Coded(bounds, trailing)
         if lo == 0:
             yield [column[:1] for column in block[:3]] + [[None]]
             block = [column[1:] for column in block]

@@ -3,14 +3,15 @@ import io
 import json
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
 
-from fareyspin import cli
-from fareyspin.report import CheckReport
+from fareyspin import cli, report
+from fareyspin.report import CHUNK, CheckReport
 
-from conftest import row_levels
+from conftest import pin_workers, row_levels
 
 K4_ROW = "0/1 1/5 1/4 2/7 1/3 3/8 2/5 3/7 1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 1/1".split()
 
@@ -284,6 +285,40 @@ class TestOutFile:
         assert cli.main(["generate", "-k", "17", "--out", str(target)]) == 1
         assert started == [0, 1]
         assert "synthetic failure" in capsys.readouterr().err
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert target.read_bytes() == earlier
+            assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("earlier", [None, b"earlier output\n"], ids=["new", "existing"])
+    def test_failure_on_a_worker(self, tmp_path, monkeypatch, capsys, earlier, workers):
+        # spectrum -k 17 writes blocks of CHUNK masks after tau = 0 alone, so
+        # block 3 starts at tau = 2 * CHUNK; its formatting fails while other
+        # workers format, or wait to write, the blocks around it
+        pin_workers(monkeypatch, workers)
+        target = tmp_path / "spectrum.csv"
+        if earlier is not None:
+            target.write_bytes(earlier)
+        slot = report._slot
+
+        def failing(column, fmt, lone):
+            if isinstance(column, np.ndarray) and column.dtype.kind == "i" and column[0] == 2 * CHUNK:
+                raise ValueError("synthetic failure")
+            return slot(column, fmt, lone)
+
+        monkeypatch.setattr(report, "_slot", failing)
+        threads = threading.active_count()
+        codes = []
+        argv = ["spectrum", "-k", "17", "--mode", "float", "--out", str(target)]
+        caller = threading.Thread(target=lambda: codes.append(cli.main(argv)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)  # a worker left waiting for its turn would hang here
+        assert not caller.is_alive()
+        assert codes == [1]
+        assert capsys.readouterr().err.count("synthetic failure") == 1
+        assert threading.active_count() == threads
         if earlier is None:
             assert list(tmp_path.iterdir()) == []
         else:

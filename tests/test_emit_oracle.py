@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareyspin import K_EXACT, cli, farey, ferro, max_support, spectral
-from fareyspin.report import CHUNK, write_columns, write_records
+from fareyspin.report import CHUNK, CheckReport, write_columns, write_records
 
-from conftest import planted_row, traced_peak
+from conftest import pin_workers, planted_row, traced_peak
 
 
 def ref_generate(row, fmt, stream):
@@ -97,6 +98,8 @@ def run(argv, capsys):
 
 
 FORMATS = ("csv", "json")
+# worker counts of the threaded emitter: serial, one per CPU here, odd, and more than blocks
+WORKERS = (1, 2, 3, 8)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -286,9 +289,11 @@ def test_string_columns_match_csv_and_json(column, fmt):
     assert columns_text(("a", "b"), blocks, fmt) == reference_text(("a", "b"), rows, fmt)
 
 
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_write_columns_one_field(fmt):
+def test_write_columns_one_field(fmt, workers, monkeypatch):
     # csv.writer quotes an empty field when it is the whole row
+    pin_workers(monkeypatch, workers)
     rows = [(None,), ("",), ("a",), (3,)]
     blocks = [[[None, ""]], [["a", 3]]]
     assert columns_text(("only",), blocks, fmt) == reference_text(("only",), rows, fmt)
@@ -302,8 +307,10 @@ BIG = [
 ]
 
 
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_row_values_past_2_53_are_correctly_rounded(monkeypatch, fmt):
+def test_row_values_past_2_53_are_correctly_rounded(monkeypatch, fmt, workers):
+    pin_workers(monkeypatch, workers)
     assert all(float(n) / float(d) != n / d for n, d in BIG)
     # BIG planted as the level-1 row: two entries of its one block, and the right endpoint
     row = farey.extended_row(1)
@@ -331,16 +338,29 @@ class Discard:
         return len(text)
 
 
+class BinarySink(Discard):
+    """A UTF-8 text stream whose bytes go to a Discard ``buffer``, as stdout's do."""
+
+    encoding = "utf-8"
+
+    def __init__(self):
+        self.buffer = Discard()
+
+    def flush(self):
+        pass
+
+
 @pytest.mark.parametrize(
     "argv",
     [["generate", "-k", "18"], ["spectrum", "-k", "18", "--mode", "float"]],
 )
 def test_peak_memory_stays_blocked(argv, monkeypatch):
     # formatting a block at a time keeps the traced peak near the spectrum
-    # itself (2 MiB at k = 18; 8.8 MiB measured) and, as generate holds no
-    # row, below it (6.2 MiB measured); the byte slot of a whole column of
-    # 2^18 floats and its gather index (200 bytes a value) alone would pass
-    # the bound
+    # itself (2 MiB at k = 18; 8.6 MiB measured on 2 workers) and, as generate
+    # holds no row, below it (7.0 MiB measured); the byte slot of a whole
+    # column of 2^18 floats and its gather index (200 bytes a value) alone
+    # would pass the bound.  Each worker holds a block, so the count is pinned.
+    pin_workers(monkeypatch, 2)
     monkeypatch.setattr(sys, "stdout", Discard())
     code, peak = traced_peak(lambda: cli.main([*argv, "--format", "json"]))
     assert code == 0
@@ -349,10 +369,160 @@ def test_peak_memory_stays_blocked(argv, monkeypatch):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_generate_streams_the_row(monkeypatch, fmt):
-    # 5.8 MiB measured at k = 20, the formatting of a block of CHUNK records
-    # and the level-15 Stern buffer; the level-20 row alone is 16 MiB (21.0
-    # MiB measured when generate built it)
+    # 7.5 MiB measured at k = 20 on 2 workers, the formatting of a block of
+    # CHUNK records on each and the level-15 Stern buffer; the level-20 row
+    # alone is 16 MiB (21.0 MiB measured when generate built it)
+    pin_workers(monkeypatch, 2)
     monkeypatch.setattr(sys, "stdout", Discard())
     code, peak = traced_peak(lambda: cli.main(["generate", "-k", "20", "--format", fmt]))
     assert code == 0
     assert peak < 8 * 2**20
+
+
+def test_two_workers_emit_within_one_block_of_memory(monkeypatch):
+    # 11.3 MiB is the traced peak of this command on one thread into Discard
+    # before blocks were formatted on the workers: the 4 MiB spectrum, a
+    # block's slots and its whole text, decoded to str.  Two blocks in flight
+    # fit there because a worker holds a block's slots, not its text, the
+    # one whose turn it is joins and writes it _PIECE rows at a time as
+    # bytes, and the float kernel keeps few temporaries (10.7 MiB measured).
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(sys, "stdout", BinarySink())
+    argv = ["spectrum", "-k", "19", "--mode", "float", "--format", "json"]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    assert peak < 11.3 * 2**20
+
+
+# --- The threaded emitter -----------------------------------------------------
+#
+# Blocks are formatted on the workers of run_pieces and written in order, as
+# bytes into a stream with a binary buffer (capsys has one, StringIO not).
+
+class Trickle(io.RawIOBase):
+    """A raw binary stream that takes at most 1000 bytes a write, as os.write may."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += bytes(data[:1000])
+        return min(len(data), 1000)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bytes_into_a_raw_buffer(fmt, monkeypatch):
+    # unbuffered stdout (python -u) has a raw FileIO as its buffer
+    pin_workers(monkeypatch, 2)
+    stream = io.TextIOWrapper(Trickle(), encoding="utf-8", newline="", write_through=True)
+    spectrum = spectral.interaction(15, "float")
+    write_columns(spectral.SPECTRUM_FIELDS, spectral.spectrum_records(spectrum), stream, fmt)
+    assert lines(stream.buffer.data.decode()) == lines(expected(ref_spectrum, spectrum, fmt))
+
+
+def test_many_small_blocks_stay_in_order(monkeypatch):
+    # more workers than cores and a short switch interval, so that workers
+    # are preempted between taking a block, waiting for their turn and
+    # writing it: a lost or doubled block, or a worker left waiting, shows.
+    # Blocks alternate between a str column (written through the text
+    # stream) and a bytes column (written to its buffer).
+    rows = [(i, f"r{i}", i / 7) for i in range(2000)]
+    blocks = [
+        [np.arange(lo, lo + 4), texts if lo % 8 else np.array(texts, "S"), np.arange(lo, lo + 4) / 7]
+        for lo in range(0, 2000, 4)
+        for texts in [[f"r{i}" for i in range(lo, lo + 4)]]
+    ]
+    pin_workers(monkeypatch, 8)
+    streams = {fmt: io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="") for fmt in FORMATS}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer = threading.Thread(
+            target=lambda: [write_columns(("i", "s", "x"), blocks, streams[fmt], fmt) for fmt in FORMATS],
+            daemon=True,
+        )
+        writer.start()
+        writer.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    for fmt, stream in streams.items():
+        stream.flush()
+        assert stream.buffer.getvalue().decode() == reference_text(("i", "s", "x"), rows, fmt)
+
+
+EVERY_WORKER_COUNT = (
+    [["generate", "-k", str(k)] for k in (0, 1, 2, 3, 4, 17)]
+    + [["spectrum", "-k", str(k), "--mode", "exact"] for k in range(K_EXACT + 1)]
+    + [["spectrum", "-k", "17", "--mode", "float"], ["verify", "-k", "6"]]
+)
+
+
+def oracle_text(argv, fmt):
+    """The csv.writer or json.dump text of one of EVERY_WORKER_COUNT."""
+    command, k = argv[0], int(argv[2])
+    if command == "generate":
+        return expected(ref_generate, farey.extended_row(k), fmt)
+    if command == "spectrum":
+        return expected(ref_spectrum, spectral.interaction(k, argv[4]), fmt)
+    return expected(ref_verify, ferro.verify_suite(k), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", EVERY_WORKER_COUNT, ids=" ".join)
+def test_every_worker_count_writes_the_oracle_text(argv, fmt, capsys, monkeypatch):
+    want = lines(oracle_text(argv, fmt))
+    for workers in WORKERS:
+        pin_workers(monkeypatch, workers)
+        assert lines(run([*argv, "--format", fmt], capsys)) == want
+
+
+def test_partition_on_every_worker_count(capsys, monkeypatch):
+    argv = ["partition", "-k", "8", "--s-re", "3", "--s-im", "1", "--t", "0.5"]
+    pin_workers(monkeypatch, 1)
+    record = run(argv, capsys)
+    want = lines(expected(ref_partition_csv, json.loads(record)))
+    for workers in WORKERS:
+        pin_workers(monkeypatch, workers)
+        assert run(argv, capsys) == record
+        assert lines(run([*argv, "--format", "csv"], capsys)) == want
+
+
+# A str cell may hold a lone surrogate.  It is formatted per value and its
+# block is written through the text stream, whose encoder decides: a
+# StringIO keeps it, and the UTF-8 stream of --out refuses it.  json escapes
+# it as \udc80 first, so only CSV text carries it.
+LONE = "lone \udc80"
+SURROGATE_NAMES = [f"check {i}" for i in range(CHUNK)] + [LONE]  # in the second block
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lone_surrogate_passes_into_a_string_stream(fmt, workers, monkeypatch):
+    pin_workers(monkeypatch, workers)
+    rows = list(enumerate(SURROGATE_NAMES))
+    stream = io.StringIO()
+    write_records(("i", "s"), rows, stream, fmt)
+    assert stream.getvalue() == reference_text(("i", "s"), rows, fmt)
+    assert (LONE in stream.getvalue()) == (fmt == "csv")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lone_surrogate_into_an_out_file(fmt, workers, tmp_path, monkeypatch, capsys):
+    pin_workers(monkeypatch, workers)
+    reports = [CheckReport(name, 1, True) for name in SURROGATE_NAMES]
+    monkeypatch.setattr(cli.ferro, "verify_suite", lambda *args, **kwargs: reports)
+    target = tmp_path / "reports"
+    code = cli.main(["verify", "-k", "1", "--format", fmt, "--out", str(target)])
+    if fmt == "csv":
+        assert code == 1
+        assert "surrogates not allowed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert code == 0
+        assert target.read_text(encoding="utf-8") == expected(ref_verify, reports, "json")
