@@ -1,8 +1,11 @@
 """Independent pieces of numpy work on one thread per available CPU.
 
-numpy releases the GIL inside its loops, so pieces of a few thousand entries
-or more run side by side.  Every piece is computed by the same operations
-whichever thread takes it, so results do not depend on the thread count.
+numpy releases the GIL inside its loops but holds it around them, so short
+calls do not overlap: on a 2-core box, np.add on 2^14 float64 entries takes
+as long on two threads as on one, while calls on 2^15 entries or more run side
+by side.  np.bincount never releases the GIL.  Every piece is computed by the
+same operations whichever thread takes it, so results do not depend on the
+thread count.
 """
 from __future__ import annotations
 

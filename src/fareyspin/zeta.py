@@ -9,10 +9,10 @@ zeta(s-1)/zeta(s) at t = 0 and 1/zeta(s) at t = 1 for Re(s) > 2.  Appending
 zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
 by a closed-form tail.  The sum streams the row in chunks of 2^20 entries,
-each built on demand, 2^14 entries at a time, from two neighbours of a
+each built on demand, 2^15 entries at a time, from two neighbours of a
 coarser row, so it never holds the full level-k row or even a whole chunk.
-Each chunk is summed exactly and rounded once, which gives the bits of
-math.fsum over the chunk without turning its terms into Python floats.  The
+Each chunk is summed exactly, by extraction in numpy calls that release the
+GIL, and rounded once, which gives the bits of math.fsum over the chunk.  The
 chunks are summed on one thread per available CPU, and math.fsum of the chunk
 sums is correctly rounded, so the bits do not depend on the thread count.  zeta
 itself is evaluated by an Euler-Maclaurin oracle that is independent of the
@@ -29,19 +29,14 @@ from functools import lru_cache
 import numpy as np
 
 from ._threads import run_pieces
-from .farey import _row_blocks, extended_row
+from .farey import ROW_BLOCK_BITS, _row_blocks, extended_row
 from .report import CheckReport
 
-# Deterministic chunks of 2^_CHUNK_LEVEL entries: each chunk's sum is exact and
-# rounded once (the value math.fsum gives), and the chunk sums are combined by
-# math.fsum, so results are reproducible and correctly rounded per chunk
-# regardless of level.  The row is refined, and its terms formed and binned,
-# 2^_SUB_LEVEL entries at a time.
+# Chunks of 2^_CHUNK_LEVEL entries are summed exactly, rounded once and combined
+# by math.fsum.  Terms are formed and summed 2^_SUB_LEVEL at a time: numpy calls
+# on 2^15 entries overlap on two threads, calls on 2^14 do not.
 _CHUNK_LEVEL = 20
-_SUB_LEVEL = 14
-_BINS = 2 << 12  # (real or imaginary, sign, exponent field)
-_FRACTION_MASK = (1 << 52) - 1
-_LOW_MASK = (1 << 26) - 1
+_SUB_LEVEL = 15
 
 
 def totient_sieve(n_max: int) -> np.ndarray:
@@ -168,48 +163,48 @@ class PartitionEval:
     tail_bound: float
 
 
-def _exact_sum(blocks) -> tuple[float, float]:
+def _exact_sum(blocks, scratch: np.ndarray | None = None) -> tuple[float, float]:
     """Correctly rounded sums of the real and of the imaginary parts of a stream
-    of contiguous complex128 arrays.
+    of contiguous complex128 arrays, which are left unchanged.
 
-    A finite float64 with sign bit b, exponent field e and 52-bit fraction f
-    is (-1)^b * (f + [e > 0] * 2^52) * 2^(max(e, 1) - 1075).  Each part is
-    binned by (real or imaginary, b, e): a count, and the high and low 26 bits
-    of f as float64 sums, which stay exact integers for up to 2^27 entries.
-    The bins fold into one Python int per part that is rounded once by
-    correctly rounded int division, so each result has the bits of math.fsum
-    over that part.  A non-finite part raises ValueError; a sum beyond the
-    float range raises OverflowError, as math.fsum does.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008):
+    if the parts x of a block of n entries have max |x| < 2^e and sigma = 2^(e +
+    bit_length(n) + 1), q = (x + sigma) - sigma, x - q and the sum of the q are
+    exact.  Each pass adds that sum to one Python int per part, in units of
+    2^-1074, and leaves x - q to the next until all are zero (x * 2^-shift is
+    split where sigma would overflow).  Every step is a numpy call that releases
+    the GIL, into ``scratch`` of shape (2, 2n) or a new one.  Rounding by int
+    division gives the bits of math.fsum over each part and, as it does, raises
+    OverflowError beyond the float range; a non-finite part raises ValueError.
     """
-    counts = np.zeros(_BINS, dtype=np.int64)
-    high = np.zeros(_BINS)
-    low = np.zeros(_BINS)
-    for block in blocks:
-        bits = block.view(np.int64)  # real and imaginary parts interleaved
-        key = (bits.view(np.uint64) >> 52).view(np.int64)  # sign and exponent field
-        key[1::2] += 1 << 12  # imaginary parts take the upper half of the bins
-        fraction = bits & _FRACTION_MASK
-        # float64 weights: bincount converts int64 weights far more slowly
-        counts += np.bincount(key, minlength=_BINS)
-        high += np.bincount(key, (fraction >> 26).astype(np.float64), minlength=_BINS)
-        low += np.bincount(key, (fraction & _LOW_MASK).astype(np.float64), minlength=_BINS)
     totals = [0, 0]
-    for key in np.flatnonzero(counts).tolist():
-        exponent = key & 0x7FF
-        if exponent == 0x7FF:  # inf or nan
-            raise ValueError("cannot sum a non-finite value")
-        mantissa = (int(high[key]) << 26) + int(low[key])
-        if exponent:
-            mantissa += int(counts[key]) << 52
-        if key & 0x800:
-            mantissa = -mantissa
-        totals[key >> 12] += mantissa << (max(exponent, 1) - 1)
+    for block in blocks:
+        x = block.view(np.float64)  # real and imaginary parts interleaved
+        q, rest = np.empty((2, x.size)) if scratch is None else scratch
+        while m := max(x.max(initial=0.0), -x.min(initial=0.0)):
+            if not math.isfinite(m):
+                raise ValueError("cannot sum a non-finite value")
+            e = math.frexp(m)[1] + (x.size // 2).bit_length() + 1
+            shift = max(e - 1023, 0)
+            sigma = math.ldexp(1.0, e - shift)
+            np.add(np.multiply(x, math.ldexp(1.0, -shift), out=q) if shift else x, sigma, out=q)
+            q -= sigma
+            part = q.view(np.complex128).sum()
+            for i, (n, d) in enumerate(map(float.as_integer_ratio, (part.real, part.imag))):
+                totals[i] += (n << (1074 + shift)) // d
+            if shift:  # x - q as (x - q/2) - q/2, as q may round up to 2^1024
+                x = np.subtract(x, np.multiply(q, math.ldexp(1.0, shift - 1), out=q), out=rest)
+            x = np.subtract(x, q, out=rest)
     return totals[0] / (1 << 1074), totals[1] / (1 << 1074)
 
 
-def _terms(num: np.ndarray, den: np.ndarray, s: complex, t: float) -> np.ndarray:
-    h = den.astype(np.float64)
-    return np.exp(2j * np.pi * t * (1.0 - num / h) - s * np.log(h))
+def _terms(num, den, s: complex, t: float, h, ratio, z, drift) -> np.ndarray:
+    """exp(2j*pi*t * (1 - num/h) - s*log(h)), h = den in float64, into z by that expression's ufuncs."""
+    np.copyto(h, den)
+    np.subtract(1.0, np.divide(num, h, out=ratio), out=ratio)
+    np.multiply(2j * np.pi * t, ratio, out=z)
+    np.multiply(s, np.log(h, out=h), out=drift)
+    return np.exp(np.subtract(z, drift, out=z), out=z)
 
 
 def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
@@ -218,9 +213,9 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     Requires a finite s with Re(s) > 2 and 0 <= t <= 1.  The result is the
     exact level-k partial sum of the limiting series, up to double-precision
     roundoff.  A term that is not finite (Im(s) * log(den) can overflow)
-    raises ValueError.  The chunks are summed on one thread per available CPU;
-    each chunk sum is rounded once and math.fsum of them is correctly rounded,
-    so the bits do not depend on which thread sums a chunk.
+    raises ValueError.  The chunks are summed 2^15 terms at a time in buffers of
+    their own, on one thread per available CPU; each chunk sum is rounded once
+    and their math.fsum is correctly rounded, so the bits do not depend on the thread count.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -229,17 +224,22 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    # each chunk is refined and summed 2^_SUB_LEVEL entries at a time
-    count, block, _, _ = _row_blocks(k, min(k, _CHUNK_LEVEL), max_level, _SUB_LEVEL)
-    sums = [None] * count
+    j = min(k, ROW_BLOCK_BITS, _CHUNK_LEVEL)
+    count, block, _, _ = _row_blocks(k, j, max_level, _SUB_LEVEL)
+    per_chunk = 1 << (min(k, _CHUNK_LEVEL) - j)
+    size = 1 << min(j, _SUB_LEVEL)
+    sums = [None] * (count // per_chunk)
 
     def work(c: int) -> None:
-        sums[c] = _exact_sum(_terms(num, den, s, t) for num, den in block(c))
+        scratch = np.empty((2, 2 * size))  # until a piece is summed, also its h, num/h and s*log(h)
+        buffers = *scratch[1].reshape(2, size), np.empty(size, np.complex128), scratch[0].view(np.complex128)
+        pieces = (piece for b in range(c * per_chunk, (c + 1) * per_chunk) for piece in block(b))
+        sums[c] = _exact_sum((_terms(*piece, s, t, *buffers) for piece in pieces), scratch)
 
     try:
         # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
         with np.errstate(all="ignore"):
-            run_pieces(count, work)
+            run_pieces(len(sums), work)
     except ValueError:
         raise ValueError(f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}") from None
     value = complex(math.fsum(re for re, _ in sums), math.fsum(im for _, im in sums))

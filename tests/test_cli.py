@@ -488,7 +488,7 @@ class TestMaxLevelGuards:
         assert "row allocation attempted" in capsys.readouterr().err
 
     def test_partition_coarse_row_takes_the_raised_cap(self, monkeypatch, capsys):
-        # k = 48 streams from a level-28 row, under --max-level 48 rather than the default 26
+        # k = 48 streams from a level-32 row, under --max-level 48 rather than the default 26
         calls = []
 
         def record(k, max_level=None):
@@ -498,10 +498,10 @@ class TestMaxLevelGuards:
         monkeypatch.setattr(cli.farey, "extended_row", record)
         assert cli.main(["partition", "-k", "48", "--s-re", "3", "--max-level", "48"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
-        assert calls == [(28, 48)]
+        assert calls == [(32, 48)]
 
     def test_partition_is_exempt(self, capsys):
-        # partition streams the level-40 row from two level-20 rows
+        # partition streams the level-40 row from the level-24 Stern buffer
         assert cli.main(["partition", "-k", "40", "--s-re", "3", "--max-level", "40"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 

@@ -166,7 +166,7 @@ def test_generate_across_blocks(k, fmt, capsys):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("k", [10, 11, 14, 15])
 def test_float_spectrum_across_blocks(k, fmt, capsys):
-    # tau_bits come from a table of the 2^10 low-bit strings; cover either side of it
+    # fewer masks than a block of CHUNK = 2^14 (k = 10, 11), one block (k = 14) and two (k = 15)
     out = run(["spectrum", "-k", str(k), "--mode", "float", "--format", fmt], capsys)
     assert lines(out) == lines(expected(ref_spectrum, spectral.interaction(k, "float"), fmt))
 

@@ -457,6 +457,54 @@ class TestExactSum:
         assert_sums_like_fsum([[tiny, huge], [-tiny, tiny], [tiny, -huge]])
         assert_sums_like_fsum([[1.0, -1.0], [2.0**-53, -(2.0**-53)], [2.0**-106, -(2.0**-106)]])
 
+    def test_one_column_from_the_subnormals_to_2_900(self):
+        # the most passes: exponents over every binade from 2^-1074 to 2^900 in
+        # one piece of SUB entries
+        rng = np.random.default_rng(900)
+        exponents = rng.permutation(np.linspace(-1074, 900, 2 * SUB).astype(np.int64))
+        assert_sums_like_fsum(np.ldexp(rng.uniform(-1.0, 1.0, 2 * SUB), exponents))
+
+    def test_near_the_top_of_the_range_with_subnormals(self):
+        # sigma would overflow for values within 2^-16 of the largest float, so
+        # they are split at a scale, and the largest float itself rounds up to
+        # 2^1024 there; the larger of each pair is the negative one, so that no
+        # running sum of math.fsum overflows
+        rng = np.random.default_rng(1024)
+        columns = []
+        for _ in range(2):
+            big = sys.float_info.max - np.ldexp(rng.integers(0, 2**36, (32, 2)).astype(np.float64), 971)
+            big[0] = sys.float_info.max
+            pairs = np.stack([big.min(axis=1), -big.max(axis=1)], axis=1).ravel()
+            tiny = np.ldexp(rng.integers(-(2**52), 2**52, pairs.size).astype(np.float64), -1074)
+            columns.append(np.stack([pairs, tiny], axis=1).ravel())
+        assert_sums_like_fsum(np.stack(columns, axis=1))
+
+    @pytest.mark.parametrize("length", [SUB - 1, SUB, SUB + 1])
+    def test_wide_exponents_around_the_piece_length(self, length):
+        rng = np.random.default_rng(length)
+        assert_sums_like_fsum(np.ldexp(rng.uniform(-1.0, 1.0, (length, 2)), rng.integers(-1074, 901, (length, 2))))
+
+    def test_one_sign_just_under_a_power_of_two(self):
+        # SUB + 1 parts of one sign per column, of magnitude in [1 - 2^-20, 1):
+        # their q sum to near the most that the grid of sigma keeps exact.  With
+        # sigma / 4 the sum of the q of the negative column, on the finer grid,
+        # is inexact in about one column of nine, hence 16 seeds
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            parts = 1.0 - np.ldexp(rng.uniform(0.0, 1.0, (SUB + 1, 2)), -20)
+            assert_sums_like_fsum(parts * [-1.0, 1.0])
+
+    def test_only_subnormals(self):
+        rng = np.random.default_rng(52)
+        assert_sums_like_fsum(np.ldexp(rng.integers(1 - 2**52, 2**52, (SUB + 5, 2)).astype(np.float64), -1074))
+
+    def test_zero_imaginary_parts_beside_120_bits_of_real_parts(self):
+        # the terms at t = 0: positive real parts from 2^-61 to 2^7, with 53-bit
+        # mantissas, and imaginary parts that are all +0.0
+        rng = np.random.default_rng(0)
+        real = np.ldexp(rng.uniform(0.5, 1.0, SUB), rng.integers(-60, 8, SUB))
+        assert_sums_like_fsum(np.stack([real, np.zeros(SUB)], axis=1))
+
     def test_no_blocks_sum_to_zero(self):
         for total in zeta._exact_sum([]):
             assert_same_float(total, 0.0)

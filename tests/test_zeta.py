@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fareyspin.zeta as zeta
-from fareyspin import _threads
+from fareyspin import _threads, farey
 from fareyspin import (
     LevelTooLargeError,
     check_endpoint_identities,
@@ -250,10 +250,34 @@ class TestStreamedPartitionSum:
         _, peak = traced_peak(lambda: partition_sum(22, 3.25 - 2.5j, 0.37))
         assert peak < 80 * 2**20
 
+    def test_peak_memory_of_two_workers(self, monkeypatch):
+        # each worker's buffers are allocated once per chunk and its blocks
+        # refined from a level-15 Stern buffer; 12.1 MiB when every piece
+        # allocated its temporaries and read a level-19 buffer
+        pin_workers(monkeypatch, 2)
+        _, peak = traced_peak(lambda: partition_sum(22, 3.25 - 2.5j, 0.37))
+        assert peak <= 8 * 2**20
+
+    # the k = 24 values at the two fixed points of partition-sweep and at one
+    # interior point, as the exact chunk sum by sign and exponent bins gave them
+    GOLDEN_24 = {
+        (3.0, 0.0): ("0x1.5d5e5495a27e7p+0", "0x0.0p+0"),
+        (4.0, 1.0): ("0x1.d909098dc3c3bp-1", "-0x1.158c000000000p-52"),
+        (3.25 - 2.5j, 0.37): ("-0x1.98ba0f5b9d95dp-1", "0x1.61a5afdf60bacp-1"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_values_at_level_24(self, monkeypatch, workers):
+        pin_workers(monkeypatch, workers)
+        for (s, t), golden in self.GOLDEN_24.items():
+            value = partition_sum(24, s, t).value
+            assert (value.real.hex(), value.imag.hex()) == golden
+
     def test_never_builds_a_row_above_the_chunk_level(self, monkeypatch):
+        # the blocks of 2^16 entries are refined from one Stern buffer of level 15
         levels = row_levels(monkeypatch)
         partition_sum(21, 3, 0.0)
-        assert sorted(levels) == [19]
+        assert sorted(levels) == [15]
 
     def test_level_cap_unchanged(self):
         with pytest.raises(LevelTooLargeError):
@@ -263,8 +287,8 @@ class TestStreamedPartitionSum:
 
 
 def spy_chunks(monkeypatch, fail=None):
-    """Record in a list every chunk index whose block partition_sum asks for;
-    with ``fail``, the block of chunk 0 raises it instead of yielding."""
+    """Record in a list every row block index that partition_sum asks for; with
+    ``fail``, block 0 (the first of chunk 0) raises it instead of yielding."""
     started = []
     row_blocks = zeta._row_blocks
 
@@ -292,9 +316,9 @@ class TestPartitionThreads:
         names = set()
         exact_sum = zeta._exact_sum
 
-        def spy(blocks):
+        def spy(*args):
             names.add(threading.current_thread().name)
-            return exact_sum(blocks)
+            return exact_sum(*args)
 
         monkeypatch.setattr(zeta, "_exact_sum", spy)
         started = spy_chunks(monkeypatch)
@@ -302,8 +326,8 @@ class TestPartitionThreads:
             names.clear()
             started.clear()
             assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
-            # every chunk once, each worker busy while there are chunks for it
-            assert sorted(started) == list(range(1 << (k - 20)))
+            # every block of every chunk once, each worker busy while there are chunks for it
+            assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
             assert len(names) == min(workers, 1 << (k - 20))
 
     def test_one_worker_per_cpu_at_most_one_per_chunk(self, monkeypatch):
@@ -326,8 +350,8 @@ class TestPartitionThreads:
                 partition_sum(21, 3 + 1e308j, 0.5)
         assert started == [0]
 
-    # 128 chunks of 2^14 entries on two workers: after chunk 0 fails, the
-    # other worker stops well before it has started all 64 of its chunks
+    # 128 chunks of one block of 2^14 entries on two workers: after chunk 0
+    # fails, the other worker stops well before it has started all 64 of its chunks
     @pytest.mark.parametrize(
         "error, message",
         [(ValueError("cannot sum a non-finite value"), "non-finite term"), (OverflowError("too big"), "too big")],
