@@ -118,6 +118,14 @@ def seed_eval(k: int, s0, s1, s: int):
     return seed_pair(k + 1, s0, s1, s)[0]
 
 
+def _fibonacci(m: int) -> int:
+    """Fibonacci(m) for m >= 1; Fibonacci(k+2) is the largest level-k denominator."""
+    a, b = 0, 1
+    for _ in range(m - 1):
+        a, b = b, a + b
+    return b
+
+
 def seed_values(k: int, s0: int, s1: int) -> np.ndarray:
     """seed_eval(k, s0, s1, s) for every s in 0..2^k-1, as one int64 array.
 
@@ -130,10 +138,7 @@ def seed_values(k: int, s0: int, s1: int) -> np.ndarray:
     reach level INT64_MAX_LEVEL).
     """
     _check_level(k)
-    fib, fib_next = 1, 1  # Fibonacci(1), Fibonacci(2)
-    for _ in range(k):
-        fib, fib_next = fib_next, fib + fib_next
-    if max(abs(s0), abs(s1)) * fib_next >= 1 << 63:
+    if max(abs(s0), abs(s1)) * _fibonacci(k + 2) >= 1 << 63:
         raise ValueError(f"seeds ({s0}, {s1}) overflow int64 at level {k}")
     a = np.full(1 << k, s0, dtype=np.int64)
     b = np.full(1 << k, s1, dtype=np.int64)
@@ -214,7 +219,11 @@ def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None 
     (numerators, denominators) of block c in index order, 0 <= c < count (with
     ``piece``, as its consecutive pieces of 2^min(piece, j) entries), and nums
     and dens list the level-(k-j) row, whose entry c starts block c and whose
-    last is the right endpoint.
+    last is the right endpoint.  block(c, out), with ``out`` a triple of int64
+    arrays (numerators, denominators, scratch) of at least the piece length,
+    forms each piece in place in them, by the same products and sums, and
+    yields views of them that the next piece overwrites; with None for the
+    numerators it forms only the denominators and yields None for the others.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
@@ -234,12 +243,16 @@ def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None 
     dens = stern[1 << (k - j) : (2 << (k - j)) + 1].tolist()
     size = 1 << (j if piece is None else min(piece, j))
 
-    def block(c: int):
+    def block(c: int, out=None):
         for lo in range(0, 1 << j, size):
-            yield (
-                nums[c] * tail[lo : lo + size] + nums[c + 1] * head[lo : lo + size],
-                dens[c] * tail[lo : lo + size] + dens[c + 1] * head[lo : lo + size],
-            )
+            t, h = tail[lo : lo + size], head[lo : lo + size]
+            if out is None:
+                yield nums[c] * t + nums[c + 1] * h, dens[c] * t + dens[c + 1] * h
+                continue
+            num, den, scratch = (None if a is None else a[:size] for a in out)
+            if num is not None:
+                np.add(np.multiply(t, nums[c], out=num), np.multiply(h, nums[c + 1], out=scratch), out=num)
+            yield num, np.add(np.multiply(t, dens[c], out=den), np.multiply(h, dens[c + 1], out=scratch), out=den)
 
     return 1 << (k - j), block, nums, dens
 

@@ -40,8 +40,9 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 BLOCK_BITS = 16
 
 # A float spectrum of a level is divided from the blocks of 2^farey.ROW_BLOCK_BITS
-# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time.
-_ROW_PIECE_BITS = 14
+# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time into one set of
+# buffers per block, in numpy calls long enough to overlap on two threads.
+_ROW_PIECE_BITS = 15
 
 
 def _default_mode(k: int) -> str:
@@ -290,8 +291,9 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
     parts = values.reshape(count, -1)
 
     def fill(c: int) -> None:
+        ints = np.empty((3, 1 << _ROW_PIECE_BITS), np.int64)  # each piece is divided before the next
         lo = 0
-        for num, den in block(c):
+        for num, den in block(c, ints):
             np.divide(num, den, out=parts[c, lo : lo + len(num)])
             lo += len(num)
 

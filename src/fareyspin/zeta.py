@@ -9,19 +9,23 @@ zeta(s-1)/zeta(s) at t = 0 and 1/zeta(s) at t = 1 for Re(s) > 2.  Appending
 zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
 by a closed-form tail.  The sum streams the row in chunks of 2^20 entries,
-each built on demand, 2^15 entries at a time, from two neighbours of a
-coarser row, so it never holds the full level-k row or even a whole chunk.
-Each chunk is summed exactly, by extraction in numpy calls that release the
-GIL, and rounded once, which gives the bits of math.fsum over the chunk.  The
-chunks are summed on one thread per available CPU, and math.fsum of the chunk
-sums is correctly rounded, so the bits do not depend on the thread count.  zeta
-itself is evaluated by an Euler-Maclaurin oracle that is independent of the
-Farey machinery.
+each refined on demand, 2^15 entries at a time, from two neighbours of a
+coarser row into buffers that each worker reuses, so it never holds the full
+level-k row or even a whole chunk.  Each chunk is summed exactly, by
+extraction in numpy calls that release the GIL, and rounded once, which gives
+the bits of math.fsum over the chunk.  At t = 0 a term depends on its
+denominator alone, so there Z_k(s, 0) is the Dirichlet series of the level-k
+denominator counts: a chunk is summed as its counts times one table of terms,
+the same exact real.  The chunks are summed on one thread per available CPU,
+and math.fsum of the chunk sums is correctly rounded, so the bits do not
+depend on the thread count.  zeta itself is evaluated by an Euler-Maclaurin
+oracle that is independent of the Farey machinery.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._threads import run_pieces
-from .farey import ROW_BLOCK_BITS, _row_blocks, extended_row
+# extended_row stays importable here: bench/tracer.py patches it in zeta
+from .farey import ROW_BLOCK_BITS, _fibonacci, _row_blocks, extended_row
 from .report import CheckReport
 
 # Chunks of 2^_CHUNK_LEVEL entries are summed exactly, rounded once and combined
@@ -37,6 +42,14 @@ from .report import CheckReport
 # on 2^15 entries overlap on two threads, calls on 2^14 do not.
 _CHUNK_LEVEL = 20
 _SUB_LEVEL = 15
+# At t = 0 a term depends on its denominator alone, so each chunk is summed as
+# its denominator counts times one table of terms, through the level at which
+# the largest denominator Fibonacci(k+2) is still at most 2^20: a worker's
+# counts then have no more entries than the chunk they count.  Above it, and at
+# every other t, the chunks are summed term by term.
+_CLASS_LEVEL = 28
+# clears the low 32 bits of the significand of a float64
+_HI_BITS = np.uint64(0xFFFF_FFFF_0000_0000)
 
 
 def totient_sieve(n_max: int) -> np.ndarray:
@@ -81,12 +94,15 @@ def denominator_histogram(k: int) -> DenominatorHistogram:
     """Histogram of denominators over indices 0..2^k - 1 (right endpoint excluded).
 
     The count at n never exceeds Euler phi(n) and equals it for all n <= k+1.
+    The row is never held: its blocks are counted one at a time from
+    ``_row_blocks``, as the partition sum counts them at t = 0.
     """
-    row = extended_row(k)
-    counts = np.bincount(row.denominators[:-1])
-    return DenominatorHistogram(
-        k, {int(n): int(c) for n, c in enumerate(counts) if c > 0}
-    )
+    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), None, _SUB_LEVEL)
+    counts = np.zeros(_fibonacci(k + 2) + 1)
+    ints = np.empty((2, 1 << _SUB_LEVEL), np.int64)
+    for c in range(count):
+        _count_denominators(block, c, counts, ints)
+    return DenominatorHistogram(k, {int(n): int(counts[n]) for n in np.flatnonzero(counts)})
 
 
 @lru_cache(maxsize=None)
@@ -173,14 +189,14 @@ def _exact_sum(blocks, scratch: np.ndarray | None = None) -> tuple[float, float]
     exact.  Each pass adds that sum to one Python int per part, in units of
     2^-1074, and leaves x - q to the next until all are zero (x * 2^-shift is
     split where sigma would overflow).  Every step is a numpy call that releases
-    the GIL, into ``scratch`` of shape (2, 2n) or a new one.  Rounding by int
+    the GIL, into ``scratch`` of shape (2, 2n) or wider, or a new one.  Rounding by int
     division gives the bits of math.fsum over each part and, as it does, raises
     OverflowError beyond the float range; a non-finite part raises ValueError.
     """
     totals = [0, 0]
     for block in blocks:
         x = block.view(np.float64)  # real and imaginary parts interleaved
-        q, rest = np.empty((2, x.size)) if scratch is None else scratch
+        q, rest = np.empty((2, x.size)) if scratch is None else scratch[:, : x.size]
         while m := max(x.max(initial=0.0), -x.min(initial=0.0)):
             if not math.isfinite(m):
                 raise ValueError("cannot sum a non-finite value")
@@ -207,15 +223,75 @@ def _terms(num, den, s: complex, t: float, h, ratio, z, drift) -> np.ndarray:
     return np.exp(np.subtract(z, drift, out=z), out=z)
 
 
+def _count_denominators(block, c: int, counts: np.ndarray, ints) -> None:
+    """Add 1.0 to counts[den] for each denominator of row block c, which is
+    refined into ``ints``, a pair of int64 buffers of the piece length.
+
+    np.add.at holds the GIL, so the counting of two workers does not overlap.
+    """
+    for _, den in block(c, (None, *ints)):
+        np.add.at(counts, den, 1.0)
+
+
+def _class_terms(top: int, s: complex, t: float) -> np.ndarray:
+    """The terms of the denominators n = 1..top at t = +-0, by the ufuncs of
+    ``_terms`` (its phase is then 0 whatever the numerator), and 0 at n = 0.
+
+    A non-finite term is left for ``_exact_sum`` to reject, without a warning,
+    even where its count is 0: a term is not finite only where Im(s) * log(n)
+    overflows, which grows with n, so the term of top = Fibonacci(k+2), a
+    denominator of level k, is then not finite either, and the level's terms
+    are rejected all the same.
+    """
+    table = np.zeros(top + 1, np.complex128)
+    size = 1 << _SUB_LEVEL
+    h, ratio = np.empty((2, size))
+    drift = np.empty(size, np.complex128)
+    with np.errstate(all="ignore"):
+        for lo in range(1, top + 1, size):
+            n = np.arange(lo, min(lo + size, top + 1))
+            _terms(0, n, s, t, h[: len(n)], ratio[: len(n)], table[lo : lo + len(n)], drift[: len(n)])
+    return table
+
+
+def _class_pieces(table: np.ndarray, counts: np.ndarray, out: np.ndarray):
+    """counts * lo and counts * hi for the terms of ``table``, in pieces of len(out)
+    classes formed in ``out``; a piece of counts is zeroed once both are summed,
+    and a piece of zero counts is skipped.
+
+    hi is a term with the low 32 bits of each part's significand cleared, which
+    leaves at most 21, and lo = term - hi is exact with at most 32, subnormals
+    too, so both products are exact for counts below 2^21.
+    """
+    for lo in range(0, len(table), len(out)):
+        c = counts[lo : lo + len(out)]
+        if not c.any():
+            continue
+        terms, part = table[lo : lo + len(c)], out[: len(c)]
+        parts = part.view(np.float64).reshape(-1, 2)  # real and imaginary parts
+        np.bitwise_and(terms.view(np.uint64), _HI_BITS, out=part.view(np.uint64))
+        np.subtract(terms, part, out=part)
+        np.multiply(parts, c[:, None], out=parts)
+        yield part
+        np.bitwise_and(terms.view(np.uint64), _HI_BITS, out=part.view(np.uint64))
+        np.multiply(parts, c[:, None], out=parts)
+        yield part
+        c[:] = 0
+
+
 def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
     """Z_k(s, t) streamed over the level-k row, each 2^20-entry chunk summed exactly.
 
     Requires a finite s with Re(s) > 2 and 0 <= t <= 1.  The result is the
     exact level-k partial sum of the limiting series, up to double-precision
     roundoff.  A term that is not finite (Im(s) * log(den) can overflow)
-    raises ValueError.  The chunks are summed 2^15 terms at a time in buffers of
-    their own, on one thread per available CPU; each chunk sum is rounded once
-    and their math.fsum is correctly rounded, so the bits do not depend on the thread count.
+    raises ValueError.  The chunks are summed on one thread per available CPU,
+    each worker in buffers of its own that it reuses from chunk to chunk; each
+    chunk sum is rounded once and their math.fsum is correctly rounded, so the
+    bits do not depend on the thread count.  Through level _CLASS_LEVEL a chunk
+    at t = 0 (either sign) is summed as its denominator counts times one table of
+    terms formed per call; every other chunk, 2^15 terms at a time.  Both give
+    the same exact sum of the same term bits.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -229,11 +305,27 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     per_chunk = 1 << (min(k, _CHUNK_LEVEL) - j)
     size = 1 << min(j, _SUB_LEVEL)
     sums = [None] * (count // per_chunk)
+    table = _class_terms(_fibonacci(k + 2), s, t) if t == 0 and k <= _CLASS_LEVEL else None
+    mine = threading.local()  # each worker's buffers, made for its first chunk
 
     def work(c: int) -> None:
-        scratch = np.empty((2, 2 * size))  # until a piece is summed, also its h, num/h and s*log(h)
-        buffers = *scratch[1].reshape(2, size), np.empty(size, np.complex128), scratch[0].view(np.complex128)
-        pieces = (piece for b in range(c * per_chunk, (c + 1) * per_chunk) for piece in block(b))
+        blocks = range(c * per_chunk, (c + 1) * per_chunk)
+        if table is not None:
+            if not hasattr(mine, "buffers"):
+                # until the chunk is counted, the scratch also holds its denominators
+                scratch = np.empty((2, 1 << _SUB_LEVEL))
+                mine.buffers = np.zeros(len(table)), scratch, np.empty(1 << (_SUB_LEVEL - 1), np.complex128)
+            counts, scratch, out = mine.buffers
+            for b in blocks:
+                _count_denominators(block, b, counts, scratch.view(np.int64))
+            sums[c] = _exact_sum(_class_pieces(table, counts, out), scratch)
+            return
+        if not hasattr(mine, "buffers"):
+            # until a piece is summed, the scratch also holds its h, num/h and s*log(h)
+            mine.buffers = np.empty((2, 2 * size)), np.empty((3, size), np.int64), np.empty(size, np.complex128)
+        scratch, ints, z = mine.buffers
+        buffers = *scratch[1].reshape(2, size), z, scratch[0].view(np.complex128)
+        pieces = (piece for b in blocks for piece in block(b, ints))
         sums[c] = _exact_sum((_terms(*piece, s, t, *buffers) for piece in pieces), scratch)
 
     try:

@@ -297,6 +297,27 @@ def test_row_block_pieces_concatenate_to_row(k, j, piece):
     assert np.array_equal(np.concatenate([p[1] for p in pieces]), row.denominators[:-1])
 
 
+@pytest.mark.parametrize("numerators", [True, False])
+@pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (9, 6, 4), (9, 6, 8), (14, 10, 3)])
+def test_pieces_formed_in_buffers_like_new_ones(k, j, piece, numerators):
+    # buffers longer than a piece, each piece formed in them, so copied before the next
+    count, block, _, _ = _row_blocks(k, j, piece=piece)
+    size = 1 << min(piece, j)
+    ints = np.full((3, size + 5), -7, np.int64)
+    out = (ints[0] if numerators else None, ints[1], ints[2])
+    got = []
+    for c in range(count):
+        for num, den in block(c, out):
+            assert np.shares_memory(den, ints[1]) and len(den) == size
+            assert num is None if not numerators else np.shares_memory(num, ints[0]) and len(num) == size
+            got.append((None if num is None else num.copy(), den.copy()))
+    want = row_pieces(k, j, piece)
+    assert len(got) == len(want)
+    for (num, den), (num_want, den_want) in zip(got, want):
+        assert np.array_equal(den, den_want)
+        assert num is None if not numerators else np.array_equal(num, num_want)
+
+
 def test_row_blocks_check_the_cap_when_called():
     # before the first block is asked for, so a caller's handler around the
     # blocks cannot take the cap error for one of its own

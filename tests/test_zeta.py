@@ -99,6 +99,16 @@ class TestDenominatorHistogram:
         for n in range(1, k + 2):
             assert hist.counts.get(n, 0) == int(phi[n])
 
+    @pytest.mark.parametrize("k", range(21))
+    def test_streamed_counts_like_the_bincount_of_the_row(self, k):
+        counts = np.bincount(extended_row(k).denominators[:-1])
+        assert denominator_histogram(k).counts == {n: int(c) for n, c in enumerate(counts.tolist()) if c}
+
+    def test_never_builds_the_level_k_row(self, monkeypatch):
+        levels = row_levels(monkeypatch)
+        denominator_histogram(20)
+        assert levels and max(levels) < 20
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_monotone_in_level(self, k):
         lo, hi = denominator_histogram(k).counts, denominator_histogram(k + 1).counts
@@ -295,11 +305,11 @@ def spy_chunks(monkeypatch, fail=None):
     def spy(*args):
         count, block, *coarse = row_blocks(*args)
 
-        def recorded(c):
+        def recorded(c, *out):
             started.append(c)
             if fail is not None and c == 0:
                 raise fail
-            return block(c)
+            return block(c, *out)
 
         return count, recorded, *coarse
 
@@ -384,6 +394,84 @@ class TestPartitionThreads:
         for thread in threads:
             threading.Thread.join(thread)
         assert len(started) < 128
+
+
+class TestDenominatorClasses:
+    """At t = 0, of either sign, through zeta._CLASS_LEVEL, each chunk is summed
+    as its denominator counts times one table of terms per call: the bits of the
+    materialized row all the same."""
+
+    # Re s = 150 underflows most terms to subnormals and zeros
+    POINTS = (3.0, 4 + 1j, 3.25 - 2.5j, 2.0001, 150.0)
+
+    @staticmethod
+    def tables(monkeypatch):
+        """The list of the table sizes that partition_sum forms from now on."""
+        sizes = []
+        class_terms = zeta._class_terms
+
+        def spy(top, *args):
+            sizes.append(top)
+            return class_terms(top, *args)
+
+        monkeypatch.setattr(zeta, "_class_terms", spy)
+        return sizes
+
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    @pytest.mark.parametrize("k", [0, 1, 5, 13, 14, 15, 19, 20])
+    def test_bit_identical_to_materialized_row(self, monkeypatch, k, t):
+        sizes = self.tables(monkeypatch)
+        for s in self.POINTS:
+            assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
+        # one table per call, up to the largest denominator Fibonacci(k + 2)
+        assert sizes == [max(extended_row(k).denominators.tolist())] * len(self.POINTS)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [21, 22])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
+        pin_workers(monkeypatch, workers)
+        names = set()
+        exact_sum = zeta._exact_sum
+
+        def spy(*args):
+            names.add(threading.current_thread().name)
+            return exact_sum(*args)
+
+        monkeypatch.setattr(zeta, "_exact_sum", spy)
+        started = spy_chunks(monkeypatch)
+        sizes = self.tables(monkeypatch)
+        for s in self.POINTS:
+            for t in (0.0, -0.0):
+                names.clear()
+                started.clear()
+                assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
+                assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
+                assert len(names) == min(workers, 1 << (k - 20))
+        assert len(sizes) == 2 * len(self.POINTS)
+
+    def test_term_route_above_the_class_level(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_CLASS_LEVEL", 20)
+        sizes = self.tables(monkeypatch)
+        for s in self.POINTS:
+            assert partition_sum(21, s, 0.0).value == materialized_partition_value(21, s, 0.0)
+        assert partition_sum(20, 3, 0.0).value == materialized_partition_value(20, 3, 0.0)
+        assert len(sizes) == 1
+
+    def test_non_finite_term_stops_in_the_first_chunk(self, monkeypatch):
+        # Im(s) * log(den) overflows for den >= 7, which chunk 0 holds
+        pin_workers(monkeypatch, 1)
+        started = spy_chunks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite term"):
+                partition_sum(21, 3 + 1e308j, 0.0)
+        assert started and max(started) < 1 << (20 - farey.ROW_BLOCK_BITS)
+
+    def test_peak_memory_of_two_workers(self, monkeypatch):
+        # a count and a buffer set per worker, one table per call
+        pin_workers(monkeypatch, 2)
+        _, peak = traced_peak(lambda: partition_sum(22, 3, 0.0))
+        assert peak <= 8 * 2**20
 
 
 class TestMoebiusDirichlet:
