@@ -3,9 +3,9 @@
 numpy releases the GIL inside its loops but holds it around them, so short
 calls do not overlap: on a 2-core box, np.add on 2^14 float64 entries takes
 as long on two threads as on one, while calls on 2^15 entries or more run side
-by side.  np.bincount never releases the GIL.  Every piece is computed by the
-same operations whichever thread takes it, so results do not depend on the
-thread count.
+by side, so threaded work is split into calls of 2^OVERLAP_BITS = 2^15 entries.
+Every piece is computed by the same operations whichever thread takes it, so
+results do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from threading import Event, Thread
 from typing import Callable
 
 import numpy as np
+
+OVERLAP_BITS = 15
 
 
 def _worker_count(pieces: int) -> int:

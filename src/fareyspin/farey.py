@@ -7,7 +7,8 @@ level.  Two independent routes compute the same numbers:
 * the row route (``extended_row``): one buffer filled in place with Stern's
   diatomic sequence a(2m) = a(m), a(2m+1) = a(m) + a(m+1), whose a(0..2^k)
   are the level-k numerators and a(2^k..2^(k+1)) the denominators (Stern
-  1858; Northshield, Amer. Math. Monthly 2010), read in blocks (``_row_blocks``),
+  1858; Northshield, Amer. Math. Monthly 2010), read in blocks (``_row_blocks``)
+  and once per level for its invariants, route check and reciprocal sum (``_row_pass``),
 * the seeded complement-pair recursion (``seed_eval`` per configuration,
   ``seed_values`` for all 2^k configurations at once in int64, exact while
   max(|s0|, |s1|) * Fibonacci(k+2) < 2^63 and refused beyond), where seeds
@@ -270,28 +271,32 @@ def _first_failure(ok: np.ndarray, then: bool = True) -> int | None:
     return int(np.argmax(~ok)) if not ok.all() else None if then else len(ok)
 
 
-def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
-    """Check endpoints, strict monotonicity, unimodularity, and symmetry of the level-k row.
+def _row_pass(k: int, max_level: int | None = None, routes: bool = False, reciprocal: bool = False):
+    """The level-k row read once: (reports, agree, total), its row CheckReports
+    (witness: the first failing index) and, else None, the seeded recursion's
+    agreement (``routes``) and the exact sum of 1/(den(s)*den(s+1)) (``reciprocal``).
 
-    Each property yields one CheckReport; the witness is the first failing
-    index, if any.  The row is read from ``_row_blocks(k, min(k,
-    ROW_BLOCK_BITS))``, a piece per pair of blocks c and count - 1 - c on one
-    thread per available CPU; each piece finds its first failure of each
-    check, and the lowest of those is the row's.  Symmetry fails at s iff it
-    fails at 2^k - s, so a piece checks it on block c only, through the next
-    block's first entry, and entry 0 is checked against the right endpoint.
+    A piece per pair of blocks c and count - 1 - c of ``_row_blocks(k, min(k,
+    ROW_BLOCK_BITS))`` runs on one thread per available CPU, each block read
+    once; the row's first failure is the lowest of the pieces'.  Symmetry fails
+    at s iff it fails at 2^k - s, so a piece checks it on block c through the
+    next block's first entry, and entry 0 against the right endpoint.  Block
+    sums, through the next coarse entry, are added as Fractions, in any order.
     """
     count, block, nums, dens = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level)
     endpoints_ok = nums[0] == 0 and dens[0] == 1 and nums[-1] == 1 and dens[-1] == 1
     size = (1 << k) // count
-    # per piece, the first failure of monotonicity, unimodularity and symmetry
+    seeded = [seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1)] if routes else None
+    # per piece: the first failures of monotonicity, unimodularity and symmetry, agreement, sum
     firsts = [[None] * 3 for _ in range(max(count // 2, 1))]
+    agree, sums = [True] * len(firsts), [Fraction(0)] * len(firsts)
 
     def check(c: int) -> None:
         d = count - 1 - c
         (num, den), = block(c)
         (mirror_num, mirror_den), = block(d) if d != c else [(num, den)]
-        for b, n, m in ((d, mirror_num, mirror_den), (c, num, den)):  # block c's failures win
+        # block c's failures win; a single block (count == 1) is read once
+        for b, n, m in ((d, mirror_num, mirror_den), (c, num, den))[d == c :]:
             # Fractions increase strictly, n[s]*m[s+1] < n[s+1]*m[s], and
             # adjacent ones are unimodular: the larger product exceeds the other
             # by 1.  Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL,
@@ -302,6 +307,10 @@ def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
             last = nums[b + 1] * int(m[-1]) - int(n[-1]) * dens[b + 1]
             for j, i in enumerate((_first_failure(cross > 0, last > 0), _first_failure(cross == 1, last == 1))):
                 firsts[c][j] = firsts[c][j] if i is None else b * size + i
+            if routes:
+                agree[c] = agree[c] and np.array_equal(n, seeded[0][b]) and np.array_equal(m, seeded[1][b])
+            if reciprocal:
+                sums[c] += _sum_reciprocal_products(np.append(m, dens[b + 1]))
         # Reflection s -> 2^k - s fixes denominators and sends values to
         # 1 - value.  Entry i of block c, 0 < i < size, mirrors entry size - i
         # of block d, and entry size, coarse entry c + 1, mirrors coarse entry d.
@@ -315,15 +324,53 @@ def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
     for j, name in enumerate(("row_monotone", "row_unimodular", "row_symmetric")):
         witness = min((f[j] for f in firsts if f[j] is not None), default=None)
         reports.append(CheckReport(name, k, witness is None, witness=witness))
-    return reports
+    return reports, all(agree) if routes else None, sum(sums, Fraction(0)) if reciprocal else None
+
+
+def _sum_reciprocal_products(d) -> Fraction:
+    """Exact sum of 1/(d[s] * d[s+1]) over the adjacent entries of an integer array d.
+
+    The terms are summed by a pairwise tree of reduced integer pairs: at each
+    step adjacent fractions p1/q1 and p2/q2 become (p1*q2 + p2*q1)/(q1*q2),
+    reduced by np.gcd, and an odd count is padded with 0/1.  A step runs in
+    int64 while 2*max|p|*max|q| and max|q|^2 stay below 2^63 (for the first
+    products d*d', while max|d|^2 does), and it and every later step on
+    Python ints otherwise.  A reduced fraction is unique, so the result does
+    not depend on the order of the additions.
+    """
+    if d.dtype != np.int64 or _magnitude(d) ** 2 >= 1 << 63:
+        d = d.astype(object)
+    if not d.all():
+        raise ZeroDivisionError("the row has a zero denominator")
+    q = d[:-1] * d[1:]
+    p = np.ones_like(q)
+    while q.size > 1:
+        if q.size % 2:
+            p, q = np.append(p, 0), np.append(q, 1)
+        if q.dtype != object:
+            top_p, top_q = _magnitude(p), _magnitude(q)
+            if 2 * top_p * top_q >= 1 << 63 or top_q**2 >= 1 << 63:
+                p, q = p.astype(object), q.astype(object)
+        p, q = p[0::2] * q[1::2] + p[1::2] * q[0::2], q[0::2] * q[1::2]
+        g = np.gcd(p, q)
+        p //= g
+        q //= g
+    return Fraction(int(p[0]), int(q[0]))
+
+
+def _magnitude(a) -> int:
+    """max |a| over a nonempty integer array, as a Python int."""
+    return max(-int(a.min()), int(a.max()))
+
+
+def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
+    """Check endpoints, strict monotonicity, unimodularity, and symmetry of the level-k row (``_row_pass``)."""
+    return _row_pass(k, max_level)[0]
 
 
 def cross_check_routes(k: int, max_level: int | None = None) -> bool:
     """True iff the blocks that ``verify_row`` reads and the seeded recursion agree at all 2^k indices."""
-    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level)
-    nums, dens = (seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1))
-    pairs = ((num, den, c) for c in range(count) for num, den in block(c))
-    return all(np.array_equal(num, nums[c]) and np.array_equal(den, dens[c]) for num, den, c in pairs)
+    return _row_pass(k, max_level, routes=True)[1]
 
 
 def row_records(k: int, max_level: int | None = None):

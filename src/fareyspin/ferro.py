@@ -15,14 +15,12 @@ from math import factorial, inf, lcm, nextafter
 
 import numpy as np
 
-from . import farey
-
-# extended_row and rational_wht stay importable here: bench/tracer.py patches them in ferro
+# extended_row, rational_wht, verify_row and cross_check_routes stay importable: bench/tracer.py patches them here
 from .farey import (
     _check_cap,
     _check_memory,
     _first_failure,
-    _row_blocks,
+    _row_pass,
     cross_check_routes,
     extended_row,
     seed_eval,
@@ -225,53 +223,10 @@ def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> 
 
 
 def reciprocal_sum(k: int, max_level=None) -> Fraction:
-    """Exact sum of 1/(den(s) * den(s+1)) over the level-k row; the identity value is 1.
-
-    Each block of denominators that ``verify_row`` reads, followed by the
-    coarse entry that starts the next, is summed on its own, and the block sums
-    are added as Fractions: a reduced fraction is unique, whatever the order.
-    """
+    """Exact sum of 1/(den(s) * den(s+1)) over the level-k row (``_row_pass``); the identity value is 1."""
     if k < 1:
         raise ValueError("reciprocal_sum requires level >= 1")
-    count, block, _, dens = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level)
-    sums = (_sum_reciprocal_products(np.append(den, dens[c + 1])) for c in range(count) for _, den in block(c))
-    return sum(sums, Fraction(0))
-
-
-def _sum_reciprocal_products(d) -> Fraction:
-    """Exact sum of 1/(d[s] * d[s+1]) over the adjacent entries of an integer array d.
-
-    The terms are summed by a pairwise tree of reduced integer pairs: at each
-    step adjacent fractions p1/q1 and p2/q2 become (p1*q2 + p2*q1)/(q1*q2),
-    reduced by np.gcd, and an odd count is padded with 0/1.  A step runs in
-    int64 while 2*max|p|*max|q| and max|q|^2 stay below 2^63 (for the first
-    products d*d', while max|d|^2 does), and it and every later step on
-    Python ints otherwise.  A reduced fraction is unique, so the result does
-    not depend on the order of the additions.
-    """
-    if d.dtype != np.int64 or _magnitude(d) ** 2 >= 1 << 63:
-        d = d.astype(object)
-    if not d.all():
-        raise ZeroDivisionError("the row has a zero denominator")
-    q = d[:-1] * d[1:]
-    p = np.ones_like(q)
-    while q.size > 1:
-        if q.size % 2:
-            p, q = np.append(p, 0), np.append(q, 1)
-        if q.dtype != object:
-            top_p, top_q = _magnitude(p), _magnitude(q)
-            if 2 * top_p * top_q >= 1 << 63 or top_q**2 >= 1 << 63:
-                p, q = p.astype(object), q.astype(object)
-        p, q = p[0::2] * q[1::2] + p[1::2] * q[0::2], q[0::2] * q[1::2]
-        g = np.gcd(p, q)
-        p //= g
-        q //= g
-    return Fraction(int(p[0]), int(q[0]))
-
-
-def _magnitude(a) -> int:
-    """max |a| over a nonempty integer array, as a Python int."""
-    return max(-int(a.min()), int(a.max()))
+    return _row_pass(k, max_level, reciprocal=True)[2]
 
 
 def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
@@ -500,15 +455,15 @@ def verify_suite(
     Levels up to K_EXACT run in exact mode, higher levels in float mode with
     the certified verdicts of ``_values``.  The heavier exact identities are
     capped at their verification envelopes: reciprocal sums at level 18 and
-    the dual-route row comparison at level 16.  Each level's row is checked
-    as its spectrum reads it (``verify_row``), then its spectrum is checked,
-    built once from its level under ``max_level`` and carried to the next
-    level's convergence check, so at most two levels' spectra are held.  The
-    level-k_max spectrum is the sweep's largest allocation, so a k_max over
-    the cap or past physical memory is refused before any check runs.  The
-    seeded route runs in int64 (``seed_values``), which raises rather than
-    overflows; for the row seeds (0,1) and (1,1) it is exact through
-    INT64_MAX_LEVEL.
+    the dual-route row comparison at level 16.  Each level's row is read once
+    for both and the row checks, as its spectrum reads it (``_row_pass``),
+    then its spectrum is checked, built once from its level under
+    ``max_level`` and carried to the next level's convergence check, so at
+    most two levels' spectra are held.  The level-k_max spectrum is the
+    sweep's largest allocation, so a k_max over the cap or past physical
+    memory is refused before any check runs.  The seeded route runs in int64
+    (``seed_values``), which raises rather than overflows; for the row seeds
+    (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -518,13 +473,12 @@ def verify_suite(
     sp = interaction(1, _default_mode(1), max_level=max_level)
     for k in range(1, k_max + 1):
         mode = _default_mode(k)
-        reports.extend(verify_row(k, max_level))
-        if k <= 16:
-            reports.append(CheckReport("dual_route_agreement", k, cross_check_routes(k, max_level)))
+        rows, agree, total = _row_pass(k, max_level, routes=k <= 16, reciprocal=k <= 18)
+        reports += rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp))
         # reported after the convergence check, run before it: the cone checks read level k's spectrum
-        tail = [check_reciprocal_sum(k, max_level=max_level)] if k <= 18 else []
+        tail = [] if total is None else [CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))]
         if mode == "exact":
             cone = _cone_transform(k)
             tail += [

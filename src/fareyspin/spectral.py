@@ -19,7 +19,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import farey
-from ._threads import run_pieces
+from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in spectral
 from .farey import _check_cap, _check_memory, _row_blocks, extended_row
 from .report import CHUNK, Coded, Table, write_columns
@@ -38,11 +38,6 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 # entries across the blocks (2 MiB and 1 MiB of scratch, measured fastest with
 # a 4 MiB L2 cache).
 BLOCK_BITS = 16
-
-# A float spectrum of a level is divided from the blocks of 2^farey.ROW_BLOCK_BITS
-# entries of its row, refined 2^_ROW_PIECE_BITS entries at a time into one set of
-# buffers per block, in numpy calls long enough to overlap on two threads.
-_ROW_PIECE_BITS = 15
 
 
 def _default_mode(k: int) -> str:
@@ -286,12 +281,12 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
     """
     _check_cap(k, max_level)
     _check_memory(8 << k, f"the level-{k} spectrum")
-    count, block, _, _ = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, _ROW_PIECE_BITS)
+    count, block, _, _ = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, OVERLAP_BITS)
     values = np.empty(1 << k)
     parts = values.reshape(count, -1)
 
     def fill(c: int) -> None:
-        ints = np.empty((3, 1 << _ROW_PIECE_BITS), np.int64)  # each piece is divided before the next
+        ints = np.empty((3, 1 << OVERLAP_BITS), np.int64)  # each piece is divided before the next
         lo = 0
         for num, den in block(c, ints):
             np.divide(num, den, out=parts[c, lo : lo + len(num)])

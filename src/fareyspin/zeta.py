@@ -32,16 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._threads import run_pieces
+from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in zeta
 from .farey import ROW_BLOCK_BITS, _fibonacci, _row_blocks, extended_row
 from .report import CheckReport
 
 # Chunks of 2^_CHUNK_LEVEL entries are summed exactly, rounded once and combined
-# by math.fsum.  Terms are formed and summed 2^_SUB_LEVEL at a time: numpy calls
-# on 2^15 entries overlap on two threads, calls on 2^14 do not.
+# by math.fsum.  Terms are formed and summed 2^OVERLAP_BITS at a time.
 _CHUNK_LEVEL = 20
-_SUB_LEVEL = 15
 # At t = 0 a term depends on its denominator alone, so each chunk is summed as
 # its denominator counts times one table of terms, through the level at which
 # the largest denominator Fibonacci(k+2) is still at most 2^20: a worker's
@@ -97,9 +95,9 @@ def denominator_histogram(k: int) -> DenominatorHistogram:
     The row is never held: its blocks are counted one at a time from
     ``_row_blocks``, as the partition sum counts them at t = 0.
     """
-    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), None, _SUB_LEVEL)
+    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), None, OVERLAP_BITS)
     counts = np.zeros(_fibonacci(k + 2) + 1)
-    ints = np.empty((2, 1 << _SUB_LEVEL), np.int64)
+    ints = np.empty((2, 1 << OVERLAP_BITS), np.int64)
     for c in range(count):
         _count_denominators(block, c, counts, ints)
     return DenominatorHistogram(k, {int(n): int(counts[n]) for n in np.flatnonzero(counts)})
@@ -179,6 +177,10 @@ class PartitionEval:
     tail_bound: float
 
 
+class _NonFiniteSum(ValueError):
+    """A non-finite part refused by ``_exact_sum``, the one ValueError that ``partition_sum`` relabels."""
+
+
 def _exact_sum(blocks, scratch: np.ndarray | None = None) -> tuple[float, float]:
     """Correctly rounded sums of the real and of the imaginary parts of a stream
     of contiguous complex128 arrays, which are left unchanged.
@@ -191,7 +193,7 @@ def _exact_sum(blocks, scratch: np.ndarray | None = None) -> tuple[float, float]
     split where sigma would overflow).  Every step is a numpy call that releases
     the GIL, into ``scratch`` of shape (2, 2n) or wider, or a new one.  Rounding by int
     division gives the bits of math.fsum over each part and, as it does, raises
-    OverflowError beyond the float range; a non-finite part raises ValueError.
+    OverflowError beyond the float range; a non-finite part raises _NonFiniteSum.
     """
     totals = [0, 0]
     for block in blocks:
@@ -199,7 +201,7 @@ def _exact_sum(blocks, scratch: np.ndarray | None = None) -> tuple[float, float]
         q, rest = np.empty((2, x.size)) if scratch is None else scratch[:, : x.size]
         while m := max(x.max(initial=0.0), -x.min(initial=0.0)):
             if not math.isfinite(m):
-                raise ValueError("cannot sum a non-finite value")
+                raise _NonFiniteSum("cannot sum a non-finite value")
             e = math.frexp(m)[1] + (x.size // 2).bit_length() + 1
             shift = max(e - 1023, 0)
             sigma = math.ldexp(1.0, e - shift)
@@ -244,7 +246,7 @@ def _class_terms(top: int, s: complex, t: float) -> np.ndarray:
     are rejected all the same.
     """
     table = np.zeros(top + 1, np.complex128)
-    size = 1 << _SUB_LEVEL
+    size = 1 << OVERLAP_BITS
     h, ratio = np.empty((2, size))
     drift = np.empty(size, np.complex128)
     with np.errstate(all="ignore"):
@@ -301,9 +303,9 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     j = min(k, ROW_BLOCK_BITS, _CHUNK_LEVEL)
-    count, block, _, _ = _row_blocks(k, j, max_level, _SUB_LEVEL)
+    count, block, _, _ = _row_blocks(k, j, max_level, OVERLAP_BITS)
     per_chunk = 1 << (min(k, _CHUNK_LEVEL) - j)
-    size = 1 << min(j, _SUB_LEVEL)
+    size = 1 << min(j, OVERLAP_BITS)
     sums = [None] * (count // per_chunk)
     table = _class_terms(_fibonacci(k + 2), s, t) if t == 0 and k <= _CLASS_LEVEL else None
     mine = threading.local()  # each worker's buffers, made for its first chunk
@@ -313,8 +315,8 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         if table is not None:
             if not hasattr(mine, "buffers"):
                 # until the chunk is counted, the scratch also holds its denominators
-                scratch = np.empty((2, 1 << _SUB_LEVEL))
-                mine.buffers = np.zeros(len(table)), scratch, np.empty(1 << (_SUB_LEVEL - 1), np.complex128)
+                scratch = np.empty((2, 1 << OVERLAP_BITS))
+                mine.buffers = np.zeros(len(table)), scratch, np.empty(1 << (OVERLAP_BITS - 1), np.complex128)
             counts, scratch, out = mine.buffers
             for b in blocks:
                 _count_denominators(block, b, counts, scratch.view(np.int64))
@@ -332,7 +334,7 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
         with np.errstate(all="ignore"):
             run_pieces(len(sums), work)
-    except ValueError:
+    except _NonFiniteSum:
         raise ValueError(f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}") from None
     value = complex(math.fsum(re for re, _ in sums), math.fsum(im for _, im in sums))
     return PartitionEval(k, s, float(t), value, tail_bound(k, s.real))

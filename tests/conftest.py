@@ -42,9 +42,9 @@ def planted_row(monkeypatch, k, changes):
     """The level-k row with ``changes``, (array, index, delta) triples on "num"
     or "den", applied, served to the row checks from now on.
 
-    farey._row_blocks, where farey and ferro look it up, serves slices of the
-    planted row as its blocks, and its entries at the multiples of the block
-    size as the coarse row.  Returns the planted FareyRow.
+    farey._row_blocks serves slices of the planted row as its blocks, and its
+    entries at the multiples of the block size as the coarse row.  Returns the
+    planted FareyRow.
     """
     row = farey.extended_row(k)
     arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
@@ -62,6 +62,5 @@ def planted_row(monkeypatch, k, changes):
 
         return 1 << (k - j), block, num[:: 1 << j].tolist(), den[:: 1 << j].tolist()
 
-    for owner in (farey, ferro):
-        monkeypatch.setattr(owner, "_row_blocks", row_blocks)
+    monkeypatch.setattr(farey, "_row_blocks", row_blocks)
     return farey.FareyRow(k, num, den)

@@ -475,7 +475,7 @@ class TestMaxLevelGuards:
         # the checks of levels 1 and 2 would fit, but none runs
         self.physical_memory(monkeypatch, 63)
         checked = []
-        monkeypatch.setattr(cli.ferro, "verify_row", lambda *args: checked.append(args))
+        monkeypatch.setattr(cli.ferro, "_row_pass", lambda *args: checked.append(args) or ([], None, None))
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "-k", "3"])
         assert exc.value.code == 2

@@ -31,7 +31,7 @@ from fareyspin import (
 from fareyspin import cli, farey, ferro
 from fareyspin.ferro import cone_map_minus, cone_map_plus
 
-from conftest import pin_workers, traced_peak
+from conftest import pin_workers, row_levels, traced_peak
 
 
 class TestZeroCoefficient:
@@ -364,7 +364,7 @@ class TestSuite:
 
     def test_holds_only_the_spectra_later_checks_read(self, monkeypatch):
         built, alive_at_rows, alive_at_builds = [], [], []
-        transform, ferro_verify_row = ferro.interaction, ferro.verify_row
+        transform, row_pass = ferro.interaction, ferro._row_pass
 
         def alive():
             return [(sp.level, sp.mode) for sp in (ref() for ref in built) if sp is not None]
@@ -375,12 +375,12 @@ class TestSuite:
             built.append(weakref.ref(spectrum))
             return spectrum
 
-        def spy_verify_row(k, max_level=None):
+        def spy_row_pass(k, *args, **kwargs):
             alive_at_rows.append(alive())
-            return ferro_verify_row(k, max_level)
+            return row_pass(k, *args, **kwargs)
 
         monkeypatch.setattr(ferro, "interaction", spy_interaction)
-        monkeypatch.setattr(ferro, "verify_row", spy_verify_row)
+        monkeypatch.setattr(ferro, "_row_pass", spy_row_pass)
         verify_suite(15, trials=5)
         # every spectrum is built once: exact through K_EXACT, float from
         # K_EXACT on, since level K_EXACT's convergence check runs in float
@@ -393,11 +393,28 @@ class TestSuite:
         exact = [[]] + [[(k - 1, "exact")] for k in range(2, 13)]
         assert alive_at_builds == exact + [[]] + [[(k - 1, "float")] for k in range(13, 16)]
 
+    def test_reads_each_row_once(self, monkeypatch):
+        # the row checks, the dual route and the reciprocal sum of a level read
+        # one Stern buffer; the other 23 are the spectra's
+        built, per_pass = row_levels(monkeypatch), []
+        row_pass = ferro._row_pass
+
+        def spy(k, *args, **kwargs):
+            before = len(built)
+            result = row_pass(k, *args, **kwargs)
+            per_pass.append(len(built) - before)
+            return result
+
+        monkeypatch.setattr(ferro, "_row_pass", spy)
+        assert all(r.passed for r in verify_suite(22, trials=5))
+        assert per_pass == [1] * 22
+        assert len(built) == 45
+
     def test_max_level_reaches_every_spectrum(self, monkeypatch):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
         assert all(r.passed for r in verify_suite(14, trials=5, max_level=14))
         ran = []
-        monkeypatch.setattr(ferro, "verify_row", lambda k, max_level=None: ran.append(k) or [])
+        monkeypatch.setattr(ferro, "_row_pass", lambda k, *args: ran.append(k) or ([], None, None))
         with pytest.raises(LevelTooLargeError):
             verify_suite(14, trials=5)
         assert ran == []

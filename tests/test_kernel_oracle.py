@@ -8,7 +8,8 @@ where it built one; the new kernels must give equal results, report margins
 and witnesses included, margin type too.  The reciprocal sum, now a pairwise
 tree in int64 that moves to Python ints before a product could overflow, must
 give the Fraction loop's sum on any row.  The row checks, now run in pieces on
-several threads, must give the reports of the whole-row checks.  The partition
+several threads, must give the reports of the whole-row checks, and the dual
+route and reciprocal sum of that pass the loops' results.  The partition
 sum's exact chunk sum replaced math.fsum over a list of Python floats and must
 give its bits, the sign of zero included.  The cache-blocked radix-4 fwht
 replaced a radix-2 kernel with one pass per stage: its threaded blocks and
@@ -55,7 +56,7 @@ from fareyspin import (
     seed_eval,
     verify_row,
 )
-from fareyspin import farey, ferro, spectral, zeta
+from fareyspin import _threads, farey, ferro, spectral, zeta
 from fareyspin import report
 from fareyspin.report import CheckReport, write_columns
 
@@ -202,10 +203,10 @@ class TestReciprocalSum:
         # size - 1 terms: odd counts pad a 0/1 at one or more steps of the tree
         cut = extended_row(12).denominators[:size]
         row = FareyRow(12, extended_row(12).numerators[:size], cut)
-        assert ferro._sum_reciprocal_products(cut) == ref_reciprocal_sum(row)
+        assert farey._sum_reciprocal_products(cut) == ref_reciprocal_sum(row)
         rng = np.random.default_rng(size)
         noise = FareyRow(12, row.numerators, rng.integers(1, 1000, size))
-        assert ferro._sum_reciprocal_products(noise.denominators) == ref_reciprocal_sum(noise)
+        assert farey._sum_reciprocal_products(noise.denominators) == ref_reciprocal_sum(noise)
 
     @staticmethod
     def gcd_dtypes(monkeypatch):
@@ -217,7 +218,7 @@ class TestReciprocalSum:
             seen.append(p.dtype)
             return gcd(p, q)
 
-        monkeypatch.setattr(ferro.np, "gcd", spy)
+        monkeypatch.setattr(farey.np, "gcd", spy)
         return seen
 
     @pytest.mark.parametrize(
@@ -237,7 +238,7 @@ class TestReciprocalSum:
         dens[::7] *= -1
         row = FareyRow(6, np.zeros(65, np.int64), dens)
         seen = self.gcd_dtypes(monkeypatch)
-        total = ferro._sum_reciprocal_products(dens)
+        total = farey._sum_reciprocal_products(dens)
         assert seen == steps
         assert total == ref_reciprocal_sum(row)
 
@@ -376,6 +377,46 @@ class TestPiecedVerifyRow:
                 assert verify_row(k) == ref_verify_row(row)
 
 
+class TestRowPass:
+    """farey._row_pass reads each level's row once for the row checks, the dual
+    route and the reciprocal sum; in blocks of 4 and 8 entries, on any number of
+    workers, each must give the loop's result on clean and planted rows."""
+
+    @staticmethod
+    def check(row):
+        k = row.level
+        reports, agree = ref_verify_row(row), ref_cross_check_routes(row)
+        assert verify_row(k) == reports
+        assert cross_check_routes(k) is agree
+        if k == 0:
+            with pytest.raises(ValueError):
+                reciprocal_sum(k)
+        elif not row.denominators.all():
+            with pytest.raises(ZeroDivisionError):
+                reciprocal_sum(k)
+        else:
+            total = ref_reciprocal_sum(row)
+            assert reciprocal_sum(k) == total
+            assert farey._row_pass(k, None, True, True) == (reports, agree, total)
+
+    # levels 0..8: one block, read once (its reciprocal sum is not doubled),
+    # an odd count of block pairs (one, at k = bits + 1) and 2 to 64 pairs
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_small_blocks_like_the_loops(self, monkeypatch, workers, bits):
+        pin_workers(monkeypatch, workers)
+        monkeypatch.setattr(farey, "ROW_BLOCK_BITS", bits)
+        rng = np.random.default_rng(10 * bits + workers)
+        for k in range(9):
+            self.check(planted_row(monkeypatch, k, []))
+            for _ in range(10):
+                changes = [
+                    (rng.choice(["num", "den"]), rng.integers(0, (1 << k) + 1), rng.integers(-2, 3))
+                    for _ in range(rng.integers(1, 3))
+                ]
+                self.check(planted_row(monkeypatch, k, changes))
+
+
 def test_suite_builds_one_row(monkeypatch):
     # no row of the top level is built: the row checks and the float spectra
     # read coarse rows of lower levels, the exact spectra build their own
@@ -384,7 +425,7 @@ def test_suite_builds_one_row(monkeypatch):
     assert max(built) < 14
 
 
-SUB = 1 << zeta._SUB_LEVEL
+SUB = 1 << _threads.OVERLAP_BITS
 
 # every finite float64 from the subnormals up to 2^900, so that no sum of a few
 # hundred thousand of them leaves the float range

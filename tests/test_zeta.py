@@ -362,17 +362,31 @@ class TestPartitionThreads:
 
     # 128 chunks of one block of 2^14 entries on two workers: after chunk 0
     # fails, the other worker stops well before it has started all 64 of its chunks
+    # _exact_sum's non-finite error is reported as a plain ValueError of the
+    # sum; any other error, a plain ValueError too, keeps its type and message
     @pytest.mark.parametrize(
         "error, message",
-        [(ValueError("cannot sum a non-finite value"), "non-finite term"), (OverflowError("too big"), "too big")],
+        [
+            (zeta._NonFiniteSum("cannot sum a non-finite value"), "non-finite term"),
+            (OverflowError("too big"), "too big"),
+            (ValueError("synthetic"), "^synthetic$"),
+        ],
     )
     def test_a_failing_chunk_stops_the_other_worker(self, monkeypatch, error, message):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
         pin_workers(monkeypatch, 2)
         started = spy_chunks(monkeypatch, fail=error)
-        with pytest.raises(type(error), match=message):
+        with pytest.raises(ValueError if isinstance(error, ValueError) else type(error), match=message):
             partition_sum(21, 3, 0.0)
         assert 0 in started and len(started) < 65
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_an_unrelated_value_error_keeps_its_message(self, monkeypatch, workers, t):
+        pin_workers(monkeypatch, workers)
+        spy_chunks(monkeypatch, fail=ValueError("synthetic"))
+        with pytest.raises(ValueError, match="^synthetic$"):
+            partition_sum(21, 3, t)
 
     def test_interrupted_join_stops_the_workers(self, monkeypatch):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
