@@ -318,7 +318,7 @@ def _row_pass(k: int, max_level: int | None = None, routes: bool = False, recipr
         i = _first_failure(symmetric, nums[c + 1] + nums[d] == dens[c + 1] == dens[d])
         firsts[c][2] = None if i is None else c * size + 1 + i
 
-    run_pieces(len(firsts), check)
+    run_pieces(range(len(firsts)), check)
     firsts.append([None, None, None if nums[0] + nums[-1] == dens[0] == dens[-1] else 0])
     reports = [CheckReport("row_endpoints", k, endpoints_ok, witness=None if endpoints_ok else 0)]
     for j, name in enumerate(("row_monotone", "row_unimodular", "row_symmetric")):

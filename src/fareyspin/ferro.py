@@ -113,7 +113,7 @@ def _first_minima(n, slack, starts):
                 minima[c] = lo + i, values[i : i + 1].copy()
             del values  # a slack may reuse its buffer for the next
 
-    run_pieces(len(edges) - 1, work)
+    run_pieces(range(len(edges) - 1), work)
     result = []
     for minima in found:
         minima = [m for m in minima if m is not None]

@@ -8,10 +8,11 @@ its decimal digits, a finite float64 array the shortest round-trip digits of
 ``repr`` (Schubfach, below), a bytes array its bytes, each in a few numpy
 passes; a Coded column gathers the slot of its Table; any other column is
 formatted one value at a time.  The blocks' slots are formed on the workers
-of ``_threads.run_pieces``; in block order, each block's separators and
-slots are joined and compacted _PIECE rows at a time and written, as bytes
-where the stream has a binary buffer.  The text is what ``csv.writer`` or
-``json.dump(records, indent=2)`` writes for the same rows.
+of ``_threads.run_pieces``, which also writes them in block order: each
+block's separators and slots are joined and compacted _PIECE rows at a time
+and written, as bytes where the stream has a binary buffer.  The text is
+what ``csv.writer`` or ``json.dump(records, indent=2)`` writes for the same
+rows.
 """
 from __future__ import annotations
 
@@ -22,11 +23,9 @@ import io
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from threading import Condition, Lock
+from itertools import islice
 
 import numpy as np
 
@@ -454,69 +453,6 @@ def _holds_no_str(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind in "biufS"
 
 
-def _in_order(blocks, work, write) -> int:
-    """write(n, work(block)) for each block n = 0, 1, ... of an iterable, in
-    order; returns the number of blocks.
-
-    Each worker of ``run_pieces`` takes the next block (the iterable is read
-    under a lock), works on it, waits until every earlier block is written and
-    writes its own; so a worker holds at most one block, and no worker waits
-    for a window of others.  With one worker this is a plain loop on the
-    calling thread, and fewer than two blocks never start a thread.  The first
-    error in a worker stops the others at their next step, waiting ones
-    included, and is raised once.
-    """
-    blocks = iter(blocks)
-    head = list(islice(blocks, 2))
-    if len(head) < 2:
-        for n, block in enumerate(head):
-            write(n, work(block))
-        return len(head)
-    blocks = chain(head, blocks)
-    del head
-    source, turn = Lock(), Condition()
-    taken = written = 0
-    failed = False
-
-    def stop() -> None:
-        nonlocal failed
-        with turn:
-            failed = True
-            turn.notify_all()
-
-    def run(_) -> None:
-        nonlocal taken, written
-        try:
-            while not failed:
-                with source:
-                    block = next(blocks, None)
-                    n, taken = taken, taken + 1
-                if block is None:
-                    return
-                result = work(block)
-                del block
-                with turn:
-                    turn.wait_for(lambda: written == n or failed)
-                if failed:
-                    return
-                write(n, result)
-                del result  # before the next block is taken
-                with turn:
-                    written += 1
-                    turn.notify_all()
-        except BaseException:
-            stop()
-            raise
-
-    try:
-        # one piece per worker: any count of blocks may follow
-        _threads.run_pieces(_threads._worker_count(sys.maxsize), run)
-    except BaseException:
-        stop()  # an interrupt while waiting for the workers stops them too
-        raise
-    return written
-
-
 def write_columns(fields, blocks, stream, fmt) -> None:
     """Write blocks of records as CSV under a header, or as a JSON array.
 
@@ -524,14 +460,14 @@ def write_columns(fields, blocks, stream, fmt) -> None:
     rows keeps the text of a block small), or a Coded column.  Integer,
     finite float64 and bytes arrays (ASCII text) take the byte kernels; other
     columns are formatted per value.  The workers of ``run_pieces`` form the
-    blocks' slots; in block order (``_in_order``) each block is joined and
-    written _PIECE rows at a time.  Into a UTF-8 text stream with a binary
-    ``buffer`` (a file, stdout) a block of arrays goes out as bytes.  A
-    block with a column of Python values, where a str may hold a lone
-    surrogate, is decoded and written through the text stream and its error
-    handler, as is every block into a stream without a buffer.  The text
-    equals csv.writer's for the same rows, or json.dump([dict(zip(fields,
-    row)) ...], indent=2) plus a newline.
+    blocks' slots and, in block order, join and write each block _PIECE rows
+    at a time, so a worker holds at most one block's slots.  Into a UTF-8
+    text stream with a binary ``buffer`` (a file, stdout) a block of arrays
+    goes out as bytes.  A block with a column of Python values, where a str
+    may hold a lone surrogate, is decoded and written through the text
+    stream and its error handler, as is every block into a stream without a
+    buffer.  The text equals csv.writer's for the same rows, or
+    json.dump([dict(zip(fields, row)) ...], indent=2) plus a newline.
     """
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerow(fields)
@@ -566,7 +502,7 @@ def write_columns(fields, blocks, stream, fmt) -> None:
         if binary is not None and not as_bytes:
             stream.flush()
 
-    count = _in_order((block for block in blocks if block and len(block[0])), work, write)
+    count = _threads.run_pieces((block for block in blocks if block and len(block[0])), work, write)
     if fmt == "json":
         stream.write("[]\n" if count == 0 else "\n]\n")
 

@@ -136,8 +136,8 @@ def _fwht_array(a: np.ndarray, normalize: bool) -> np.ndarray:
         columns = m[:, c * width : (c + 1) * width]
         _stages(columns, 0, bits - low, np.empty(columns.size // 2, a.dtype))
 
-    run_pieces(rows, lambda r: _block_stages(m[r], low))
-    run_pieces(cols // width, strip)
+    run_pieces(range(rows), lambda r: _block_stages(m[r], low))
+    run_pieces(range(cols // width), strip)
     if normalize:
         a *= 2.0 ** -bits  # power-of-two scaling, exact in IEEE
     return a
@@ -292,7 +292,7 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
             np.divide(num, den, out=parts[c, lo : lo + len(num)])
             lo += len(num)
 
-    run_pieces(count, fill)
+    run_pieces(range(count), fill)
     return values
 
 

@@ -333,7 +333,7 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
     try:
         # a non-finite term is rejected by _exact_sum, so its warnings say nothing new
         with np.errstate(all="ignore"):
-            run_pieces(len(sums), work)
+            run_pieces(range(len(sums)), work)
     except _NonFiniteSum:
         raise ValueError(f"Z_{k}(s, t) has a non-finite term at s = {s}, t = {t}") from None
     value = complex(math.fsum(re for re, _ in sums), math.fsum(im for _, im in sums))

@@ -16,7 +16,9 @@ def traced_peak(fn):
 
 
 def pin_workers(monkeypatch, n):
-    """Run every run_pieces call from now on on n workers, whatever the CPUs and pieces."""
+    """Run every run_pieces call from now on, the emitter's included, on n
+    workers, whatever the CPUs and pieces; fewer than two pieces still run on
+    the calling thread."""
     monkeypatch.setattr(_threads, "_worker_count", lambda pieces: n)
 
 

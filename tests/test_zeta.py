@@ -317,28 +317,45 @@ def spy_chunks(monkeypatch, fail=None):
     return started
 
 
+def meeting_sums(monkeypatch):
+    """arm(parties): the first ``parties`` chunk sums of the next partition_sum
+    call wait for one another on a Barrier, so they must run at once.  Fewer
+    concurrent workers break the barrier after a timeout, and the call raises
+    threading.BrokenBarrierError rather than hang."""
+    exact_sum = zeta._exact_sum
+    lock = threading.Lock()
+    meeting = {}
+
+    def arm(parties):
+        meeting.update(barrier=threading.Barrier(parties, timeout=20), waits=parties)
+
+    def spy(*args):
+        with lock:
+            meeting["waits"] -= 1
+            waits = meeting["waits"] >= 0
+        if waits:
+            meeting["barrier"].wait()
+        return exact_sum(*args)
+
+    monkeypatch.setattr(zeta, "_exact_sum", spy)
+    return arm
+
+
 class TestPartitionThreads:
     # more workers than chunks (2 at k = 21, 4 at k = 22) and than cores at 8
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("k", [21, 22])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
         pin_workers(monkeypatch, workers)
-        names = set()
-        exact_sum = zeta._exact_sum
-
-        def spy(*args):
-            names.add(threading.current_thread().name)
-            return exact_sum(*args)
-
-        monkeypatch.setattr(zeta, "_exact_sum", spy)
+        arm = meeting_sums(monkeypatch)
         started = spy_chunks(monkeypatch)
         for s, t in ((3.0, 0.0), (4 + 1j, 1.0), (3.25 - 2.5j, 0.37)):
-            names.clear()
             started.clear()
+            # each worker busy while there are chunks for it
+            arm(min(workers, 1 << (k - 20)))
             assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
-            # every block of every chunk once, each worker busy while there are chunks for it
+            # every block of every chunk once
             assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
-            assert len(names) == min(workers, 1 << (k - 20))
 
     def test_one_worker_per_cpu_at_most_one_per_chunk(self, monkeypatch):
         monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -361,7 +378,7 @@ class TestPartitionThreads:
         assert started == [0]
 
     # 128 chunks of one block of 2^14 entries on two workers: after chunk 0
-    # fails, the other worker stops well before it has started all 64 of its chunks
+    # fails, the other worker stops well before it has started 64 chunks
     # _exact_sum's non-finite error is reported as a plain ValueError of the
     # sum; any other error, a plain ValueError too, keeps its type and message
     @pytest.mark.parametrize(
@@ -444,23 +461,15 @@ class TestDenominatorClasses:
     @pytest.mark.parametrize("k", [21, 22])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, k, workers):
         pin_workers(monkeypatch, workers)
-        names = set()
-        exact_sum = zeta._exact_sum
-
-        def spy(*args):
-            names.add(threading.current_thread().name)
-            return exact_sum(*args)
-
-        monkeypatch.setattr(zeta, "_exact_sum", spy)
+        arm = meeting_sums(monkeypatch)
         started = spy_chunks(monkeypatch)
         sizes = self.tables(monkeypatch)
         for s in self.POINTS:
             for t in (0.0, -0.0):
-                names.clear()
                 started.clear()
+                arm(min(workers, 1 << (k - 20)))
                 assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
                 assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
-                assert len(names) == min(workers, 1 << (k - 20))
         assert len(sizes) == 2 * len(self.POINTS)
 
     def test_term_route_above_the_class_level(self, monkeypatch):
