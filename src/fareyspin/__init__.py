@@ -2,6 +2,8 @@
 spectra, machine checks of the ferromagnetic sign structure, and partition
 sums linked to the Riemann zeta function."""
 
+from . import _threads  # first, so that numpy loads without OpenBLAS's thread pool
+
 from .farey import (
     DEFAULT_MAX_LEVEL,
     FareyRow,

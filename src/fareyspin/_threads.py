@@ -10,7 +10,15 @@ free piece of an iterable, so which thread runs a piece is left to timing,
 and every piece is computed by the same operations whichever thread takes it,
 so results do not depend on the thread count.  Given ``write``, it also
 writes the results one at a time in piece order, a worker holding at most
-one result while it waits for its turn.
+one result while it waits for its turn.  Its workers are the only threads
+the package starts.
+
+numpy's OpenBLAS would start threads of its own: a pool of CPUs - 1 threads,
+created when numpy loads, that spin idle for about 0.1 s.  Nothing in the
+package calls BLAS (tests/test_threads.py keeps it that way), so when this
+module is the first to import numpy it loads OpenBLAS single-threaded.  A
+program that imports numpy first, or sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS, keeps its pool.
 """
 from __future__ import annotations
 
@@ -20,7 +28,18 @@ from collections.abc import Callable, Iterable, Sized
 from itertools import chain, islice
 from threading import Condition, Lock, Thread
 
-import numpy as np
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    import numpy as np
+else:
+    # OpenBLAS reads its thread count once, when it loads, so the variable is
+    # set only for this import and the environment, the children's included,
+    # stays as the caller left it
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 OVERLAP_BITS = 15
 _END = object()  # what the iterable of pieces gives once it is used up

@@ -1,8 +1,9 @@
 """Batch command-line front end: generate, spectrum, verify, partition.
 
-Exit codes: 0 on success (and all checks passing), 1 on a failed check or
-internal error, 2 on usage errors.  CSV uses '.' decimals and no locale;
-exact rationals are serialized as "p/q" strings.
+Exit codes: 0 on success (and all checks passing), 1 on a failed check, an
+internal error or a reader that closed the output early, 2 on usage errors.
+CSV uses '.' decimals and no locale; exact rationals are serialized as "p/q"
+strings.
 """
 from __future__ import annotations
 
@@ -193,6 +194,15 @@ def main(argv=None) -> int:
     try:
         with _output(args.out) as stream:
             return _HANDLERS[args.command](args, stream)
+    except BrokenPipeError:
+        # the reader closed early, which is no error of ours to report; the
+        # interpreter's last flush of stdout would fail again, so fd 1 goes
+        # to devnull (the pattern of the signal module's documentation)
+        if args.out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 1
     except farey.RowMemoryError as exc:
         # raised before the row or spectrum is allocated: the level cannot run on this machine
         parser.error(str(exc))

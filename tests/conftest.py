@@ -1,7 +1,21 @@
 """Helpers shared by the test modules."""
+import os
 import tracemalloc
 
 from fareyspin import _threads, farey, ferro, spectral, zeta
+
+# the directory that holds the package under test
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(farey.__file__)))
+
+
+def fresh_env(**env):
+    """An environment for a fresh interpreter that imports the package under
+    test: this one with SRC first on PYTHONPATH, without the BLAS thread
+    variables that _threads looks for, and with ``env`` added."""
+    result = {k: v for k, v in os.environ.items() if k not in _threads._BLAS_THREAD_VARIABLES}
+    result["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result.update(env)
+    return result
 
 
 def traced_peak(fn):

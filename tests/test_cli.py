@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import select
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from fareyspin import cli, report
 from fareyspin.report import CHUNK, CheckReport
 
-from conftest import pin_workers, row_levels
+from conftest import fresh_env, pin_workers, row_levels
 
 K4_ROW = "0/1 1/5 1/4 2/7 1/3 3/8 2/5 3/7 1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 1/1".split()
 
@@ -376,6 +379,38 @@ class TestErrors:
         monkeypatch.setattr(cli.farey, "extended_row", boom)
         assert cli.main(["generate", "-k", "2"]) == 1
         assert capsys.readouterr().err == "fareyspin: error: synthetic crash\n"
+
+
+@pytest.mark.parametrize("to_fifo", [False, True])
+def test_a_reader_that_closes_early_is_no_error(tmp_path, to_fifo):
+    # generate -k 16 writes about 2 MB, more than a pipe buffer holds, so the
+    # command is still writing when the reader goes: exit 1 and nothing on
+    # stderr, not even from the interpreter's last flush of stdout
+    argv = [sys.executable, "-m", "fareyspin.cli", "generate", "-k", "16"]
+    if to_fifo:
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        argv += ["--out", str(fifo)]
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    out = subprocess.DEVNULL if to_fifo else subprocess.PIPE
+    with subprocess.Popen(argv, env=fresh_env(), stdout=out, stderr=subprocess.PIPE) as proc:
+        try:
+            if not to_fifo:
+                reader = proc.stdout.fileno()
+            try:
+                assert select.select([reader], [], [], 60)[0]
+                assert os.read(reader, 1) == b"i"
+            finally:
+                if to_fifo:
+                    os.close(reader)
+                else:
+                    proc.stdout.close()
+            code = proc.wait(timeout=60)
+        except BaseException:
+            proc.kill()
+            raise
+        assert proc.stderr.read() == b""
+    assert code == 1
 
 
 class TestInt64Guard:

@@ -4,10 +4,18 @@ Each test runs on 1, 2, 3 and 8 pinned workers: one worker runs on the
 calling thread, and 8 are more workers than this package's pieces ever need
 cores for.  A test whose run could hang runs it on a daemon thread with a
 time limit.
+
+The tests at the end hold the package to starting no other thread: its
+import loads numpy's OpenBLAS without a thread pool, which costs nothing only
+while no code of the package calls BLAS.
 """
+import ast
 import io
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +23,7 @@ import pytest
 from fareyspin import _threads
 from fareyspin.report import write_columns
 
-from conftest import pin_workers
+from conftest import SRC, fresh_env, pin_workers
 
 WORKERS = (1, 2, 3, 8)
 
@@ -122,3 +130,105 @@ def test_write_runs_in_order(monkeypatch, workers, sized):
         sys.setswitchinterval(interval)
     assert returned == [count]
     assert written == [(n, 3 * n + 1) for n in range(count)]
+
+
+# The package's import starts no thread: numpy's OpenBLAS loads single-threaded
+# unless numpy was loaded first or the caller chose a BLAS thread count.  Each
+# test imports fareyspin in a fresh interpreter.
+
+linux = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+TASKS = "len(os.listdir('/proc/self/task'))"
+
+
+def fresh(code, **env):
+    """The words that ``code`` prints in a fresh interpreter under fresh_env(**env)."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=fresh_env(**env), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@linux
+def test_import_starts_no_thread():
+    assert fresh(f"import os, fareyspin; print({TASKS})") == ["1"]
+
+
+@linux
+def test_import_leaves_the_environment_as_it_was():
+    code = (
+        "import os; before = dict(os.environ)\n"
+        "import fareyspin; print(os.environ == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    assert fresh(code) == ["True", "False"]
+
+
+@linux
+@pytest.mark.parametrize("name", _threads._BLAS_THREAD_VARIABLES)
+def test_a_thread_count_the_caller_sets_wins(name):
+    code = (
+        "import os, fareyspin, numpy as np\n"
+        "try:\n"
+        "    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+        "except Exception:\n"  # a numpy too old to say
+        "    blas = 'unknown'\n"
+        f"print(os.environ[{name!r}], 'openblas' in blas, {TASKS})"
+    )
+    value, openblas, tasks = fresh(code, **{name: "2"})
+    assert value == "2"
+    if openblas != "True" or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("two BLAS threads need OpenBLAS and two CPUs")
+    assert tasks == "2"
+
+
+@linux
+def test_numpy_imported_first_keeps_its_threads_and_environment():
+    code = (
+        f"import os, numpy; tasks, env = {TASKS}, dict(os.environ)\n"
+        f"import fareyspin; print({TASKS} == tasks, os.environ == env)"
+    )
+    assert fresh(code) == ["True", "True"]
+
+
+# The import may leave out the BLAS pool only while the package calls no BLAS.
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "lstsq", "polyfit", "cov", "corrcoef"}
+
+
+def blas_uses(source):
+    """The line numbers of the matrix products and BLAS-backed names in source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            names = {"@"} if isinstance(node.op, ast.MatMult) else set()
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+        elif isinstance(node, ast.alias):
+            names = set(node.name.split("."))
+        else:
+            continue
+        if names & (BLAS_NAMES | {"@"}):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["c = a @ b", "a @= b", "np.dot(a, b)", "dot(a, b)", "np.linalg.norm(a)", "from numpy.linalg import norm",
+     "from numpy import einsum", "import numpy.linalg", "np.polyfit(x, y, 1)", "a.cov()"],
+)
+def test_blas_uses_finds(source):
+    assert blas_uses(source) == [1]
+
+
+def test_the_package_calls_no_blas():
+    found = {}
+    for path in sorted((Path(SRC) / "fareyspin").glob("*.py")):
+        lines = blas_uses(path.read_text(encoding="utf-8"))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
