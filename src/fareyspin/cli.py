@@ -203,11 +203,13 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 1
-    except farey.RowMemoryError as exc:
-        # raised before the row or spectrum is allocated: the level cannot run on this machine
+    except farey.LevelTooLargeError as exc:
+        # raised before the row or spectrum is allocated: the level is over
+        # the cap, or cannot run on this machine (RowMemoryError)
         parser.error(str(exc))
     except Exception as exc:  # one line on stderr, never a traceback
-        print(f"fareyspin: error: {exc}", file=sys.stderr)
+        # an exception without text, such as MemoryError(), is named by its type
+        print(f"fareyspin: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -51,9 +51,9 @@ def _values(k, mode, spectrum):
     Algorithms, 2nd ed., ch. 3-4).  A correct transform thus meets
     |f(0) - closed| <= B_k, and a sign check passes when its raw margin
     fl(a - b) reaches T, the sum of B over the coefficients it reads (2*B_k
-    for the extremes, B_k + B_(k+1) for convergence): the exact margin is then
-    at least T/(1 + u) - T/2 > 0, as the inner difference of convergence adds
-    under u to T/2 >= 2.5u.  With bound 0 these are the exact verdicts.
+    for the extremes, B_(k+1) for the level-k increment, which reads one
+    level-(k+1) coefficient): the exact margin is then at least T/(1 + u) -
+    T/2 > 0.  With bound 0 these are the exact verdicts.
     """
     if k < 1:
         raise ValueError("checks require level >= 1")
@@ -200,26 +200,31 @@ def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
     )
 
 
-def check_convergence(k, mode="exact", *, spectrum=None, next_spectrum=None) -> CheckReport:
-    """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask."""
-    vals, unit, bound = _values(k, mode, spectrum)
-    next_mode = "exact" if isinstance(unit, int) else "float"
-    nxt, next_unit, next_bound = _values(k + 1, next_mode, next_spectrum)
-    if type(next_unit) is not type(unit):
-        raise ValueError("convergence check needs both spectra in the same mode")
-    nxt = nxt[0::2]  # appending a zero bit doubles the mask, i.e. even indices one level up
-    if isinstance(unit, int):  # both levels over one unit, the lcm of their denominators
-        common = lcm(unit, next_unit)
-        vals, nxt, unit = vals * (common // unit), nxt * (common // next_unit), common
+def check_convergence(k, mode="exact", *, next_spectrum=None) -> CheckReport:
+    """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask,
+    read from the level-(k+1) spectrum alone.
+
+    The level-(k+1) row holds the level-k row at its even indices, v_(k+1)(2s)
+    = v_k(s), so j_k(tau) - j_(k+1)(2 tau) = j_(k+1)(2 tau + 1) exactly: the
+    increment at mask tau is the level-(k+1) coefficient at the odd mask
+    2 tau + 1, and the check is |j_(k+1)(2 tau + 1)| <= 2^-(k+1).  It reads
+    one coefficient, so a float verdict clears B_(k+1); an exact one needs no
+    rescaling, as level k+1's unit is a multiple of 2^(k+2).
+    """
+    if k < 1:
+        raise ValueError("checks require level >= 1")
+    odd, unit, bound = _values(k + 1, mode, next_spectrum)
+    odd = odd[1::2]
     increment = _pow2(-(k + 1), unit)
 
     def slack(lo, hi):
-        s = vals[lo:hi] - nxt[lo:hi]
-        return np.subtract(increment, np.abs(s, out=s), out=s)
+        s = np.abs(odd[lo:hi])
+        return np.subtract(increment, s, out=s)
 
-    i, worst = _first_min(len(vals), slack)
-    passed = worst >= bound + next_bound
-    return CheckReport("level_increment", k, passed, margin=_margin(worst, unit), witness=i)
+    i, worst = _first_min(len(odd), slack)
+    return CheckReport(
+        "level_increment", k, worst >= bound, margin=_margin(worst, unit), witness=i
+    )
 
 
 def reciprocal_sum(k: int, max_level=None) -> Fraction:
@@ -457,9 +462,12 @@ def verify_suite(
     capped at their verification envelopes: reciprocal sums at level 18 and
     the dual-route row comparison at level 16.  Each level's row is read once
     for both and the row checks, as its spectrum reads it (``_row_pass``),
-    then its spectrum is checked, built once from its level under
-    ``max_level`` and carried to the next level's convergence check, so at
-    most two levels' spectra are held.  The level-k_max spectrum is the
+    then its spectrum is built once from its level under ``max_level``.  The
+    level-k spectrum holds the level-(k-1) increments at its odd masks,
+    j_(k-1)(tau) - j_k(2 tau) = j_k(2 tau + 1) (``check_convergence``), so
+    level k-1's increment is read from it, and level K_EXACT's from the float
+    spectrum of level K_EXACT + 1.  One spectrum is held at a time: each is
+    dropped before the next row pass.  The level-k_max spectrum is the
     sweep's largest allocation, so a k_max over the cap or past physical
     memory is refused before any check runs.  The seeded route runs in int64
     (``seed_values``), which raises rather than overflows; for the row seeds
@@ -470,33 +478,26 @@ def verify_suite(
     _check_cap(k_max, max_level)
     _check_memory(8 << k_max, f"the level-{k_max} spectrum")
     reports: list[CheckReport] = []
-    sp = interaction(1, _default_mode(1), max_level=max_level)
+    tail: list[CheckReport] = []  # level k-1's reports after its increment
     for k in range(1, k_max + 1):
-        mode = _default_mode(k)
         rows, agree, total = _row_pass(k, max_level, routes=k <= 16, reciprocal=k <= 18)
-        reports += rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])
+        sp = interaction(k, _default_mode(k), max_level=max_level)
+        if k > 1:
+            reports.append(check_convergence(k - 1, next_spectrum=sp))
+        reports += tail + rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp))
-        # reported after the convergence check, run before it: the cone checks read level k's spectrum
+        # reported after level k's increment, run now: the cone checks read level k's spectrum
         tail = [] if total is None else [CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))]
-        if mode == "exact":
+        if k <= K_EXACT:
             cone = _cone_transform(k)
             tail += [
                 check_cone_membership(k, cone=cone),
                 check_spectrum_decomposition(k, spectrum=sp, cone=cone),
                 check_cone_map_identities(k),
             ]
-        if k < k_max:
-            next_mode = _default_mode(k + 1)
-            if next_mode != mode:
-                # level K_EXACT's convergence check runs in float; its exact
-                # spectrum is dropped before the float one is built
-                sp = None
-                sp = interaction(k, next_mode, max_level=max_level)
-            nxt = interaction(k + 1, next_mode, max_level=max_level)
-            reports.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
-            sp, nxt = nxt, None
-        reports.extend(tail)
+        sp = None  # dropped before the next level's row pass and spectrum
+    reports += tail
     reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))
     return reports

@@ -105,9 +105,10 @@ def test_c06_support_decay(exact_spectra):
 
 def test_c07_level_increments(exact_spectra):
     for k in range(1, 12):
-        report = fs.check_convergence(
-            k, spectrum=exact_spectra[k], next_spectrum=exact_spectra[k + 1]
-        )
+        sp, nxt = exact_spectra[k], exact_spectra[k + 1]
+        # the increment at tau is the level-(k+1) coefficient at 2 tau + 1
+        assert all(sp[t] - nxt[2 * t] == nxt[2 * t + 1] for t in range(1 << k))
+        report = fs.check_convergence(k, next_spectrum=nxt)
         assert report.passed and report.margin >= 0
     gate(7, "|j_k - j_(k+1) on zero-extension| <= 2^-(k+1) exactly for k=1..11")
 

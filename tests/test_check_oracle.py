@@ -6,6 +6,12 @@ take the spectra as arguments and to compare with the rounding bound of the
 float transform (0 in exact mode) where they compared with a chosen
 tolerance; the checks must reproduce their pass flags, witnesses and
 margins, margin type included.
+
+The level-increment check reads the level-(k+1) spectrum alone, at its odd
+masks; its copy, ``ref_convergence``, reads both levels.  On real spectra the
+two agree exactly in exact mode and to within the rounding bounds in float.
+On hand-built ones the copy reads the pair (sp, ``joined(sp, nxt)``), whose
+odd masks hold the differences the copy forms, so the two agree bit for bit.
 """
 from fractions import Fraction
 
@@ -130,6 +136,19 @@ def ref_convergence(k, sp, nxt):
     return CheckReport("level_increment", k, worst >= tol, margin=worst, witness=i)
 
 
+def joined(sp, nxt):
+    """The level-(k+1) spectrum with nxt's even masks and, at each odd mask
+    2 tau + 1, the increment sp(tau) - nxt(2 tau) as ``ref_convergence`` forms
+    it: nxt itself for real exact spectra, where v_(k+1)(2s) = v_k(s)."""
+    if sp.mode == "float":
+        values = nxt.values.copy()
+        values[1::2] = sp.values - nxt.values[0::2]
+    else:
+        values = list(nxt.values)
+        values[1::2] = [a - b for a, b in zip(sp.values, nxt.values[0::2])]
+    return Spectrum(sp.level + 1, sp.mode, values)
+
+
 def ref_cone_membership(k):
     transformed = rational_wht(cone_observable(k), normalize=True)
     i, worst = min(enumerate(transformed), key=lambda item: item[1])
@@ -186,7 +205,7 @@ def test_float_checks_with_explicit_tolerance(spectra, k):
         with pytest.raises(TypeError):
             check(k, spectrum=sp, tol=1e-12)
     with pytest.raises(TypeError):
-        check_convergence(k, spectrum=sp, next_spectrum=spectra[k + 1, "float"], tol=1e-12)
+        check_convergence(k, next_spectrum=spectra[k + 1, "float"], tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -194,8 +213,31 @@ def test_float_checks_with_explicit_tolerance(spectra, k):
 )
 def test_convergence(spectra, k, mode):
     sp, nxt = spectra[k, mode], spectra[k + 1, mode]
-    new = check_convergence(k, spectrum=sp, next_spectrum=nxt)
-    assert_same(new, ref_convergence(k, sp, nxt))
+    assert_like_the_pair(check_convergence(k, next_spectrum=nxt), ref_convergence(k, sp, nxt), nxt)
+
+
+def assert_like_the_pair(new, old, nxt):
+    """The increment read from nxt alone against the copy's reading of both
+    levels: the same report when exact; in float the same name, level, pass
+    flag and witness, and margins within B_k + B_(k+1)."""
+    if nxt.mode == "exact":
+        assert_same(new, old)
+        return
+    assert (new.name, new.level, bool(new.passed), new.witness) == (
+        old.name,
+        old.level,
+        bool(old.passed),
+        old.witness,
+    )
+    assert type(new.margin) is type(old.margin)
+    assert abs(new.margin - old.margin) <= ferro._rounding_bound(nxt.level - 1) + _tolerance(nxt)
+
+
+@pytest.mark.parametrize("k", EXACT_LEVELS[:-1])
+def test_odd_masks_hold_the_increments(spectra, k):
+    # v_(k+1)(2s) = v_k(s), so j_k(tau) - j_(k+1)(2 tau) = j_(k+1)(2 tau + 1)
+    sp, nxt = spectra[k, "exact"], spectra[k + 1, "exact"]
+    assert joined(sp, nxt).values == nxt.values
 
 
 @pytest.mark.parametrize("k", EXACT_LEVELS)
@@ -212,14 +254,14 @@ def exact_reports(k, sp, nxt):
     ]
     reports.append(check_spectrum_decomposition(k, spectrum=sp))
     if nxt is not None:
-        reports.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
+        reports.append(check_convergence(k, next_spectrum=nxt))
     return reports
 
 
 @pytest.mark.parametrize("k", EXACT_LEVELS)
 def test_fraction_built_spectra_give_the_same_reports(spectra, k):
     # integer numerators over L * 2^k, or the lcm of the Fractions' own
-    # denominators and 2^(k+1): the same reports either way, mixed pairs too
+    # denominators and 2^(k+1): the same reports either way
     sp, nxt = spectra[k, "exact"], spectra.get((k + 1, "exact"))
     rebuilt = Spectrum(k, "exact", sp.values)
     rebuilt_next = None if nxt is None else Spectrum(k + 1, "exact", nxt.values)
@@ -275,12 +317,12 @@ def test_nan_coefficient_fails_at_its_index(spectra, k, mask):
     floats = spectra[k, "float"].values.copy()
     floats[mask] = np.nan
     sp = type(spectra[k, "float"])(k, "float", floats)
-    nxt = spectra[k + 1, "float"]
+    nxt = joined(sp, spectra[k + 1, "float"])
     pairs = [
         (check_nonnegativity(k, spectrum=sp), ref_nonnegativity(k, sp)),
         (check_extremes(k, spectrum=sp), ref_extremes(k, sp)),
         (check_decay(k, spectrum=sp), ref_decay(k, sp)),
-        (check_convergence(k, spectrum=sp, next_spectrum=nxt), ref_convergence(k, sp, nxt)),
+        (check_convergence(k, next_spectrum=nxt), ref_convergence(k, sp, nxt)),
     ]
     for new, old in pairs:
         assert not new.passed and new.witness == mask
@@ -369,13 +411,18 @@ def test_decay_boundary(spectra, slack, passed):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("slack,passed", [(0.5, False), (1.5, True)])
 def test_convergence_boundary(spectra, sign, slack, passed):
-    # the slack compares coefficients of levels k and k + 1: B_k + B_(k+1)
+    # the slack reads one level-(k+1) coefficient, so the threshold is
+    # B_(k+1); the copy, which reads both levels, needs B_k + B_(k+1) and
+    # fails both cases, with the same witness and margin
     k = BOUNDARY_LEVEL
     nxt = spectra[k + 1, "float"]
-    threshold = _tolerance(spectra[k, "float"]) + _tolerance(nxt)
+    threshold = _tolerance(nxt)
     sp = moved(spectra, {3: nxt.values[6] + sign * (2.0 ** -(k + 1) - slack * threshold)})
-    new = check_convergence(k, spectrum=sp, next_spectrum=nxt)
-    assert_verdict(new, ref_convergence(k, sp, nxt), passed, 3)
+    nxt = joined(sp, nxt)
+    new, old = check_convergence(k, next_spectrum=nxt), ref_convergence(k, sp, nxt)
+    assert bool(new.passed) is passed and new.witness == old.witness == 3
+    assert not old.passed
+    assert new.margin == old.margin and type(new.margin) is type(old.margin)
 
 
 # The pieced checks must give the reports of the per-mode copies above, margin
@@ -403,17 +450,19 @@ def assert_same_report(new, old):
 
 
 def assert_pieced_like_the_copies(monkeypatch, k, sp, nxt=None):
-    """The pieced checks of sp (and of the pair sp, nxt) on 1, 2, 3 and 8 workers
-    against the per-mode copies; returns the reports."""
+    """The pieced checks of sp (and the increment of sp read from
+    ``joined(sp, nxt)``) on 1, 2, 3 and 8 workers against the per-mode
+    copies; returns the reports."""
     with np.errstate(invalid="ignore"):  # inf - inf in both alike
         old = [ref(k, sp) for _, ref in PIECED]
         if nxt is not None:
+            nxt = joined(sp, nxt)
             old.append(ref_convergence(k, sp, nxt))
         for workers in WORKERS:
             pin_workers(monkeypatch, workers)
             new = [check(k, spectrum=sp) for check, _ in PIECED]
             if nxt is not None:
-                new.append(check_convergence(k, spectrum=sp, next_spectrum=nxt))
+                new.append(check_convergence(k, next_spectrum=nxt))
             for a, b in zip(new, old, strict=True):
                 assert_same_report(a, b)
     return dict(zip(("nonnegativity", "extremes", "decay", "convergence"), old))
@@ -447,6 +496,9 @@ def test_pieced_checks_on_real_spectra(monkeypatch, real_spectra, k):
         nxt = real_spectra(k + 1, mode) if mode == "float" or k < K_EXACT else None
         reports = assert_pieced_like_the_copies(monkeypatch, k, sp, nxt)
         assert all(r.passed for r in reports.values())
+        if nxt is not None:
+            new = check_convergence(k, next_spectrum=nxt)
+            assert_like_the_pair(new, ref_convergence(k, sp, nxt), nxt)
 
 
 # Hand-built spectra in pieces of 4 masks: a level-5 spectrum has 8 of them.

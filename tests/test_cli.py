@@ -358,19 +358,29 @@ class TestOutFile:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
+CAP_MESSAGE = "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+
+
 class TestErrors:
     def test_level_cap_message(self, capsys):
-        assert cli.main(["partition", "-k", "27", "--s-re", "3"]) == 1
+        # a level over the cap is a usage error: argparse's usage line, then the message
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["partition", "-k", "27", "--s-re", "3"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err == "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+        assert err.startswith("usage: fareyspin ")
+        assert err.endswith(CAP_MESSAGE)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_generate_over_the_cap_writes_nothing(self, capsys, fmt):
         # the cap is checked before the CSV header or the JSON array is opened
-        assert cli.main(["generate", "-k", "27", "--format", fmt]) == 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "-k", "27", "--format", fmt])
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+        assert err.startswith("usage: fareyspin ")
+        assert err.endswith(CAP_MESSAGE)
 
     def test_uncaught_exception_is_one_line(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -379,6 +389,14 @@ class TestErrors:
         monkeypatch.setattr(cli.farey, "extended_row", boom)
         assert cli.main(["generate", "-k", "2"]) == 1
         assert capsys.readouterr().err == "fareyspin: error: synthetic crash\n"
+
+    def test_an_exception_without_text_is_named(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "generate", out_of_memory)
+        assert cli.main(["generate", "-k", "2"]) == 1
+        assert capsys.readouterr() == ("", "fareyspin: error: MemoryError\n")
 
 
 @pytest.mark.parametrize("to_fifo", [False, True])

@@ -115,18 +115,25 @@ class TestConvergence:
     def test_float_pair(self):
         assert check_convergence(13, "float").passed
 
-    def test_rejects_mixed_modes(self):
+    @pytest.mark.parametrize("level", [3, 5])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_rejects_a_spectrum_of_the_wrong_level(self, level, mode):
+        # level 3's increments are read from the level-4 spectrum
+        with pytest.raises(ValueError, match="expected 4"):
+            check_convergence(3, next_spectrum=interaction(level, mode))
+
+    def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            check_convergence(3, spectrum=interaction(3), next_spectrum=interaction(4, "float"))
+            check_convergence(0, next_spectrum=interaction(1))
 
     def test_float_pair_holds_one_temporary(self):
         # the slack is formed a piece at a time and updated in place: 0.5 MiB
         # measured on two workers, where one whole-spectrum slack made 8 MiB
         # and a second whole-spectrum temporary 16 MiB
-        sp, nxt = interaction(20, "float"), interaction(21, "float")
-        report, peak = traced_peak(lambda: check_convergence(20, spectrum=sp, next_spectrum=nxt))
+        nxt = interaction(21, "float")
+        report, peak = traced_peak(lambda: check_convergence(20, next_spectrum=nxt))
         assert report.passed
-        assert peak < 1.5 * sp.values.nbytes
+        assert peak < 0.75 * nxt.values.nbytes  # 1.5 times the level-20 spectrum
 
 
 class TestPiecedMemory:
@@ -154,9 +161,7 @@ class TestPiecedMemory:
 
     def test_convergence(self, pair):
         # 0.5 MiB measured, where a whole-spectrum slack made 8 MiB
-        report, peak = traced_peak(
-            lambda: check_convergence(20, spectrum=pair[0], next_spectrum=pair[1])
-        )
+        report, peak = traced_peak(lambda: check_convergence(20, next_spectrum=pair[1]))
         assert report.passed
         assert peak < 2**20
 
@@ -382,20 +387,17 @@ class TestSuite:
         monkeypatch.setattr(ferro, "interaction", spy_interaction)
         monkeypatch.setattr(ferro, "_row_pass", spy_row_pass)
         verify_suite(15, trials=5)
-        # every spectrum is built once: exact through K_EXACT, float from
-        # K_EXACT on, since level K_EXACT's convergence check runs in float
-        assert len(built) == 15 + 1
-        # while a row is checked, only the spectrum of its level is alive
-        assert alive_at_rows == [[(k, "exact" if k <= 12 else "float")] for k in range(1, 16)]
-        # a spectrum is built while at most the carried one of the level
-        # below is alive; level K_EXACT's exact one is dropped before its
-        # float one is built
-        exact = [[]] + [[(k - 1, "exact")] for k in range(2, 13)]
-        assert alive_at_builds == exact + [[]] + [[(k - 1, "float")] for k in range(13, 16)]
+        # every spectrum is built once, in the mode of its level: level
+        # K_EXACT's increment is read from the float spectrum of K_EXACT + 1
+        assert len(built) == 15
+        # a level's row is checked, and its spectrum built, once the spectrum
+        # of the level below is dropped: at most one spectrum is alive
+        assert alive_at_rows == [[]] * 15
+        assert alive_at_builds == [[]] * 15
 
     def test_reads_each_row_once(self, monkeypatch):
         # the row checks, the dual route and the reciprocal sum of a level read
-        # one Stern buffer; the other 23 are the spectra's
+        # one Stern buffer; the other 22 are the spectra's
         built, per_pass = row_levels(monkeypatch), []
         row_pass = ferro._row_pass
 
@@ -408,7 +410,7 @@ class TestSuite:
         monkeypatch.setattr(ferro, "_row_pass", spy)
         assert all(r.passed for r in verify_suite(22, trials=5))
         assert per_pass == [1] * 22
-        assert len(built) == 45
+        assert len(built) == 44
 
     def test_max_level_reaches_every_spectrum(self, monkeypatch):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
@@ -425,19 +427,26 @@ class TestSuite:
         assert '"level": 14' in capsys.readouterr().out
 
     def test_peak_memory_of_a_float_sweep(self):
-        # At k = 20 the traced peak comes with the spectra: the level-19 and
-        # level-20 spectra (4 and 8 MiB) and the transform's scratch, 15.0 MiB
-        # measured.  Checking the row in whole-row temporaries takes it past
-        # the bound (41.4 MiB); keeping every spectrum, with the level-20
-        # Stern buffer held under them, stays under it (35.2 MiB).
+        # At k = 20 the traced peak comes with the spectrum: the level-20
+        # spectrum (8 MiB) and the transform's scratch, 10.7 MiB measured.
+        # Checking the row in whole-row temporaries takes it past the bound
+        # (41.4 MiB); keeping every spectrum, with the level-20 Stern buffer
+        # held under them, stays under it (35.2 MiB).
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
         assert peak < 40 * 2**20
 
     def test_peak_memory_without_the_row_under_the_spectra(self):
-        # 15.0 MiB measured; the level-20 Stern buffer (16 MiB) made 22.0 MiB
+        # 10.7 MiB measured; the level-20 Stern buffer (16 MiB) made 22.0 MiB
         # when the row checks read it before the spectra were built, and
         # 30.4 MiB when it was held while they were built
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
         assert peak < 18 * 2**20
+
+    def test_peak_memory_of_one_spectrum_at_a_time(self):
+        # 10.7 MiB measured, under 1.5 times the level-20 spectrum (8 MiB);
+        # carrying the level-19 spectrum to level 19's increment made 15.0 MiB
+        reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
+        assert all(r.passed for r in reports)
+        assert peak < 1.5 * 8 * 2**20
