@@ -39,11 +39,12 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
-# Every reader of a level's row (the row checks, both spectrum modes and
-# ``row_records``) takes its blocks of 2^ROW_BLOCK_BITS entries from
-# ``_row_blocks``, so verify checks the values that are transformed and
-# emitted.  They read a Stern buffer of 2^max(16, k-15) + 1 entries, under
-# 1 MiB through k = 31; blocks of 2^20 would read one as large as a spectrum.
+# Every reader of a level's row takes its blocks, of 2^_block_bits(k) entries, from
+# ``_row_blocks``, so verify checks the values that are transformed, summed and
+# emitted.  Through k = 32 they have 2^min(k, ROW_BLOCK_BITS) entries and read a
+# Stern buffer of 2^max(16, k-15) + 1 entries, under 1 MiB through k = 31 (2^20
+# would read one as large as a spectrum); above, 2^ceil(k/2) entries, at most one
+# 2^20-entry chunk of the partition sum, keep it near 2^(k/2+1).
 ROW_BLOCK_BITS = 16
 
 ROW_FIELDS = ("index", "numerator", "denominator", "value")
@@ -214,17 +215,20 @@ def extended_row(k: int, max_level: int | None = None) -> FareyRow:
     return FareyRow(k, a[: (1 << k) + 1], a[1 << k :])
 
 
-def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None = None):
-    """The level-k row as 2^(k-j) blocks of 2^j entries, 0 <= j <= k: a tuple
+def _block_bits(k: int) -> int:
+    return min(k, ROW_BLOCK_BITS) if k <= 32 else min((k + 1) // 2, 20)
+
+
+def _row_blocks(k: int, max_level: int | None = None, piece: int | None = None):
+    """The level-k row as 2^(k-j) blocks of 2^j entries, j = ``_block_bits(k)``:
     (count, block, nums, dens) where block(c) is a new iterator over the
     (numerators, denominators) of block c in index order, 0 <= c < count (with
     ``piece``, as its consecutive pieces of 2^min(piece, j) entries), and nums
-    and dens list the level-(k-j) row, whose entry c starts block c and whose
-    last is the right endpoint.  block(c, out), with ``out`` a triple of int64
-    arrays (numerators, denominators, scratch) of at least the piece length,
-    forms each piece in place in them, by the same products and sums, and
-    yields views of them that the next piece overwrites; with None for the
-    numerators it forms only the denominators and yields None for the others.
+    and dens are the level-(k-j) row, whose entry c starts block c and whose
+    last is the right endpoint.  block(c, out) forms each piece in place in
+    ``out``, a triple of int64 arrays (numerators, denominators, scratch) of at
+    least the piece length, and yields views of them that the next piece
+    overwrites; with None for the numerators it yields None and forms only the denominators.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
@@ -232,16 +236,18 @@ def _row_blocks(k: int, j: int, max_level: int | None = None, piece: int | None 
     numerator read backwards.  So block c needs only those two neighbours and
     the level-j numerators, and the full level-k row is never held.  Both are
     read from Stern's a(0..2^max(j, k-j+1)), the one buffer of the row of one
-    level lower, under the same level cap as k; the cap is checked and that
-    buffer built when this is called, before the first block.  The blocks
-    share only read-only data, so separate threads may iterate separate blocks.
+    level lower, under the same level cap as k, which nums and dens view
+    read-only: the memory guard of ``extended_row`` counts all that is held.
+    The cap is checked and that buffer built when this is called, before the
+    first block.  The blocks share only read-only data, so separate threads
+    may iterate separate blocks.
     """
     _check_cap(k, max_level)
+    j = _block_bits(k)
     # both views of an extended_row share its buffer a(0..2^(level+1))
     stern = extended_row(max(j, k - j + 1) - 1, max_level).numerators.base
     head, tail = stern[: 1 << j], stern[1 << j : 0 : -1]
-    nums = stern[: (1 << (k - j)) + 1].tolist()
-    dens = stern[1 << (k - j) : (2 << (k - j)) + 1].tolist()
+    nums, dens = stern[: (1 << (k - j)) + 1], stern[1 << (k - j) : (2 << (k - j)) + 1]
     size = 1 << (j if piece is None else min(piece, j))
 
     def block(c: int, out=None):
@@ -276,15 +282,15 @@ def _row_pass(k: int, max_level: int | None = None, routes: bool = False, recipr
     (witness: the first failing index) and, else None, the seeded recursion's
     agreement (``routes``) and the exact sum of 1/(den(s)*den(s+1)) (``reciprocal``).
 
-    A piece per pair of blocks c and count - 1 - c of ``_row_blocks(k, min(k,
-    ROW_BLOCK_BITS))`` runs on one thread per available CPU, each block read
-    once; the row's first failure is the lowest of the pieces'.  Symmetry fails
-    at s iff it fails at 2^k - s, so a piece checks it on block c through the
-    next block's first entry, and entry 0 against the right endpoint.  Block
-    sums, through the next coarse entry, are added as Fractions, in any order.
+    A piece per pair of blocks c and count - 1 - c of ``_row_blocks(k)`` runs on one
+    thread per available CPU, each block read once; the row's first failure is the
+    lowest of the pieces'.  Symmetry fails at s iff it fails at 2^k - s, so a piece
+    checks it on block c through the next block's first entry, and entry 0 against
+    the right endpoint.  Block sums, through the next coarse entry, are added as
+    Fractions, in any order.
     """
-    count, block, nums, dens = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level)
-    endpoints_ok = nums[0] == 0 and dens[0] == 1 and nums[-1] == 1 and dens[-1] == 1
+    count, block, nums, dens = _row_blocks(k, max_level)
+    endpoints_ok = (nums[0], dens[0], nums[-1], dens[-1]) == (0, 1, 1, 1)
     size = (1 << k) // count
     seeded = [seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1)] if routes else None
     # per piece: the first failures of monotonicity, unimodularity and symmetry, agreement, sum
@@ -301,10 +307,10 @@ def _row_pass(k: int, max_level: int | None = None, routes: bool = False, recipr
             # adjacent ones are unimodular: the larger product exceeds the other
             # by 1.  Both products stay below 2^63 through INT64_PRODUCT_MAX_LEVEL,
             # so their difference, formed in place of the one, carries both
-            # comparisons.  The last pair reads coarse entry b + 1.
+            # comparisons.  The last pair reads coarse entry b + 1, as ints.
             cross = n[1:] * m[:-1]
             cross -= n[:-1] * m[1:]
-            last = nums[b + 1] * int(m[-1]) - int(n[-1]) * dens[b + 1]
+            last = int(nums[b + 1]) * int(m[-1]) - int(n[-1]) * int(dens[b + 1])
             for j, i in enumerate((_first_failure(cross > 0, last > 0), _first_failure(cross == 1, last == 1))):
                 firsts[c][j] = firsts[c][j] if i is None else b * size + i
             if routes:
@@ -382,16 +388,14 @@ def row_records(k: int, max_level: int | None = None):
     and d are exact in float64, so the float64 division rounds the same
     quotient once; past 2^53 it would round n and d first.
     """
-    count, block, nums, dens = _row_blocks(k, min(k, ROW_BLOCK_BITS), max_level, CHUNK.bit_length() - 1)
-    pieces = chain((p for c in range(count) for p in block(c)), [(np.array(nums[-1:]), np.array(dens[-1:]))])
+    count, block, nums, dens = _row_blocks(k, max_level, CHUNK.bit_length() - 1)
+    pieces = chain((p for c in range(count) for p in block(c)), [(nums[-1:], dens[-1:])])
 
     def records():
         lo = 0
         for num, den in pieces:
-            if 0 <= min(num.min(), den.min()) and max(num.max(), den.max()) < 1 << 53:
-                values = num / den
-            else:
-                values = np.array(list(map(truediv, num.tolist(), den.tolist())))
+            exact = 0 <= min(num.min(), den.min()) and max(num.max(), den.max()) < 1 << 53
+            values = num / den if exact else np.array(list(map(truediv, num.tolist(), den.tolist())))
             yield np.arange(lo, lo + len(num)), num, den, values
             lo += len(num)
 

@@ -141,9 +141,7 @@ def check_nonnegativity(k, mode="exact", *, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
     vals, unit, bound = _values(k, mode, spectrum)
     i, worst = _first_min(len(vals), lambda lo, hi: vals[lo:hi], start=1)
-    return CheckReport(
-        "off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i
-    )
+    return CheckReport("off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i)
 
 
 def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
@@ -195,9 +193,7 @@ def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
         return np.subtract(s, vals[lo:hi], out=s)
 
     witness, worst = _first_min(len(vals), slack, start=1)
-    return CheckReport(
-        "support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness
-    )
+    return CheckReport("support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness)
 
 
 def check_convergence(k, mode="exact", *, next_spectrum=None) -> CheckReport:
@@ -222,9 +218,7 @@ def check_convergence(k, mode="exact", *, next_spectrum=None) -> CheckReport:
         return np.subtract(increment, s, out=s)
 
     i, worst = _first_min(len(odd), slack)
-    return CheckReport(
-        "level_increment", k, worst >= bound, margin=_margin(worst, unit), witness=i
-    )
+    return CheckReport("level_increment", k, worst >= bound, margin=_margin(worst, unit), witness=i)
 
 
 def reciprocal_sum(k: int, max_level=None) -> Fraction:
@@ -234,10 +228,14 @@ def reciprocal_sum(k: int, max_level=None) -> Fraction:
     return _row_pass(k, max_level, reciprocal=True)[2]
 
 
+def _reciprocal_report(k: int, total: Fraction) -> CheckReport:
+    """The reciprocal-sum identity at level k, on the row's exact sum ``total``."""
+    return CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))
+
+
 def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
     """The reciprocal-sum identity at level k."""
-    total = reciprocal_sum(k, max_level)
-    return CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))
+    return _reciprocal_report(k, reciprocal_sum(k, max_level))
 
 
 def cone_observable(k: int) -> list[Fraction]:
@@ -488,7 +486,7 @@ def verify_suite(
         for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
             reports.append(check(k, spectrum=sp))
         # reported after level k's increment, run now: the cone checks read level k's spectrum
-        tail = [] if total is None else [CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))]
+        tail = [] if total is None else [_reciprocal_report(k, total)]
         if k <= K_EXACT:
             cone = _cone_transform(k)
             tail += [

@@ -18,7 +18,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import farey
 from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in spectral
 from .farey import _check_cap, _check_memory, _row_blocks, extended_row
@@ -252,15 +251,15 @@ def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) ->
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
     Both read the blocks of ``farey._row_blocks`` that ``verify_row`` checks:
-    exact mode its one block (k <= K_EXACT < ROW_BLOCK_BITS), float mode all of
-    them (``_row_values``).  The level is checked against ``max_level`` first.
+    exact mode its one block, the whole row (k <= K_EXACT < ROW_BLOCK_BITS),
+    float mode all of them (``_row_values``).  The level cap is checked first.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and k > K_EXACT:
         raise ValueError(f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}")
     if mode == "exact":
-        _, block, _, _ = _row_blocks(k, k, max_level)
+        _, block, _, _ = _row_blocks(k, max_level)
         (num, den), = block(0)
         ints, common = _integer_wht((-num).tolist(), den.tolist())
         return Spectrum(k, "exact", ints, common << k)
@@ -281,7 +280,7 @@ def _row_values(k: int, max_level: int | None) -> np.ndarray:
     """
     _check_cap(k, max_level)
     _check_memory(8 << k, f"the level-{k} spectrum")
-    count, block, _, _ = _row_blocks(k, min(k, farey.ROW_BLOCK_BITS), max_level, OVERLAP_BITS)
+    count, block, _, _ = _row_blocks(k, max_level, OVERLAP_BITS)
     values = np.empty(1 << k)
     parts = values.reshape(count, -1)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in zeta
-from .farey import ROW_BLOCK_BITS, _fibonacci, _row_blocks, extended_row
+from .farey import _fibonacci, _row_blocks, extended_row
 from .report import CheckReport
 
 # Chunks of 2^_CHUNK_LEVEL entries are summed exactly, rounded once and combined
@@ -95,7 +95,7 @@ def denominator_histogram(k: int) -> DenominatorHistogram:
     The row is never held: its blocks are counted one at a time from
     ``_row_blocks``, as the partition sum counts them at t = 0.
     """
-    count, block, _, _ = _row_blocks(k, min(k, ROW_BLOCK_BITS), None, OVERLAP_BITS)
+    count, block, _, _ = _row_blocks(k, None, OVERLAP_BITS)
     counts = np.zeros(_fibonacci(k + 2) + 1)
     ints = np.empty((2, 1 << OVERLAP_BITS), np.int64)
     for c in range(count):
@@ -302,10 +302,9 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    j = min(k, ROW_BLOCK_BITS, _CHUNK_LEVEL)
-    count, block, _, _ = _row_blocks(k, j, max_level, OVERLAP_BITS)
-    per_chunk = 1 << (min(k, _CHUNK_LEVEL) - j)
-    size = 1 << min(j, OVERLAP_BITS)
+    count, block, _, _ = _row_blocks(k, max_level, OVERLAP_BITS)
+    per_chunk = count >> max(k - _CHUNK_LEVEL, 0)
+    size = min((1 << k) // count, 1 << OVERLAP_BITS)
     sums = [None] * (count // per_chunk)
     table = _class_terms(_fibonacci(k + 2), s, t) if t == 0 and k <= _CLASS_LEVEL else None
     mine = threading.local()  # each worker's buffers, made for its first chunk

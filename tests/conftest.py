@@ -36,6 +36,12 @@ def pin_workers(monkeypatch, n):
     monkeypatch.setattr(_threads, "_worker_count", lambda pieces: n)
 
 
+def pin_block_bits(monkeypatch, j):
+    """Read every level-k row from now on in blocks of 2^min(k, j) entries,
+    whatever the rule of farey._block_bits."""
+    monkeypatch.setattr(farey, "_block_bits", lambda k: min(k, j))
+
+
 def row_levels(monkeypatch):
     """The list of the levels of the extended_row calls made from now on, in order.
 
@@ -58,9 +64,9 @@ def planted_row(monkeypatch, k, changes):
     """The level-k row with ``changes``, (array, index, delta) triples on "num"
     or "den", applied, served to the row checks from now on.
 
-    farey._row_blocks serves slices of the planted row as its blocks, and its
-    entries at the multiples of the block size as the coarse row.  Returns the
-    planted FareyRow.
+    farey._row_blocks serves slices of the planted row as its blocks, of the
+    size farey._block_bits sets, and views of its entries at the multiples of
+    the block size as the coarse row.  Returns the planted FareyRow.
     """
     row = farey.extended_row(k)
     arrays = {"num": row.numerators.copy(), "den": row.denominators.copy()}
@@ -68,15 +74,16 @@ def planted_row(monkeypatch, k, changes):
         arrays[which][s] += delta
     num, den = arrays["num"], arrays["den"]
 
-    def row_blocks(level, j, max_level=None, piece=None):
+    def row_blocks(level, max_level=None, piece=None):
         assert level == k
+        j = farey._block_bits(k)
         size = 1 << (j if piece is None else min(piece, j))
 
         def block(c):
             for lo in range(c << j, (c + 1) << j, size):
                 yield num[lo : lo + size], den[lo : lo + size]
 
-        return 1 << (k - j), block, num[:: 1 << j].tolist(), den[:: 1 << j].tolist()
+        return 1 << (k - j), block, num[:: 1 << j], den[:: 1 << j]
 
     monkeypatch.setattr(farey, "_row_blocks", row_blocks)
     return farey.FareyRow(k, num, den)

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import select
 import stat
 import subprocess
@@ -431,6 +433,58 @@ def test_a_reader_that_closes_early_is_no_error(tmp_path, to_fifo):
     assert code == 1
 
 
+# a fresh interpreter that runs the command line under an address-space
+# limit of 2 GiB of its own, set before numpy is imported
+LIMITED = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from fareyspin.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the address space on Linux")
+class TestHighLevels:
+    """Above k = 32 the row is read in blocks of 2^ceil(k/2) entries, so the
+    Stern buffer holds about 2^(k/2+1) entries, and the memory guard counts
+    all of it: generate streams or exits 2 before allocating, never killed."""
+
+    def test_level_44_streams_until_the_reader_closes(self):
+        # the level-24 Stern buffer, 256 MiB, is all the reader holds
+        argv = [sys.executable, "-c", LIMITED, "generate", "-k", "44", "--max-level", "44"]
+        with subprocess.Popen(argv, env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                got = b""
+                while got.count(b"\n") < 5 and select.select([proc.stdout], [], [], 60)[0]:
+                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                    if not chunk:
+                        break
+                    got += chunk
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            except BaseException:
+                proc.kill()
+                raise
+            assert proc.stderr.read() == b""
+        rows = got.decode().splitlines()
+        assert rows[0] == "index,numerator,denominator,value" and len(rows) >= 5
+        for s, row in enumerate(parse_csv("\n".join(rows[:5]))):
+            assert (int(row["index"]), int(row["numerator"]), int(row["denominator"])) == (
+                s,
+                cli.farey.seed_eval(44, 0, 1, s),
+                cli.farey.seed_eval(44, 1, 1, s),
+            )
+        assert code == 1
+
+    def test_level_70_is_refused_before_it_allocates(self):
+        # the level-50 Stern buffer, 8 * (2^51 + 1) bytes, exceeds any physical memory
+        argv = [sys.executable, "-c", LIMITED, "generate", "-k", "70", "--max-level", "70"]
+        proc = subprocess.run(argv, env=fresh_env(), capture_output=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.startswith("usage: fareyspin ")
+        needs = r"the level-50 row needs 18014398509481992 bytes, more than the \d+ bytes of physical memory\n$"
+        assert re.search(needs, err)
+
+
 class TestInt64Guard:
     @pytest.fixture(autouse=True)
     def no_rows(self, monkeypatch):
@@ -541,7 +595,8 @@ class TestMaxLevelGuards:
         assert "row allocation attempted" in capsys.readouterr().err
 
     def test_partition_coarse_row_takes_the_raised_cap(self, monkeypatch, capsys):
-        # k = 48 streams from a level-32 row, under --max-level 48 rather than the default 26
+        # k = 48 streams in blocks of 2^20 from a level-28 row, under
+        # --max-level 48 rather than the default 26
         calls = []
 
         def record(k, max_level=None):
@@ -551,15 +606,15 @@ class TestMaxLevelGuards:
         monkeypatch.setattr(cli.farey, "extended_row", record)
         assert cli.main(["partition", "-k", "48", "--s-re", "3", "--max-level", "48"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
-        assert calls == [(32, 48)]
+        assert calls == [(28, 48)]
 
     def test_partition_is_exempt(self, capsys):
-        # partition streams the level-40 row from the level-24 Stern buffer
+        # partition streams the level-40 row from the level-20 Stern buffer
         assert cli.main(["partition", "-k", "40", "--s-re", "3", "--max-level", "40"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
     def test_generate_is_exempt(self, capsys):
-        # generate streams the level-40 row from the level-24 Stern buffer
+        # generate streams the level-40 row from the level-20 Stern buffer
         assert cli.main(["generate", "-k", "40", "--max-level", "40"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
@@ -581,6 +636,37 @@ def test_no_stern_buffer_above_the_block_level(monkeypatch, command, top):
     built = row_levels(monkeypatch)
     assert command()
     assert max(built) == top
+
+
+# sha256 of stdout, per command and format.  Nothing else pins verify's margins
+# byte for byte; a change meant to alter these bytes updates its digest here
+GOLDEN_DIGESTS = {
+    ("generate -k 16", "csv"): "f0520299e2ab3ff69243f3859e160f304a05f45ccc0abdf9df3018ff7fd2d220",
+    ("generate -k 16", "json"): "b12181b26d6ba1c9e2c6734808d2d95ff6340bcbdb3def4aa3948ac71e8a8009",
+    ("spectrum -k 10", "csv"): "2c1930aabf440a66a9afc9bdec3536007dc8ee01e705dfe00f41317611a877ff",
+    ("spectrum -k 10", "json"): "fc57449ad6784520475f033cf3e2ada3bfe4fafdf2fac8825e5ff4aa64635960",
+    ("spectrum -k 16 --mode float", "csv"): "4f178b73be5a2c46b0023b1d43efe946c40e6ddd4006bf694d06124658bc8bb5",
+    ("spectrum -k 16 --mode float", "json"): "45169ac7b4bd36343df4ee299a23a5bf6275ba9b97748ed242d3c7e08b2fce7b",
+    ("verify -k 14", "csv"): "fc7b931733c1e088d0d33ab02424e1b61fd05330a1b18555e6f378f7ea4779cb",
+    ("verify -k 14", "json"): "a5a8a80060571acf61e41fcfbe3cf9bee17e0fc9808c2e7035a28c50f856d097",
+    ("partition -k 20 --s-re 3 --t 0", "csv"): "1510838c80e53f9ed13e30b07c1c28cef0dd086106c31b11212fb162791226e4",
+    ("partition -k 20 --s-re 3 --t 0", "json"): "86935fa262684da9d3df536365aa2bf7379a59a5583ed9b3123f8dc35b2c6909",
+    ("partition -k 20 --s-re 4 --t 1", "csv"): "3cda230162d1abf4b03134169341e2b405a966017861fea1b9d2bcec63985d18",
+    ("partition -k 20 --s-re 4 --t 1", "json"): "e6363ece4fbec42754d91b77e3ef930fcb787faad1ed6a781f75a9e33e546cb5",
+    ("partition -k 20 --s-re 3.5 --s-im 2 --t 0.37", "csv"): (
+        "2148e39306ba7959dc5032d866828e162218766d992d4dfd00bf25012fc9e2be"
+    ),
+    ("partition -k 20 --s-re 3.5 --s-im 2 --t 0.37", "json"): (
+        "ed9039ab7b62126714a5c9d136a106c90ca561e2bfd19f7ae40d5049af0abbcb"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", [pytest.param(*key, id=" ".join(key)) for key in GOLDEN_DIGESTS])
+def test_golden_digests(capsys, command, fmt):
+    code, out = run([*command.split(), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command, fmt]
 
 
 class TestTopEnvelope:

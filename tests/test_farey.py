@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 from fractions import Fraction
@@ -19,9 +20,11 @@ from fareyspin import (
     verify_row,
     write_row_csv,
 )
+from fareyspin import farey
 from fareyspin.farey import _row_blocks, seed_values
+from fareyspin.report import CHUNK
 
-from conftest import planted_row
+from conftest import pin_block_bits, planted_row, traced_peak
 
 # Reference rows 0..4, frozen from the mediant construction by hand.
 ROWS = {
@@ -225,39 +228,67 @@ class TestMemoryGuardOffPosix:
         assert np.array_equal(extended_row(4).denominators, two_chain_row(4)[1])
 
 
-def row_pieces(k, j, piece=None):
-    """Every piece of every block of _row_blocks(k, j, piece=piece), blocks in index order."""
-    count, block, _, _ = _row_blocks(k, j, piece=piece)
+def row_pieces(monkeypatch, k, j, piece=None):
+    """Every piece of every block of _row_blocks(k, piece=piece) in blocks of
+    2^j entries, blocks in index order."""
+    pin_block_bits(monkeypatch, j)
+    count, block, _, _ = _row_blocks(k, piece=piece)
     assert count == 1 << (k - j)
     return [p for c in range(count) for p in block(c)]
 
 
 class TestRowBlocks:
     @pytest.mark.parametrize("k", range(0, 15))
-    def test_blocks_concatenate_to_row(self, k):
+    def test_blocks_concatenate_to_row(self, monkeypatch, k):
         row = extended_row(k)
         for j in range(k + 1):
-            blocks = row_pieces(k, j)
+            blocks = row_pieces(monkeypatch, k, j)
             assert len(blocks) == 1 << (k - j)
             assert all(len(num) == len(den) == 1 << j for num, den in blocks)
             assert np.array_equal(np.concatenate([b[0] for b in blocks]), row.numerators[:-1])
             assert np.array_equal(np.concatenate([b[1] for b in blocks]), row.denominators[:-1])
-            # the coarse row, as Python ints: entry c starts block c, the last is the right endpoint
-            _, _, nums, dens = _row_blocks(k, j)
-            assert nums == row.numerators[:: 1 << j].tolist() and type(nums[0]) is int
-            assert dens == row.denominators[:: 1 << j].tolist() and type(dens[-1]) is int
+            # the coarse row, as int64 arrays: entry c starts block c, the last is the right endpoint
+            _, _, nums, dens = _row_blocks(k)
+            assert np.array_equal(nums, row.numerators[:: 1 << j]) and nums.dtype == np.int64
+            assert np.array_equal(dens, row.denominators[:: 1 << j]) and dens.dtype == np.int64
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 17, 33, 40])
+    def test_coarse_row_is_a_view_of_the_stern_buffer(self, monkeypatch, k):
+        # no copy the memory guard would not count, and none a reader could change
+        stern = []
+        build = farey.extended_row
+
+        def spy(level, max_level=None):
+            row = build(level, max_level)
+            stern.append(row.numerators.base)
+            return row
+
+        monkeypatch.setattr(farey, "extended_row", spy)
+        _, _, nums, dens = _row_blocks(k, max_level=k)
+        j = farey._block_bits(k)
+        assert len(nums) == len(dens) == (1 << (k - j)) + 1
+        for coarse in (nums, dens):
+            assert coarse.base is stern[0] and np.shares_memory(coarse, stern[0])
+            assert not coarse.flags.writeable
+            with pytest.raises(ValueError):
+                coarse[0] = 0
+        assert (nums[0], dens[0], nums[-1], dens[-1]) == (0, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "k, j", [(0, 0), (12, 12), (16, 16), (17, 16), (32, 16), (33, 17), (36, 18), (40, 20), (41, 20), (90, 20)]
+    )
+    def test_block_size_rule(self, k, j):
+        assert farey._block_bits(k) == j
 
     def test_level_cap_applies_to_the_whole_row(self):
         with pytest.raises(LevelTooLargeError):
-            _row_blocks(27, 20)
+            _row_blocks(27)
         with pytest.raises(LevelTooLargeError):
-            _row_blocks(7, 3, max_level=6)
+            _row_blocks(7, max_level=6)
 
     def test_coarse_row_takes_the_raised_cap(self, monkeypatch):
-        # the level-28 coarse row of k = 48 falls under a cap raised to 48;
-        # record the call instead of allocating the row
-        import fareyspin.farey as farey
-
+        # the level-28 buffer of k = 48 (blocks of 2^20) falls under a cap
+        # raised to 48; record the call instead of allocating the row
         calls = []
 
         def record(k, max_level=None):
@@ -266,14 +297,14 @@ class TestRowBlocks:
 
         monkeypatch.setattr(farey, "extended_row", record)
         with pytest.raises(RuntimeError, match="row allocation attempted"):
-            _row_blocks(48, 20, max_level=48)
+            _row_blocks(48, max_level=48)
         assert calls == [(28, 48)]
 
-    def test_blocks_are_independent_iterators(self):
+    def test_blocks_are_independent_iterators(self, monkeypatch):
         # any block, in any order, as often as asked, and interleaved with others
         k, j = 9, 5
-        expected = row_pieces(k, j, piece=3)
-        count, block, _, _ = _row_blocks(k, j, piece=3)
+        expected = row_pieces(monkeypatch, k, j, piece=3)
+        count, block, _, _ = _row_blocks(k, piece=3)
         per_block = 1 << (j - 3)
         for c in (count - 1, 0, 7, 7):
             assert all(
@@ -287,9 +318,9 @@ class TestRowBlocks:
 
 
 @pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (9, 6, 4), (9, 6, 8), (14, 10, 3)])
-def test_row_block_pieces_concatenate_to_row(k, j, piece):
+def test_row_block_pieces_concatenate_to_row(monkeypatch, k, j, piece):
     row = extended_row(k)
-    pieces = row_pieces(k, j, piece)
+    pieces = row_pieces(monkeypatch, k, j, piece)
     size = 1 << min(piece, j)
     assert len(pieces) == (1 << k) // size
     assert all(len(num) == len(den) == size for num, den in pieces)
@@ -299,9 +330,10 @@ def test_row_block_pieces_concatenate_to_row(k, j, piece):
 
 @pytest.mark.parametrize("numerators", [True, False])
 @pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (9, 6, 4), (9, 6, 8), (14, 10, 3)])
-def test_pieces_formed_in_buffers_like_new_ones(k, j, piece, numerators):
+def test_pieces_formed_in_buffers_like_new_ones(monkeypatch, k, j, piece, numerators):
     # buffers longer than a piece, each piece formed in them, so copied before the next
-    count, block, _, _ = _row_blocks(k, j, piece=piece)
+    pin_block_bits(monkeypatch, j)
+    count, block, _, _ = _row_blocks(k, piece=piece)
     size = 1 << min(piece, j)
     ints = np.full((3, size + 5), -7, np.int64)
     out = (ints[0] if numerators else None, ints[1], ints[2])
@@ -311,7 +343,7 @@ def test_pieces_formed_in_buffers_like_new_ones(k, j, piece, numerators):
             assert np.shares_memory(den, ints[1]) and len(den) == size
             assert num is None if not numerators else np.shares_memory(num, ints[0]) and len(num) == size
             got.append((None if num is None else num.copy(), den.copy()))
-    want = row_pieces(k, j, piece)
+    want = row_pieces(monkeypatch, k, j, piece)
     assert len(got) == len(want)
     for (num, den), (num_want, den_want) in zip(got, want):
         assert np.array_equal(den, den_want)
@@ -322,14 +354,18 @@ def test_row_blocks_check_the_cap_when_called():
     # before the first block is asked for, so a caller's handler around the
     # blocks cannot take the cap error for one of its own
     with pytest.raises(LevelTooLargeError):
-        _row_blocks(27, 20)
+        _row_blocks(27)
 
 
-@pytest.mark.parametrize("k, j, level", [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19)])
+@pytest.mark.parametrize(
+    "k, j, level",
+    [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19), (32, None, 16), (40, None, 20), (44, None, 24)],
+)
 def test_row_blocks_build_the_row_one_level_lower(monkeypatch, k, j, level):
-    # a(0..2^max(j, k-j+1)) is all the blocks read: the buffer of level max(j, k-j+1) - 1
-    import fareyspin.farey as farey
-
+    # a(0..2^max(j, k-j+1)) is all the blocks read: the buffer of level max(j, k-j+1) - 1;
+    # j None keeps the rule of farey._block_bits
+    if j is not None:
+        pin_block_bits(monkeypatch, j)
     calls = []
 
     def record(k, max_level=None):
@@ -338,8 +374,36 @@ def test_row_blocks_build_the_row_one_level_lower(monkeypatch, k, j, level):
 
     monkeypatch.setattr(farey, "extended_row", record)
     with pytest.raises(RuntimeError, match="row allocation attempted"):
-        _row_blocks(k, j)
+        _row_blocks(k, max_level=k)
     assert calls == [level]
+
+
+def test_row_records_hold_the_stern_buffer_and_one_piece():
+    # level 36 reads blocks of 2^18 entries from the level-18 buffer: before its
+    # first record it holds that buffer, the first piece of CHUNK records and
+    # no copy of the coarse row
+    def first_record():
+        records = farey.row_records(36, 36)
+        return next(records)
+
+    (index, num, den, values), peak = traced_peak(first_record)
+    assert index.tolist() == list(range(CHUNK)) and values[0] == 0.0
+    assert peak <= 8 * ((2 << 18) + 1) + 8 * 8 * CHUNK + (1 << 16)
+
+
+def test_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # level 22 in 64, 16 or 4 blocks: the same records, bit for bit, and reports
+    digests, reports = set(), []
+    for j in (16, 18, 20):
+        pin_block_bits(monkeypatch, j)
+        digest = hashlib.sha256()
+        for columns in farey.row_records(22):
+            for column in columns:
+                digest.update(column.tobytes())
+        digests.add(digest.hexdigest())
+        reports.append(verify_row(22))
+    assert len(digests) == 1
+    assert reports[0] == reports[1] == reports[2] and all(r.passed for r in reports[0])
 
 
 class TestFareyValue:

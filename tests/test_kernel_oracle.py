@@ -762,15 +762,16 @@ class TestStreamedSpectrum:
         sizes = []
         row_blocks = farey._row_blocks
 
-        def spy(k, j, *args):
-            sizes.append(j)
-            return row_blocks(k, j, *args)
+        def spy(k, *args):
+            count, *rest = row_blocks(k, *args)
+            sizes.append((1 << k) // count)
+            return count, *rest
 
         for owner in (farey, spectral):
             monkeypatch.setattr(owner, "_row_blocks", spy)
         verify_row(5)
         interaction(5, "float")
-        assert sizes == [3, 3]
+        assert sizes == [8, 8]
 
 
 def ref_fwht_list(values, normalize=False):

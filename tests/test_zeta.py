@@ -23,7 +23,7 @@ from fareyspin import (
     zeta_oracle,
 )
 
-from conftest import pin_workers, row_levels, traced_peak
+from conftest import pin_block_bits, pin_workers, row_levels, traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
@@ -296,6 +296,25 @@ class TestStreamedPartitionSum:
             partition_sum(27, 3, 0)
 
 
+class TestBlockSize:
+    """The partition sum reads the row in the blocks that farey._block_bits
+    sets; no block size may change a bit of it."""
+
+    def test_blocks_tile_the_chunks(self):
+        # a block of 2^j entries spans no two chunks of 2^_CHUNK_LEVEL at any level
+        assert max(map(farey._block_bits, range(farey.INT64_MAX_LEVEL + 1))) <= zeta._CHUNK_LEVEL
+
+    def test_bits_do_not_depend_on_the_block_size(self, monkeypatch):
+        # level 22 in 64, 16 or 4 blocks, read from the level-15, -17 or -19 buffer
+        sums = {}
+        for j in (16, 18, 20):
+            pin_block_bits(monkeypatch, j)
+            for s, t in ((3, 0.0), (4, 1.0), (3.5 + 2j, 0.37)):
+                value = partition_sum(22, s, t).value
+                sums.setdefault((s, t), set()).add((value.real.hex(), value.imag.hex()))
+        assert all(len(bits) == 1 for bits in sums.values())
+
+
 def spy_chunks(monkeypatch, fail=None):
     """Record in a list every row block index that partition_sum asks for; with
     ``fail``, block 0 (the first of chunk 0) raises it instead of yielding."""
@@ -355,7 +374,7 @@ class TestPartitionThreads:
             arm(min(workers, 1 << (k - 20)))
             assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
             # every block of every chunk once
-            assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
+            assert sorted(started) == list(range(1 << (k - farey._block_bits(k))))
 
     def test_one_worker_per_cpu_at_most_one_per_chunk(self, monkeypatch):
         monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -377,8 +396,9 @@ class TestPartitionThreads:
                 partition_sum(21, 3 + 1e308j, 0.5)
         assert started == [0]
 
-    # 128 chunks of one block of 2^14 entries on two workers: after chunk 0
-    # fails, the other worker stops well before it has started 64 chunks
+    # 128 chunks of one block of 2^14 entries (chunks and blocks both made
+    # smaller) on two workers: after chunk 0 fails, the other worker stops
+    # well before it has started 64 chunks
     # _exact_sum's non-finite error is reported as a plain ValueError of the
     # sum; any other error, a plain ValueError too, keeps its type and message
     @pytest.mark.parametrize(
@@ -391,6 +411,7 @@ class TestPartitionThreads:
     )
     def test_a_failing_chunk_stops_the_other_worker(self, monkeypatch, error, message):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
+        pin_block_bits(monkeypatch, 14)
         pin_workers(monkeypatch, 2)
         started = spy_chunks(monkeypatch, fail=error)
         with pytest.raises(ValueError if isinstance(error, ValueError) else type(error), match=message):
@@ -407,6 +428,7 @@ class TestPartitionThreads:
 
     def test_interrupted_join_stops_the_workers(self, monkeypatch):
         monkeypatch.setattr(zeta, "_CHUNK_LEVEL", 14)
+        pin_block_bits(monkeypatch, 14)
         pin_workers(monkeypatch, 2)
         started = spy_chunks(monkeypatch)
         threads = []
@@ -469,7 +491,7 @@ class TestDenominatorClasses:
                 started.clear()
                 arm(min(workers, 1 << (k - 20)))
                 assert partition_sum(k, s, t).value == materialized_partition_value(k, s, t)
-                assert sorted(started) == list(range(1 << (k - farey.ROW_BLOCK_BITS)))
+                assert sorted(started) == list(range(1 << (k - farey._block_bits(k))))
         assert len(sizes) == 2 * len(self.POINTS)
 
     def test_term_route_above_the_class_level(self, monkeypatch):
@@ -488,7 +510,7 @@ class TestDenominatorClasses:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite term"):
                 partition_sum(21, 3 + 1e308j, 0.0)
-        assert started and max(started) < 1 << (20 - farey.ROW_BLOCK_BITS)
+        assert started and max(started) < 1 << (20 - farey._block_bits(21))
 
     def test_peak_memory_of_two_workers(self, monkeypatch):
         # a count and a buffer set per worker, one table per call
