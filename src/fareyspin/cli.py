@@ -88,6 +88,10 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "verify":
         if args.level < 1:
             raise ValueError("verify needs level >= 1")
+    # last, so that every other usage error wins; the library itself has no cap
+    cap = farey.DEFAULT_MAX_LEVEL if args.max_level is None else args.max_level
+    if args.level > cap:
+        raise farey.LevelTooLargeError(f"level {args.level} exceeds the level cap {cap}; raise max_level to override")
 
 
 @contextlib.contextmanager
@@ -127,14 +131,14 @@ def _output(path):
 
 def cmd_generate(args: argparse.Namespace, stream) -> int:
     if args.format == "csv":
-        farey.write_row_csv(args.level, stream, args.max_level)
+        farey.write_row_csv(args.level, stream)
     else:
-        write_columns(farey.ROW_FIELDS, farey.row_records(args.level, args.max_level), stream, "json")
+        write_columns(farey.ROW_FIELDS, farey.row_records(args.level), stream, "json")
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace, stream) -> int:
-    spectrum = spectral.interaction(args.level, args.mode, max_level=args.max_level)
+    spectrum = spectral.interaction(args.level, args.mode)
     if args.format == "csv":
         spectral.write_spectrum_csv(spectrum, stream)
     else:
@@ -143,14 +147,14 @@ def cmd_spectrum(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, stream) -> int:
-    reports = ferro.verify_suite(args.level, seed=args.seed, max_level=args.max_level)
+    reports = ferro.verify_suite(args.level, seed=args.seed)
     rows = (tuple(r.to_dict().values()) for r in reports)
     write_records(("name", "level", "pass", "margin", "witness"), rows, stream, args.format)
     return 0 if all_passed(reports) else 1
 
 
 def cmd_partition(args: argparse.Namespace, stream) -> int:
-    result = zeta.partition_sum(args.level, args.s, args.t, args.max_level)
+    result = zeta.partition_sum(args.level, args.s, args.t)
     reference = None
     if args.t == 1.0:
         reference = 1.0 / zeta.zeta_oracle(args.s)
@@ -203,9 +207,9 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 1
-    except farey.LevelTooLargeError as exc:
-        # raised before the row or spectrum is allocated: the level is over
-        # the cap, or cannot run on this machine (RowMemoryError)
+    except farey.RowMemoryError as exc:
+        # raised before the row or spectrum is filled: the level cannot run
+        # on this machine, or in this process's address space
         parser.error(str(exc))
     except Exception as exc:  # one line on stderr, never a traceback
         # an exception without text, such as MemoryError(), is named by its type

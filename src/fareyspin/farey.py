@@ -32,9 +32,10 @@ import numpy as np
 from ._threads import run_pieces
 from .report import CHUNK, CheckReport, write_columns
 
-# Default level cap: a full row at level 26 is one buffer of 2^27 + 1 int64, ~1 GiB.
+# The command line's default level cap (the library has none): a full row at
+# level 26 is one buffer of 2^27 + 1 int64, ~1 GiB.
 DEFAULT_MAX_LEVEL = 26
-# Highest levels at which int64 is exact, whatever the cap: the largest
+# Highest levels at which int64 is exact: the largest
 # denominator is Fibonacci(k+2), below 2^63 for k <= 90, and the adjacent
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
@@ -51,11 +52,11 @@ ROW_FIELDS = ("index", "numerator", "denominator", "value")
 
 
 class LevelTooLargeError(ValueError):
-    """Requested level exceeds the configured level cap."""
+    """Requested level is over the command line's level cap or, as RowMemoryError, past memory."""
 
 
 class RowMemoryError(LevelTooLargeError):
-    """The row or float spectrum of the requested level alone would exceed physical memory."""
+    """A buffer of the requested level alone would exceed physical memory, or failed to allocate."""
 
 
 def _check_level(k: int) -> None:
@@ -142,6 +143,7 @@ def seed_values(k: int, s0: int, s1: int) -> np.ndarray:
     _check_level(k)
     if max(abs(s0), abs(s1)) * _fibonacci(k + 2) >= 1 << 63:
         raise ValueError(f"seeds ({s0}, {s1}) overflow int64 at level {k}")
+    _check_memory(16 << k, f"the level-{k} seeded values")
     a = np.full(1 << k, s0, dtype=np.int64)
     b = np.full(1 << k, s1, dtype=np.int64)
     for i in range(k - 1, -1, -1):
@@ -171,15 +173,6 @@ class FareyRow:
         return Fraction(int(self.numerators[s]), int(self.denominators[s]))
 
 
-def _check_cap(k: int, max_level: int | None) -> None:
-    _check_level(k)
-    cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
-    if k > cap:
-        raise LevelTooLargeError(
-            f"level {k} exceeds the level cap {cap}; raise max_level to override"
-        )
-
-
 def _check_memory(nbytes: int, what: str) -> None:
     """Raise RowMemoryError if ``what`` needs more than the physical memory.
 
@@ -194,17 +187,27 @@ def _check_memory(nbytes: int, what: str) -> None:
         raise RowMemoryError(f"{what} needs {nbytes} bytes, more than the {have} bytes of physical memory")
 
 
-def extended_row(k: int, max_level: int | None = None) -> FareyRow:
+def _empty(size: int, dtype, what: str) -> np.ndarray:
+    """np.empty(size, dtype) after ``_check_memory``; a MemoryError, say under an
+    address-space limit the guard cannot see, becomes RowMemoryError as well."""
+    nbytes = size * np.dtype(dtype).itemsize
+    _check_memory(nbytes, what)
+    try:
+        return np.empty(size, dtype)
+    except MemoryError:
+        raise RowMemoryError(f"{what} needs {nbytes} bytes, more than this process could allocate") from None
+
+
+def extended_row(k: int) -> FareyRow:
     """Build the level-k row as two views of one read-only Stern buffer a(0..2^(k+1)).
 
     Block a(2^m..2^(m+1)) is the level-m denominator row, filled from the block
     before it, so every entry is written once.  A buffer larger than physical
-    memory raises RowMemoryError before anything is allocated (``_check_memory``).
+    memory raises RowMemoryError before anything is allocated, and so does one
+    that fails to allocate (``_empty``).
     """
-    _check_cap(k, max_level)
-    size = (2 << k) + 1
-    _check_memory(8 * size, f"the level-{k} row")
-    a = np.empty(size, dtype=np.int64)
+    _check_level(k)
+    a = _empty((2 << k) + 1, np.int64, f"the level-{k} row")
     a[:3] = 0, 1, 1
     for m in range(k):
         block, nxt = a[1 << m : (2 << m) + 1], a[2 << m : (4 << m) + 1]
@@ -219,7 +222,7 @@ def _block_bits(k: int) -> int:
     return min(k, ROW_BLOCK_BITS) if k <= 32 else min((k + 1) // 2, 20)
 
 
-def _row_blocks(k: int, max_level: int | None = None, piece: int | None = None):
+def _row_blocks(k: int, piece: int | None = None):
     """The level-k row as 2^(k-j) blocks of 2^j entries, j = ``_block_bits(k)``:
     (count, block, nums, dens) where block(c) is a new iterator over the
     (numerators, denominators) of block c in index order, 0 <= c < count (with
@@ -236,16 +239,16 @@ def _row_blocks(k: int, max_level: int | None = None, piece: int | None = None):
     numerator read backwards.  So block c needs only those two neighbours and
     the level-j numerators, and the full level-k row is never held.  Both are
     read from Stern's a(0..2^max(j, k-j+1)), the one buffer of the row of one
-    level lower, under the same level cap as k, which nums and dens view
-    read-only: the memory guard of ``extended_row`` counts all that is held.
-    The cap is checked and that buffer built when this is called, before the
-    first block.  The blocks share only read-only data, so separate threads
-    may iterate separate blocks.
+    level lower, which nums and dens view read-only: the memory guard of
+    ``extended_row`` counts all that is held.  That buffer is built when this
+    is called, before the first block, so a caller's handler around the blocks
+    never sees its errors.  The blocks share only read-only data, so separate
+    threads may iterate separate blocks.
     """
-    _check_cap(k, max_level)
+    _check_level(k)
     j = _block_bits(k)
     # both views of an extended_row share its buffer a(0..2^(level+1))
-    stern = extended_row(max(j, k - j + 1) - 1, max_level).numerators.base
+    stern = extended_row(max(j, k - j + 1) - 1).numerators.base
     head, tail = stern[: 1 << j], stern[1 << j : 0 : -1]
     nums, dens = stern[: (1 << (k - j)) + 1], stern[1 << (k - j) : (2 << (k - j)) + 1]
     size = 1 << (j if piece is None else min(piece, j))
@@ -277,7 +280,7 @@ def _first_failure(ok: np.ndarray, then: bool = True) -> int | None:
     return int(np.argmax(~ok)) if not ok.all() else None if then else len(ok)
 
 
-def _row_pass(k: int, max_level: int | None = None, routes: bool = False, reciprocal: bool = False):
+def _row_pass(k: int, routes: bool = False, reciprocal: bool = False):
     """The level-k row read once: (reports, agree, total), its row CheckReports
     (witness: the first failing index) and, else None, the seeded recursion's
     agreement (``routes``) and the exact sum of 1/(den(s)*den(s+1)) (``reciprocal``).
@@ -287,9 +290,12 @@ def _row_pass(k: int, max_level: int | None = None, routes: bool = False, recipr
     lowest of the pieces'.  Symmetry fails at s iff it fails at 2^k - s, so a piece
     checks it on block c through the next block's first entry, and entry 0 against
     the right endpoint.  Block sums, through the next coarse entry, are added as
-    Fractions, in any order.
+    Fractions, in any order.  A level past INT64_PRODUCT_MAX_LEVEL, whose cross
+    products would overflow, raises ValueError before the row is built.
     """
-    count, block, nums, dens = _row_blocks(k, max_level)
+    if k > INT64_PRODUCT_MAX_LEVEL:
+        raise ValueError(f"the row checks are int64-exact only up to level {INT64_PRODUCT_MAX_LEVEL}, got {k}")
+    count, block, nums, dens = _row_blocks(k)
     endpoints_ok = (nums[0], dens[0], nums[-1], dens[-1]) == (0, 1, 1, 1)
     size = (1 << k) // count
     seeded = [seed_values(k, s0, 1).reshape(count, -1) for s0 in (0, 1)] if routes else None
@@ -369,17 +375,17 @@ def _magnitude(a) -> int:
     return max(-int(a.min()), int(a.max()))
 
 
-def verify_row(k: int, max_level: int | None = None) -> list[CheckReport]:
+def verify_row(k: int) -> list[CheckReport]:
     """Check endpoints, strict monotonicity, unimodularity, and symmetry of the level-k row (``_row_pass``)."""
-    return _row_pass(k, max_level)[0]
+    return _row_pass(k)[0]
 
 
-def cross_check_routes(k: int, max_level: int | None = None) -> bool:
+def cross_check_routes(k: int) -> bool:
     """True iff the blocks that ``verify_row`` reads and the seeded recursion agree at all 2^k indices."""
-    return _row_pass(k, max_level, routes=True)[1]
+    return _row_pass(k, routes=True)[1]
 
 
-def row_records(k: int, max_level: int | None = None):
+def row_records(k: int):
     """ROW_FIELDS of the extended level-k row in blocks of at most CHUNK indices.
 
     The blocks are read from ``_row_blocks``, called here, before the first
@@ -388,7 +394,7 @@ def row_records(k: int, max_level: int | None = None):
     and d are exact in float64, so the float64 division rounds the same
     quotient once; past 2^53 it would round n and d first.
     """
-    count, block, nums, dens = _row_blocks(k, max_level, CHUNK.bit_length() - 1)
+    count, block, nums, dens = _row_blocks(k, CHUNK.bit_length() - 1)
     pieces = chain((p for c in range(count) for p in block(c)), [(nums[-1:], dens[-1:])])
 
     def records():
@@ -402,6 +408,6 @@ def row_records(k: int, max_level: int | None = None):
     return records()
 
 
-def write_row_csv(k: int, stream: IO[str], max_level: int | None = None) -> None:
+def write_row_csv(k: int, stream: IO[str]) -> None:
     """Emit index, numerator, denominator, value of the extended level-k row with '.' decimals."""
-    write_columns(ROW_FIELDS, row_records(k, max_level), stream, "csv")
+    write_columns(ROW_FIELDS, row_records(k), stream, "csv")

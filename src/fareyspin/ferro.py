@@ -17,7 +17,6 @@ import numpy as np
 
 # extended_row, rational_wht, verify_row and cross_check_routes stay importable: bench/tracer.py patches them here
 from .farey import (
-    _check_cap,
     _check_memory,
     _first_failure,
     _row_pass,
@@ -221,11 +220,11 @@ def check_convergence(k, mode="exact", *, next_spectrum=None) -> CheckReport:
     return CheckReport("level_increment", k, worst >= bound, margin=_margin(worst, unit), witness=i)
 
 
-def reciprocal_sum(k: int, max_level=None) -> Fraction:
+def reciprocal_sum(k: int) -> Fraction:
     """Exact sum of 1/(den(s) * den(s+1)) over the level-k row (``_row_pass``); the identity value is 1."""
     if k < 1:
         raise ValueError("reciprocal_sum requires level >= 1")
-    return _row_pass(k, max_level, reciprocal=True)[2]
+    return _row_pass(k, reciprocal=True)[2]
 
 
 def _reciprocal_report(k: int, total: Fraction) -> CheckReport:
@@ -233,9 +232,9 @@ def _reciprocal_report(k: int, total: Fraction) -> CheckReport:
     return CheckReport("reciprocal_sum", k, total == 1, margin=abs(total - 1))
 
 
-def check_reciprocal_sum(k, *, max_level=None) -> CheckReport:
+def check_reciprocal_sum(k) -> CheckReport:
     """The reciprocal-sum identity at level k."""
-    return _reciprocal_report(k, reciprocal_sum(k, max_level))
+    return _reciprocal_report(k, reciprocal_sum(k))
 
 
 def cone_observable(k: int) -> list[Fraction]:
@@ -446,13 +445,7 @@ def check_seed_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> Check
     )
 
 
-def verify_suite(
-    k_max: int = 12,
-    *,
-    trials: int = 1000,
-    seed: int = DEFAULT_SEED,
-    max_level=None,
-) -> list[CheckReport]:
+def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Run every check for k = 1..k_max plus the level-free checks.
 
     Levels up to K_EXACT run in exact mode, higher levels in float mode with
@@ -460,26 +453,25 @@ def verify_suite(
     capped at their verification envelopes: reciprocal sums at level 18 and
     the dual-route row comparison at level 16.  Each level's row is read once
     for both and the row checks, as its spectrum reads it (``_row_pass``),
-    then its spectrum is built once from its level under ``max_level``.  The
-    level-k spectrum holds the level-(k-1) increments at its odd masks,
+    then its spectrum is built once from its level.  The level-k spectrum
+    holds the level-(k-1) increments at its odd masks,
     j_(k-1)(tau) - j_k(2 tau) = j_k(2 tau + 1) (``check_convergence``), so
     level k-1's increment is read from it, and level K_EXACT's from the float
     spectrum of level K_EXACT + 1.  One spectrum is held at a time: each is
     dropped before the next row pass.  The level-k_max spectrum is the
-    sweep's largest allocation, so a k_max over the cap or past physical
-    memory is refused before any check runs.  The seeded route runs in int64
-    (``seed_values``), which raises rather than overflows; for the row seeds
-    (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
+    sweep's largest allocation, so a k_max past physical memory is refused
+    before any check runs.  The seeded route runs in int64 (``seed_values``),
+    which raises rather than overflows; for the row seeds (0,1) and (1,1) it
+    is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _check_cap(k_max, max_level)
     _check_memory(8 << k_max, f"the level-{k_max} spectrum")
     reports: list[CheckReport] = []
     tail: list[CheckReport] = []  # level k-1's reports after its increment
     for k in range(1, k_max + 1):
-        rows, agree, total = _row_pass(k, max_level, routes=k <= 16, reciprocal=k <= 18)
-        sp = interaction(k, _default_mode(k), max_level=max_level)
+        rows, agree, total = _row_pass(k, routes=k <= 16, reciprocal=k <= 18)
+        sp = interaction(k, _default_mode(k))
         if k > 1:
             reports.append(check_convergence(k - 1, next_spectrum=sp))
         reports += tail + rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in spectral
-from .farey import _check_cap, _check_memory, _row_blocks, extended_row
+from .farey import _check_memory, _empty, _row_blocks, extended_row
 from .report import CHUNK, Coded, Table, write_columns
 
 # Exact-path level cap: the integer butterfly and the integer checks of a
@@ -247,41 +247,43 @@ class Spectrum:
         return self.values[mask]
 
 
-def interaction(k: int, mode: str = "exact", *, max_level: int | None = None) -> Spectrum:
+def interaction(k: int, mode: str = "exact") -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
     Both read the blocks of ``farey._row_blocks`` that ``verify_row`` checks:
     exact mode its one block, the whole row (k <= K_EXACT < ROW_BLOCK_BITS),
-    float mode all of them (``_row_values``).  The level cap is checked first.
+    float mode all of them (``_row_values``), which refuses a spectrum past
+    memory before any row is built.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and k > K_EXACT:
         raise ValueError(f"exact mode supports levels up to {K_EXACT}; use float mode for level {k}")
     if mode == "exact":
-        _, block, _, _ = _row_blocks(k, max_level)
+        _, block, _, _ = _row_blocks(k)
         (num, den), = block(0)
         ints, common = _integer_wht((-num).tolist(), den.tolist())
         return Spectrum(k, "exact", ints, common << k)
-    values = _row_values(k, max_level)
+    values = _row_values(k)
     fwht(values)
     values *= -(2.0**-k)  # normalization and negation in one exact scaling
     values.setflags(write=False)
     return Spectrum(k, "float", values)
 
 
-def _row_values(k: int, max_level: int | None) -> np.ndarray:
+def _row_values(k: int) -> np.ndarray:
     """The level-k values n/d without the right endpoint, as a new float64 array.
 
     The blocks of ``farey._row_blocks`` are divided into their part of the
     array on one thread per available CPU, the same ints into the same
-    quotients as the whole row gives.  The level cap is checked first, then
-    the array's size against physical memory, before any row is built.
+    quotients as the whole row gives.  The array's size is checked against
+    physical memory before any row is built, and again, with its allocation,
+    by ``farey._empty``.
     """
-    _check_cap(k, max_level)
-    _check_memory(8 << k, f"the level-{k} spectrum")
-    count, block, _, _ = _row_blocks(k, max_level, OVERLAP_BITS)
-    values = np.empty(1 << k)
+    what = f"the level-{k} spectrum"
+    _check_memory(8 << k, what)
+    count, block, _, _ = _row_blocks(k, OVERLAP_BITS)
+    values = _empty(1 << k, np.float64, what)
     parts = values.reshape(count, -1)
 
     def fill(c: int) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in zeta
-from .farey import _fibonacci, _row_blocks, extended_row
+from .farey import _check_memory, _fibonacci, _row_blocks, extended_row
 from .report import CheckReport
 
 # Chunks of 2^_CHUNK_LEVEL entries are summed exactly, rounded once and combined
@@ -93,10 +93,13 @@ def denominator_histogram(k: int) -> DenominatorHistogram:
 
     The count at n never exceeds Euler phi(n) and equals it for all n <= k+1.
     The row is never held: its blocks are counted one at a time from
-    ``_row_blocks``, as the partition sum counts them at t = 0.
+    ``_row_blocks``, as the partition sum counts them at t = 0.  Counts past
+    physical memory raise RowMemoryError before the row is built.
     """
-    count, block, _, _ = _row_blocks(k, None, OVERLAP_BITS)
-    counts = np.zeros(_fibonacci(k + 2) + 1)
+    size = _fibonacci(k + 2) + 1
+    _check_memory(8 * size, f"the level-{k} denominator counts")
+    count, block, _, _ = _row_blocks(k, OVERLAP_BITS)
+    counts = np.zeros(size)
     ints = np.empty((2, 1 << OVERLAP_BITS), np.int64)
     for c in range(count):
         _count_denominators(block, c, counts, ints)
@@ -281,7 +284,7 @@ def _class_pieces(table: np.ndarray, counts: np.ndarray, out: np.ndarray):
         c[:] = 0
 
 
-def partition_sum(k: int, s, t: float, max_level: int | None = None) -> PartitionEval:
+def partition_sum(k: int, s, t: float) -> PartitionEval:
     """Z_k(s, t) streamed over the level-k row, each 2^20-entry chunk summed exactly.
 
     Requires a finite s with Re(s) > 2 and 0 <= t <= 1.  The result is the
@@ -302,7 +305,7 @@ def partition_sum(k: int, s, t: float, max_level: int | None = None) -> Partitio
         raise ValueError(f"partition sum needs Re(s) > 2, got Re(s) = {s.real}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    count, block, _, _ = _row_blocks(k, max_level, OVERLAP_BITS)
+    count, block, _, _ = _row_blocks(k, OVERLAP_BITS)
     per_chunk = count >> max(k - _CHUNK_LEVEL, 0)
     size = min((1 << k) // count, 1 << OVERLAP_BITS)
     sums = [None] * (count // per_chunk)

@@ -29,6 +29,12 @@ def traced_peak(fn):
     return result, peak
 
 
+def physical_memory(monkeypatch, nbytes):
+    """Make the memory guard read ``nbytes`` of physical memory from now on."""
+    values = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: values[name])
+
+
 def pin_workers(monkeypatch, n):
     """Run every run_pieces call from now on, the emitter's included, on n
     workers, whatever the CPUs and pieces; fewer than two pieces still run on
@@ -51,9 +57,9 @@ def row_levels(monkeypatch):
     levels = []
     build = farey.extended_row
 
-    def spy(k, max_level=None):
+    def spy(k):
         levels.append(k)
-        return build(k, max_level)
+        return build(k)
 
     for owner in (farey, spectral, ferro, zeta):
         monkeypatch.setattr(owner, "extended_row", spy)
@@ -74,7 +80,7 @@ def planted_row(monkeypatch, k, changes):
         arrays[which][s] += delta
     num, den = arrays["num"], arrays["den"]
 
-    def row_blocks(level, max_level=None, piece=None):
+    def row_blocks(level, piece=None):
         assert level == k
         j = farey._block_bits(k)
         size = 1 << (j if piece is None else min(piece, j))

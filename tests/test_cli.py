@@ -16,7 +16,7 @@ import pytest
 from fareyspin import cli, report
 from fareyspin.report import CHUNK, CheckReport
 
-from conftest import fresh_env, pin_workers, row_levels
+from conftest import fresh_env, physical_memory, pin_workers, row_levels
 
 K4_ROW = "0/1 1/5 1/4 2/7 1/3 3/8 2/5 3/7 1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 1/1".split()
 
@@ -246,7 +246,7 @@ class TestUsage:
 class TestOutFile:
     @staticmethod
     def fail_midway(monkeypatch):
-        def partial_then_fail(k, stream, max_level=None):
+        def partial_then_fail(k, stream):
             stream.write("index,numerator\n0,")
             raise ValueError("synthetic failure")
 
@@ -360,29 +360,33 @@ class TestOutFile:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
-CAP_MESSAGE = "fareyspin: error: level 27 exceeds the level cap 26; raise max_level to override\n"
+# usage errors and the one that wins when several apply, as argparse reports them:
+# exit 2, nothing on stdout, and the usage line then this message on stderr
+USAGE_ERRORS = {
+    "generate -k 27": "level 27 exceeds the level cap 26; raise max_level to override",
+    "generate -k 27 --format json": "level 27 exceeds the level cap 26; raise max_level to override",
+    "spectrum -k 27 --mode float": "level 27 exceeds the level cap 26; raise max_level to override",
+    "verify -k 27": "level 27 exceeds the level cap 26; raise max_level to override",
+    "partition -k 27 --s-re 3": "level 27 exceeds the level cap 26; raise max_level to override",
+    "verify -k 22 --max-level 20": "level 22 exceeds the level cap 20; raise max_level to override",
+    "spectrum -k 13 --mode exact --max-level 5": "exact mode supports k <= 12; rerun with --mode float",
+    "partition -k 30 --s-re 1": "partition requires Re(s) > 2",
+    "verify -k 45": "verify is int64-exact only up to level 44",
+    "generate -k 5 --max-level -1": "--max-level must be nonnegative",
+}
 
 
 class TestErrors:
-    def test_level_cap_message(self, capsys):
-        # a level over the cap is a usage error: argparse's usage line, then the message
+    @pytest.mark.parametrize("command", USAGE_ERRORS)
+    def test_usage_error_precedence(self, capsys, monkeypatch, command):
+        # nothing is built: every one of them is found before a row is asked for
+        built = row_levels(monkeypatch)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["partition", "-k", "27", "--s-re", "3"])
+            cli.main(command.split())
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: fareyspin ")
-        assert err.endswith(CAP_MESSAGE)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_generate_over_the_cap_writes_nothing(self, capsys, fmt):
-        # the cap is checked before the CSV header or the JSON array is opened
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "-k", "27", "--format", fmt])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("usage: fareyspin ")
-        assert err.endswith(CAP_MESSAGE)
+        usage = cli.build_parser().format_usage()
+        assert capsys.readouterr() == ("", f"{usage}fareyspin: error: {USAGE_ERRORS[command]}\n")
+        assert built == []
 
     def test_uncaught_exception_is_one_line(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -399,6 +403,44 @@ class TestErrors:
         monkeypatch.setitem(cli._HANDLERS, "generate", out_of_memory)
         assert cli.main(["generate", "-k", "2"]) == 1
         assert capsys.readouterr() == ("", "fareyspin: error: MemoryError\n")
+
+
+class TestLevelCap:
+    """The level cap is the command line's: the library runs any level it can hold."""
+
+    @pytest.fixture(autouse=True)
+    def cap_of_five(self, monkeypatch):
+        monkeypatch.setattr(cli.farey, "DEFAULT_MAX_LEVEL", 5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "-k", "6"],
+            ["spectrum", "-k", "6"],
+            ["verify", "-k", "6"],
+            ["partition", "-k", "6", "--s-re", "3"],
+        ],
+        ids=["generate", "spectrum", "verify", "partition"],
+    )
+    def test_commands_over_the_cap_run_nothing(self, monkeypatch, capsys, argv):
+        built, handled = row_levels(monkeypatch), []
+        for name in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, name, lambda *args: handled.append(args) or 0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("level 6 exceeds the level cap 5; raise max_level to override\n")
+        assert built == handled == []
+        assert cli.main([*argv, "--max-level", "6"]) == 0 and len(handled) == 1
+
+    def test_library_runs_past_the_cap(self):
+        lib = cli.farey
+        assert lib.extended_row(6).size == sum(len(r[0]) for r in lib.row_records(6)) == 65
+        assert all(r.passed for r in lib.verify_row(6)) and lib.cross_check_routes(6)
+        assert len(cli.spectral.interaction(6)) == len(cli.spectral.interaction(6, "float")) == 64
+        assert cli.ferro.reciprocal_sum(6) == 1 and cli.ferro.check_reciprocal_sum(6).passed
+        assert all(r.passed for r in cli.ferro.verify_suite(6, trials=5))
+        assert cli.zeta.partition_sum(6, 3, 0).level == 6 and cli.zeta.denominator_histogram(6).total() == 64
 
 
 @pytest.mark.parametrize("to_fifo", [False, True])
@@ -484,6 +526,28 @@ class TestHighLevels:
         needs = r"the level-50 row needs 18014398509481992 bytes, more than the \d+ bytes of physical memory\n$"
         assert re.search(needs, err)
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            # the level-28 Stern buffer, 4 GiB, fits the physical memory but not the address space
+            (["generate", "-k", "48", "--max-level", "48"], "the level-28 row needs 4294967304"),
+            # as do the 2 GiB of values of the level-28 spectrum
+            (
+                ["spectrum", "-k", "28", "--mode", "float", "--max-level", "28"],
+                "the level-28 spectrum needs 2147483648",
+            ),
+        ],
+        ids=["generate", "spectrum"],
+    )
+    def test_allocation_past_the_address_space_is_usage_error(self, argv, what):
+        argv = [sys.executable, "-c", LIMITED, *argv]
+        proc = subprocess.run(argv, env=fresh_env(), capture_output=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.startswith("usage: fareyspin ")
+        # "more than this process could allocate", or on a box under 4 GiB, its physical memory
+        assert re.search(f"error: {what} bytes, more than .*\n$", err)
+
 
 class TestInt64Guard:
     @pytest.fixture(autouse=True)
@@ -540,11 +604,6 @@ class TestMaxLevelGuards:
 
         monkeypatch.setattr(np, "empty", refuse)
 
-    @staticmethod
-    def physical_memory(monkeypatch, nbytes):
-        values = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(os, "sysconf", lambda name: values[name])
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -571,7 +630,7 @@ class TestMaxLevelGuards:
     def test_guard_reads_physical_memory(self, argv, monkeypatch, capsys):
         # both read the level-1 row in one block refined from the level-0 Stern
         # buffer, 8 * 3 bytes, one byte more than the patched physical memory
-        self.physical_memory(monkeypatch, 23)
+        physical_memory(monkeypatch, 23)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -580,7 +639,7 @@ class TestMaxLevelGuards:
     def test_verify_is_refused_before_any_check(self, monkeypatch, capsys):
         # the sweep's largest allocation is the level-3 spectrum, 8 * 8 bytes;
         # the checks of levels 1 and 2 would fit, but none runs
-        self.physical_memory(monkeypatch, 63)
+        physical_memory(monkeypatch, 63)
         checked = []
         monkeypatch.setattr(cli.ferro, "_row_pass", lambda *args: checked.append(args) or ([], None, None))
         with pytest.raises(SystemExit) as exc:
@@ -590,7 +649,7 @@ class TestMaxLevelGuards:
         assert checked == []
 
     def test_row_that_fits_exactly_is_allocated(self, monkeypatch, capsys):
-        self.physical_memory(monkeypatch, 24)
+        physical_memory(monkeypatch, 24)
         assert cli.main(["generate", "-k", "1"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
 
@@ -599,14 +658,14 @@ class TestMaxLevelGuards:
         # --max-level 48 rather than the default 26
         calls = []
 
-        def record(k, max_level=None):
-            calls.append((k, max_level))
+        def record(k):
+            calls.append(k)
             raise RuntimeError("row allocation attempted")
 
         monkeypatch.setattr(cli.farey, "extended_row", record)
         assert cli.main(["partition", "-k", "48", "--s-re", "3", "--max-level", "48"]) == 1
         assert "row allocation attempted" in capsys.readouterr().err
-        assert calls == [(28, 48)]
+        assert calls == [28]
 
     def test_partition_is_exempt(self, capsys):
         # partition streams the level-40 row from the level-20 Stern buffer

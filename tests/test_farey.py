@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fareyspin import (
-    LevelTooLargeError,
     bits_to_index,
     cross_check_routes,
     extended_row,
@@ -20,11 +19,11 @@ from fareyspin import (
     verify_row,
     write_row_csv,
 )
-from fareyspin import farey
+from fareyspin import farey, ferro
 from fareyspin.farey import _row_blocks, seed_values
 from fareyspin.report import CHUNK
 
-from conftest import pin_block_bits, planted_row, traced_peak
+from conftest import physical_memory, pin_block_bits, planted_row, traced_peak
 
 # Reference rows 0..4, frozen from the mediant construction by hand.
 ROWS = {
@@ -144,13 +143,6 @@ class TestExtendedRow:
         with pytest.raises(ValueError):
             row.numerators[0] = 5
 
-    def test_level_cap(self):
-        with pytest.raises(LevelTooLargeError):
-            extended_row(27)
-        with pytest.raises(LevelTooLargeError):
-            extended_row(7, max_level=6)
-        extended_row(7, max_level=7)
-
     def test_negative_level(self):
         with pytest.raises(ValueError):
             extended_row(-1)
@@ -208,11 +200,36 @@ class TestSeedValues:
             raise RuntimeError("allocation attempted")
 
         monkeypatch.setattr(np, "full", refuse)
+        # with the physical memory unread the memory guard checks nothing, so
+        # the level-90 arrays reach the allocation
+        monkeypatch.delattr(os, "sysconf")
         with pytest.raises(RuntimeError):
             seed_values(90, 1, -1)
         for args in [(91, 1, 1), (90, 2, 1), (90, 0, -2)]:
             with pytest.raises(ValueError, match="overflow int64"):
                 seed_values(*args)
+
+    def test_memory_guard(self, monkeypatch):
+        # the two level-10 arrays take 16 << 10 bytes; one byte less is refused before either is allocated
+        full, calls = np.full, []
+        monkeypatch.setattr(np, "full", lambda *args, **kwargs: calls.append(args) or full(*args, **kwargs))
+        physical_memory(monkeypatch, (16 << 10) - 1)
+        with pytest.raises(farey.RowMemoryError, match="the level-10 seeded values needs 16384 bytes"):
+            seed_values(10, 0, 1)
+        assert calls == []
+        physical_memory(monkeypatch, 16 << 10)
+        assert seed_values(10, 0, 1).tolist() == [seed_eval(10, 0, 1, s) for s in range(1 << 10)]
+        assert len(calls) == 2
+
+
+def test_failed_allocation_is_a_row_memory_error(monkeypatch):
+    # an address-space limit the guard cannot see makes np.empty raise MemoryError
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "empty", out_of_memory)
+    with pytest.raises(farey.RowMemoryError, match="^the level-4 row needs 264 bytes, more than this process could"):
+        extended_row(4)
 
 
 class TestMemoryGuardOffPosix:
@@ -258,13 +275,13 @@ class TestRowBlocks:
         stern = []
         build = farey.extended_row
 
-        def spy(level, max_level=None):
-            row = build(level, max_level)
+        def spy(level):
+            row = build(level)
             stern.append(row.numerators.base)
             return row
 
         monkeypatch.setattr(farey, "extended_row", spy)
-        _, _, nums, dens = _row_blocks(k, max_level=k)
+        _, _, nums, dens = _row_blocks(k)
         j = farey._block_bits(k)
         assert len(nums) == len(dens) == (1 << (k - j)) + 1
         for coarse in (nums, dens):
@@ -279,26 +296,6 @@ class TestRowBlocks:
     )
     def test_block_size_rule(self, k, j):
         assert farey._block_bits(k) == j
-
-    def test_level_cap_applies_to_the_whole_row(self):
-        with pytest.raises(LevelTooLargeError):
-            _row_blocks(27)
-        with pytest.raises(LevelTooLargeError):
-            _row_blocks(7, max_level=6)
-
-    def test_coarse_row_takes_the_raised_cap(self, monkeypatch):
-        # the level-28 buffer of k = 48 (blocks of 2^20) falls under a cap
-        # raised to 48; record the call instead of allocating the row
-        calls = []
-
-        def record(k, max_level=None):
-            calls.append((k, max_level))
-            raise RuntimeError("row allocation attempted")
-
-        monkeypatch.setattr(farey, "extended_row", record)
-        with pytest.raises(RuntimeError, match="row allocation attempted"):
-            _row_blocks(48, max_level=48)
-        assert calls == [(28, 48)]
 
     def test_blocks_are_independent_iterators(self, monkeypatch):
         # any block, in any order, as often as asked, and interleaved with others
@@ -350,16 +347,9 @@ def test_pieces_formed_in_buffers_like_new_ones(monkeypatch, k, j, piece, numera
         assert num is None if not numerators else np.array_equal(num, num_want)
 
 
-def test_row_blocks_check_the_cap_when_called():
-    # before the first block is asked for, so a caller's handler around the
-    # blocks cannot take the cap error for one of its own
-    with pytest.raises(LevelTooLargeError):
-        _row_blocks(27)
-
-
 @pytest.mark.parametrize(
     "k, j, level",
-    [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19), (32, None, 16), (40, None, 20), (44, None, 24)],
+    [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19), (32, None, 16), (40, None, 20), (44, None, 24), (48, None, 28)],
 )
 def test_row_blocks_build_the_row_one_level_lower(monkeypatch, k, j, level):
     # a(0..2^max(j, k-j+1)) is all the blocks read: the buffer of level max(j, k-j+1) - 1;
@@ -368,13 +358,13 @@ def test_row_blocks_build_the_row_one_level_lower(monkeypatch, k, j, level):
         pin_block_bits(monkeypatch, j)
     calls = []
 
-    def record(k, max_level=None):
+    def record(k):
         calls.append(k)
         raise RuntimeError("row allocation attempted")
 
     monkeypatch.setattr(farey, "extended_row", record)
     with pytest.raises(RuntimeError, match="row allocation attempted"):
-        _row_blocks(k, max_level=k)
+        _row_blocks(k)
     assert calls == [level]
 
 
@@ -383,7 +373,7 @@ def test_row_records_hold_the_stern_buffer_and_one_piece():
     # first record it holds that buffer, the first piece of CHUNK records and
     # no copy of the coarse row
     def first_record():
-        records = farey.row_records(36, 36)
+        records = farey.row_records(36)
         return next(records)
 
     (index, num, den, values), peak = traced_peak(first_record)
@@ -473,6 +463,25 @@ class TestCrossCheck:
     @pytest.mark.parametrize("k", range(0, 9))
     def test_routes_agree(self, k):
         assert cross_check_routes(k)
+
+
+@pytest.mark.parametrize("check", [verify_row, cross_check_routes, ferro.reciprocal_sum])
+def test_row_pass_is_refused_past_the_int64_products(monkeypatch, check):
+    # level 45's cross products would overflow int64; nothing is built before the refusal
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise RuntimeError("row allocation attempted")
+
+    monkeypatch.setattr(farey, "extended_row", refuse)
+    monkeypatch.setattr(farey, "_row_blocks", refuse)
+    with pytest.raises(ValueError, match="int64-exact only up to level 44, got 45"):
+        check(45)
+    assert built == []
+    with pytest.raises(RuntimeError, match="row allocation attempted"):
+        check(44)
+    assert built == [(44,)]
 
 
 class TestBijectivity:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fareyspin import (
-    LevelTooLargeError,
     check_cone_map_identities,
     check_cone_map_series,
     check_cone_membership,
@@ -374,9 +373,9 @@ class TestSuite:
         def alive():
             return [(sp.level, sp.mode) for sp in (ref() for ref in built) if sp is not None]
 
-        def spy_interaction(k, mode, *, max_level=None):
+        def spy_interaction(k, mode):
             alive_at_builds.append(alive())
-            spectrum = transform(k, mode, max_level=max_level)
+            spectrum = transform(k, mode)
             built.append(weakref.ref(spectrum))
             return spectrum
 
@@ -411,15 +410,6 @@ class TestSuite:
         assert all(r.passed for r in verify_suite(22, trials=5))
         assert per_pass == [1] * 22
         assert len(built) == 44
-
-    def test_max_level_reaches_every_spectrum(self, monkeypatch):
-        monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
-        assert all(r.passed for r in verify_suite(14, trials=5, max_level=14))
-        ran = []
-        monkeypatch.setattr(ferro, "_row_pass", lambda k, *args: ran.append(k) or ([], None, None))
-        with pytest.raises(LevelTooLargeError):
-            verify_suite(14, trials=5)
-        assert ran == []
 
     def test_cli_max_level_reaches_every_spectrum(self, monkeypatch, capsys):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)

@@ -397,7 +397,7 @@ class TestRowPass:
         else:
             total = ref_reciprocal_sum(row)
             assert reciprocal_sum(k) == total
-            assert farey._row_pass(k, None, True, True) == (reports, agree, total)
+            assert farey._row_pass(k, True, True) == (reports, agree, total)
 
     # levels 0..8: one block, read once (its reciprocal sum is not doubled),
     # an odd count of block pairs (one, at k = bits + 1) and 2 to 64 pairs

@@ -11,7 +11,6 @@ import pytest
 import fareyspin.zeta as zeta
 from fareyspin import _threads, farey
 from fareyspin import (
-    LevelTooLargeError,
     check_endpoint_identities,
     denominator_histogram,
     extended_row,
@@ -23,7 +22,7 @@ from fareyspin import (
     zeta_oracle,
 )
 
-from conftest import pin_block_bits, pin_workers, row_levels, traced_peak
+from conftest import physical_memory, pin_block_bits, pin_workers, row_levels, traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
@@ -108,6 +107,16 @@ class TestDenominatorHistogram:
         levels = row_levels(monkeypatch)
         denominator_histogram(20)
         assert levels and max(levels) < 20
+
+    def test_memory_guard(self, monkeypatch):
+        # Fibonacci(12) + 1 = 145 counts of 8 bytes; one byte less is refused
+        # before the counts or the row are allocated
+        levels, zeros = row_levels(monkeypatch), []
+        monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: zeros.append(args))
+        physical_memory(monkeypatch, 8 * 145 - 1)
+        with pytest.raises(farey.RowMemoryError, match="the level-10 denominator counts needs 1160 bytes"):
+            denominator_histogram(10)
+        assert levels == [] and zeros == []
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_monotone_in_level(self, k):
@@ -288,12 +297,6 @@ class TestStreamedPartitionSum:
         levels = row_levels(monkeypatch)
         partition_sum(21, 3, 0.0)
         assert sorted(levels) == [15]
-
-    def test_level_cap_unchanged(self):
-        with pytest.raises(LevelTooLargeError):
-            partition_sum(7, 3, 0, max_level=6)
-        with pytest.raises(LevelTooLargeError):
-            partition_sum(27, 3, 0)
 
 
 class TestBlockSize:
