@@ -409,5 +409,6 @@ def row_records(k: int):
 
 
 def write_row_csv(k: int, stream: IO[str]) -> None:
-    """Emit index, numerator, denominator, value of the extended level-k row with '.' decimals."""
+    """Emit index, numerator, denominator, value of the extended level-k row with '.' decimals,
+    the CSV of ``generate``."""
     write_columns(ROW_FIELDS, row_records(k), stream, "csv")

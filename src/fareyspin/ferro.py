@@ -17,7 +17,7 @@ import numpy as np
 
 # extended_row, rational_wht, verify_row and cross_check_routes stay importable: bench/tracer.py patches them here
 from .farey import (
-    _check_memory,
+    _empty,
     _first_failure,
     _row_pass,
     cross_check_routes,
@@ -27,18 +27,19 @@ from .farey import (
     seed_values,
     verify_row,
 )
-from ._threads import run_pieces
+from ._threads import OVERLAP_BITS, run_pieces
 from .report import CheckReport
 from .spectral import K_EXACT, _default_mode, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
-# The sign checks take their minima in pieces of 2^PIECE_BITS masks, so a
-# float check holds one 256 KiB slack per thread.
-PIECE_BITS = 15
 
 
 def _values(k, mode, spectrum):
     """The level-k coefficients as numerators over a unit D, and their rounding bound.
+
+    The spectrum is ``spectrum`` if given, else built in ``mode``, or with no
+    mode in the level's default one (exact through K_EXACT, float above), as
+    ``verify_suite`` builds it.
 
     Exact: an object array of integer numerators over an integer D, a multiple
     of 2^(k+1), so every bound 2^e * D, -(k+1) <= e <= 0, is an integer
@@ -57,7 +58,7 @@ def _values(k, mode, spectrum):
     if k < 1:
         raise ValueError("checks require level >= 1")
     if spectrum is None:
-        spectrum = interaction(k, mode)
+        spectrum = interaction(k, _default_mode(k) if mode is None else mode)
     elif spectrum.level != k:
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
     if spectrum.mode == "exact":
@@ -81,36 +82,34 @@ def _margin(x, unit):
     return Fraction(int(x), unit) if isinstance(unit, int) else x
 
 
-def _first_minima(n, slack, starts):
-    """The first minimum of each of several slacks, slack j over the masks
-    starts[j]..n-1, as a list of (mask, value).
+def _first_minima(n, slacks, starts):
+    """The first minimum of each slack(lo, hi) of ``slacks``, an array of its
+    values at masks lo..hi-1, over the masks starts[j]..n-1 for slacks[j], as
+    a list of (mask, value).
 
-    slack(lo, hi) gives an iterator of arrays, one per slack in turn, of the
-    values at masks lo..hi-1.  The masks from min(starts) run in pieces of
-    2^PIECE_BITS, aligned at its multiples, on one thread per available CPU,
-    so one pass reads each piece for all the slacks; each piece takes its
-    first minimum of each slack, and the first of those in mask order is
-    np.argmin's pick over the whole range, the first NaN if there is one.
-    np.argmin copies a read-only array whole, so a slack that is a view of a
-    spectrum is copied a piece at a time, and a piece's slacks are formed
-    one after another.
+    The masks from min(starts) run in pieces of 2^OVERLAP_BITS, aligned at its
+    multiples, on one thread per available CPU (a float slack holds 256 KiB a
+    piece), so one pass reads each piece for all the slacks, formed one after
+    another; each piece takes its first minimum of each slack, and the first
+    of those in mask order is np.argmin's pick over the whole range, the first
+    NaN if there is one.  np.argmin copies a read-only array whole, so a slack
+    that is a view of a spectrum is copied a piece at a time.
     """
-    size = 1 << PIECE_BITS
+    size = 1 << OVERLAP_BITS
     first = min(starts)
     edges = [first, *range((first // size + 1) * size, n, size), n]
     found = [[None] * (len(edges) - 1) for _ in starts]
 
     def work(c: int) -> None:
         lo = edges[c]
-        slacks = slack(lo, edges[c + 1])
-        for start, minima in zip(starts, found):
-            values = next(slacks)
+        for slack, start, minima in zip(slacks, starts, found):
+            values = slack(lo, edges[c + 1])
             skip = max(start - lo, 0)
             if skip < len(values):
                 i = skip + int(np.argmin(values[skip:]))
                 # kept as a one-entry array of the slack's dtype, not as a view of it
                 minima[c] = lo + i, values[i : i + 1].copy()
-            del values  # a slack may reuse its buffer for the next
+            del values  # before the next slack is formed
 
     run_pieces(range(len(edges) - 1), work)
     result = []
@@ -123,12 +122,11 @@ def _first_minima(n, slack, starts):
 
 
 def _first_min(n, slack, start=0):
-    """The first minimum of slack(lo, hi), an array of the values at masks
-    lo..hi-1, over the masks start..n-1, as (mask, value); see _first_minima."""
-    return _first_minima(n, lambda lo, hi: iter((slack(lo, hi),)), (start,))[0]
+    """The first minimum of one slack over the masks start..n-1; see _first_minima."""
+    return _first_minima(n, (slack,), (start,))[0]
 
 
-def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
+def check_zero_coefficient(k, mode=None, *, spectrum=None) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
     vals, unit, bound = _values(k, mode, spectrum)
     closed = -(_pow2(-1, unit) - _pow2(-(k + 1), unit))
@@ -136,14 +134,14 @@ def check_zero_coefficient(k, mode="exact", *, spectrum=None) -> CheckReport:
     return CheckReport("zero_coefficient", k, error <= bound, margin=_margin(error, unit), witness=0)
 
 
-def check_nonnegativity(k, mode="exact", *, spectrum=None) -> CheckReport:
+def check_nonnegativity(k, mode=None, *, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
     vals, unit, bound = _values(k, mode, spectrum)
     i, worst = _first_min(len(vals), lambda lo, hi: vals[lo:hi], start=1)
     return CheckReport("off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i)
 
 
-def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
+def check_extremes(k, mode=None, *, spectrum=None) -> CheckReport:
     """tau = 0 is the strict minimum and tau = (1,0,...,0) attains the maximum.
 
     Margin is the smaller of the two worst slacks (gap above the minimum, gap
@@ -153,17 +151,16 @@ def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
     vals, unit, bound = _values(k, mode, spectrum)
     top_mask = 1 << (k - 1)
 
-    def slacks(lo, hi):
-        # one buffer a piece: the gaps above the minimum candidate (from
-        # tau = 1), then below the maximum candidate (from tau = 0)
-        gaps = vals[lo:hi] - vals[0]
-        yield gaps
-        np.subtract(vals[top_mask], vals[lo:hi], out=gaps)
+    def above_min(lo, hi):  # the gaps above the minimum candidate, from tau = 1
+        return vals[lo:hi] - vals[0]
+
+    def below_max(lo, hi):  # the gaps below the maximum candidate, from tau = 0
+        gaps = vals[top_mask] - vals[lo:hi]
         if lo <= top_mask < hi:
             gaps[top_mask - lo] = np.inf  # the maximum candidate itself is not a competitor
-        yield gaps
+        return gaps
 
-    (i_min, min_slack), (i_max, max_slack) = _first_minima(len(vals), slacks, (1, 0))
+    (i_min, min_slack), (i_max, max_slack) = _first_minima(len(vals), (above_min, below_max), (1, 0))
     passed = min_slack > 2 * bound and max_slack >= 2 * bound
     if min_slack <= max_slack:
         margin, witness = min_slack, i_min
@@ -172,14 +169,14 @@ def check_extremes(k, mode="exact", *, spectrum=None) -> CheckReport:
     return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
 
 
-def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
+def check_decay(k, mode=None, *, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
     vals, unit, bound = _values(k, mode, spectrum)
     # A mask with t trailing zeros has the bound 2^(t-k).  In a piece aligned
     # at a multiple of its size, mask lo + i has the trailing zeros of i, for
     # 0 < i; the first mask of every piece but the first has its own.
     bounds = np.array([_pow2(t - k, unit) for t in range(k)], dtype=vals.dtype)
-    size = min(1 << PIECE_BITS, len(vals))
+    size = min(1 << OVERLAP_BITS, len(vals))
     trailing = np.zeros(size, dtype=np.intp)
     for t in range(size.bit_length() - 1):
         trailing[1 << t :: 2 << t] = t
@@ -195,7 +192,7 @@ def check_decay(k, mode="exact", *, spectrum=None) -> CheckReport:
     return CheckReport("support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness)
 
 
-def check_convergence(k, mode="exact", *, next_spectrum=None) -> CheckReport:
+def check_convergence(k, mode=None, *, next_spectrum=None) -> CheckReport:
     """|coefficient at level k - its zero-extension at level k+1| <= 2^-(k+1) for every mask,
     read from the level-(k+1) spectrum alone.
 
@@ -459,14 +456,15 @@ def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEE
     level k-1's increment is read from it, and level K_EXACT's from the float
     spectrum of level K_EXACT + 1.  One spectrum is held at a time: each is
     dropped before the next row pass.  The level-k_max spectrum is the
-    sweep's largest allocation, so a k_max past physical memory is refused
-    before any check runs.  The seeded route runs in int64 (``seed_values``),
+    sweep's largest allocation, so it is allocated and released first
+    (``farey._empty``; untouched pages cost no memory): a k_max past physical
+    memory or the address space is refused before any check runs.  The seeded route runs in int64 (``seed_values``),
     which raises rather than overflows; for the row seeds (0,1) and (1,1) it
     is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _check_memory(8 << k_max, f"the level-{k_max} spectrum")
+    _empty(1 << k_max, np.float64, f"the level-{k_max} spectrum")
     reports: list[CheckReport] = []
     tail: list[CheckReport] = []  # level k-1's reports after its increment
     for k in range(1, k_max + 1):

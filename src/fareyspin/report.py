@@ -1,18 +1,20 @@
 """Uniform pass/fail records for the machine checks, and the CSV/JSON emitter of every command.
 
-The emitter, ``write_columns``, takes the records in blocks of at most CHUNK
-rows, one sequence per field, and turns each column of a block into a byte
-slot: a uint8 matrix with one row per record, the text of each cell
-right-aligned in its row, and the per-row lengths.  An integer array becomes
-its decimal digits, a finite float64 array the shortest round-trip digits of
-``repr`` (Schubfach, below), a bytes array its bytes, each in a few numpy
-passes; a Coded column gathers the slot of its Table; any other column is
-formatted one value at a time.  The blocks' slots are formed on the workers
-of ``_threads.run_pieces``, which also writes them in block order: each
-block's separators and slots are joined and compacted _PIECE rows at a time
-and written, as bytes where the stream has a binary buffer.  The text is
-what ``csv.writer`` or ``json.dump(records, indent=2)`` writes for the same
-rows.
+The emitter, ``write_columns``, is the one output path of the command line:
+each command hands it its records once, in the format asked for (only
+partition's JSON, a single object rather than an array, is written by
+json.dump).  It takes the records in blocks of at most CHUNK rows, one
+sequence per field, and turns each column of a block into a byte slot: a
+uint8 matrix with one row per record, the text of each cell right-aligned in
+its row, and the per-row lengths.  An integer array becomes its decimal
+digits, a finite float64 array the shortest round-trip digits of ``repr``
+(Schubfach, below), a bytes array its bytes, each in a few numpy passes; a
+Coded column gathers the slot of its Table; any other column is formatted
+one value at a time.  The blocks' slots are formed on the workers of
+``_threads.run_pieces``, which also writes them in block order: each block's
+separators and slots are joined and compacted _PIECE rows at a time and
+written, as bytes where the stream has a binary buffer.  The text is what
+``csv.writer`` or ``json.dump(records, indent=2)`` writes for the same rows.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -506,9 +507,3 @@ def write_columns(fields, blocks, stream, fmt) -> None:
     if fmt == "json":
         stream.write("[]\n" if count == 0 else "\n]\n")
 
-
-def write_records(fields, rows, stream, fmt) -> None:
-    """write_columns over rows (tuples of scalars in field order), CHUNK rows to a block."""
-    rows = iter(rows)
-    chunks = iter(lambda: list(islice(rows, CHUNK)), [])
-    write_columns(fields, (list(zip(*chunk)) for chunk in chunks), stream, fmt)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._threads import OVERLAP_BITS, run_pieces
 # extended_row stays importable here: bench/tracer.py patches it in spectral
-from .farey import _check_memory, _empty, _row_blocks, extended_row
+from .farey import _empty, _row_blocks, extended_row
 from .report import CHUNK, Coded, Table, write_columns
 
 # Exact-path level cap: the integer butterfly and the integer checks of a
@@ -276,14 +276,11 @@ def _row_values(k: int) -> np.ndarray:
 
     The blocks of ``farey._row_blocks`` are divided into their part of the
     array on one thread per available CPU, the same ints into the same
-    quotients as the whole row gives.  The array's size is checked against
-    physical memory before any row is built, and again, with its allocation,
-    by ``farey._empty``.
+    quotients as the whole row gives.  The array is allocated (``farey._empty``)
+    before any row is built.
     """
-    what = f"the level-{k} spectrum"
-    _check_memory(8 << k, what)
+    values = _empty(1 << k, np.float64, f"the level-{k} spectrum")
     count, block, _, _ = _row_blocks(k, OVERLAP_BITS)
-    values = _empty(1 << k, np.float64, what)
     parts = values.reshape(count, -1)
 
     def fill(c: int) -> None:
@@ -368,5 +365,6 @@ def spectrum_records(spectrum: Spectrum):
 
 
 def write_spectrum_csv(spectrum: Spectrum, stream: IO[str]) -> None:
-    """Emit tau_index, tau_bits, j_value, decay_bound; exact values as 'p/q' strings."""
+    """Emit tau_index, tau_bits, j_value, decay_bound, the CSV of ``spectrum``;
+    exact values as 'p/q' strings."""
     write_columns(SPECTRUM_FIELDS, spectrum_records(spectrum), stream, "csv")

@@ -512,7 +512,7 @@ PLANTED_IDS = ["exact-minimum", "float-minimum", "float-nan"]
 
 @pytest.fixture
 def four_mask_pieces(monkeypatch):
-    monkeypatch.setattr(ferro, "PIECE_BITS", 2)
+    monkeypatch.setattr(ferro, "OVERLAP_BITS", 2)
 
 
 def hand_built(mode, changes, k=HAND_LEVEL):
@@ -556,7 +556,7 @@ def test_equal_minima_in_two_pieces(monkeypatch, mode, value):
 def test_top_mask_at_a_piece_edge(monkeypatch, mode, k, piece_bits):
     # the maximum candidate is skipped in its piece, and a competitor that ties
     # with it, on either side of it, is the witness with margin 0
-    monkeypatch.setattr(ferro, "PIECE_BITS", piece_bits)
+    monkeypatch.setattr(ferro, "OVERLAP_BITS", piece_bits)
     top = 1 << (k - 1)
     assert_pieced_like_the_copies(monkeypatch, k, interaction(k, mode))
     for rival in (top - 1, top + 1):

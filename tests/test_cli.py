@@ -243,14 +243,52 @@ class TestUsage:
         assert "synthetic failure" in capsys.readouterr().err
 
 
+class TestOneEmitter:
+    """Every command hands its records to write_columns once, in the format
+    asked for; partition's JSON, one object, is the one exception."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "-k", "3"],
+            ["generate", "-k", "15"],
+            ["spectrum", "-k", "3"],
+            ["spectrum", "-k", "15", "--mode", "float"],
+            ["verify", "-k", "2"],
+            ["partition", "-k", "4", "--s-re", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_write_columns_call(self, argv, fmt, monkeypatch, capsys):
+        calls = []
+        write_columns = cli.write_columns
+
+        def spy(fields, blocks, stream, asked):
+            calls.append(asked)
+            write_columns(fields, blocks, stream, asked)
+
+        def refuse(*args):
+            raise AssertionError("a per-format writer was called")
+
+        monkeypatch.setattr(cli, "write_columns", spy)
+        monkeypatch.setattr(cli.farey, "write_row_csv", refuse)
+        monkeypatch.setattr(cli.spectral, "write_spectrum_csv", refuse)
+        code, out = run([*argv, "--format", fmt], capsys)
+        assert code == 0 and out
+        assert calls == ([] if argv[0] == "partition" and fmt == "json" else [fmt])
+
+
 class TestOutFile:
     @staticmethod
     def fail_midway(monkeypatch):
-        def partial_then_fail(k, stream):
-            stream.write("index,numerator\n0,")
+        # the record source gives one block, which is written under the
+        # header, and fails on the next
+        def partial_then_fail(k):
+            yield [np.arange(2), np.arange(2), np.ones(2, np.int64), np.arange(2) / 1]
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(cli.farey, "write_row_csv", partial_then_fail)
+        monkeypatch.setattr(cli.farey, "row_records", partial_then_fail)
 
     def test_failure_leaves_no_file(self, tmp_path, monkeypatch):
         self.fail_midway(monkeypatch)
@@ -561,8 +599,10 @@ class TestInt64Guard:
         for owner in (cli.farey, cli.zeta):
             monkeypatch.setattr(owner, "_row_blocks", refuse)
         # with the physical memory unread the memory guard checks nothing, so
-        # a float spectrum, which checks its own size before building any row,
-        # also reaches a row at the highest level the int64 guard passes
+        # a float spectrum, and verify's probe of its largest one, which are
+        # allocated before any row is built, reach their allocation at the
+        # highest level the int64 guard passes
+        monkeypatch.setattr(np, "empty", refuse)
         monkeypatch.delattr(os, "sysconf")
 
     @pytest.mark.parametrize(

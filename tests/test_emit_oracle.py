@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareyspin import K_EXACT, cli, farey, ferro, max_support, spectral
-from fareyspin.report import CHUNK, CheckReport, write_columns, write_records
+from fareyspin.report import CHUNK, CheckReport, write_columns
 
 from conftest import pin_workers, planted_row, traced_peak
 
@@ -86,6 +86,12 @@ def ref_partition_csv(record, stream):
     writer.writerow(["" if v is None else v for v in record.values()])
 
 
+def tuple_blocks(rows, size=CHUNK):
+    """Rows, tuples of Python values in field order, as blocks of ``size``
+    rows whose columns are tuples, as in the one block of verify's reports."""
+    return [list(zip(*rows[lo : lo + size])) for lo in range(0, len(rows), size)]
+
+
 def expected(ref, *args):
     stream = io.StringIO()
     ref(*args, stream)
@@ -147,10 +153,10 @@ def test_partition_csv(t, capsys):
         [(1, 'q"uote\\', 1e300 * 10, False), (-2, "é", float("nan"), None)],
     ],
 )
-def test_write_records_json_matches_json_dump(rows):
+def test_write_columns_json_matches_json_dump(rows):
     fields = ("n", "text", "x", "flag")
     stream = io.StringIO()
-    write_records(fields, iter(rows), stream, "json")
+    write_columns(fields, tuple_blocks(rows), stream, "json")
     reference = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     assert stream.getvalue() == reference
 
@@ -232,9 +238,7 @@ def test_write_columns_edge_values(size, fmt):
     rows = edge_rows(2 * size + 1)  # two full blocks and a one-row tail
     reference = lines(reference_text(EDGE_FIELDS, rows, fmt))
     assert lines(columns_text(EDGE_FIELDS, as_blocks(rows, size), fmt)) == reference
-    stream = io.StringIO()
-    write_records(EDGE_FIELDS, rows, stream, fmt)
-    assert lines(stream.getvalue()) == reference
+    assert lines(columns_text(EDGE_FIELDS, tuple_blocks(rows), fmt)) == reference
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(FINITE + NONFINITE)
@@ -506,7 +510,7 @@ def test_lone_surrogate_passes_into_a_string_stream(fmt, workers, monkeypatch):
     pin_workers(monkeypatch, workers)
     rows = list(enumerate(SURROGATE_NAMES))
     stream = io.StringIO()
-    write_records(("i", "s"), rows, stream, fmt)
+    write_columns(("i", "s"), tuple_blocks(rows), stream, fmt)
     assert stream.getvalue() == reference_text(("i", "s"), rows, fmt)
     assert (LONE in stream.getvalue()) == (fmt == "csv")
 

@@ -1,9 +1,11 @@
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fareyspin import (
+    K_EXACT,
     check_cone_map_identities,
     check_cone_map_series,
     check_cone_membership,
@@ -133,6 +135,21 @@ class TestConvergence:
         report, peak = traced_peak(lambda: check_convergence(20, next_spectrum=nxt))
         assert report.passed
         assert peak < 0.75 * nxt.values.nbytes  # 1.5 times the level-20 spectrum
+
+
+class TestDefaultMode:
+    """With no mode a check reads its spectrum in the default mode of that
+    spectrum's level, as verify_suite builds it: exact through K_EXACT,
+    float above."""
+
+    @pytest.mark.parametrize("k", [11, 12, 13])
+    @pytest.mark.parametrize("check", [check_zero_coefficient, check_nonnegativity, check_extremes, check_decay])
+    def test_sign_check(self, check, k):
+        assert check(k) == check(k, "exact" if k <= K_EXACT else "float")
+
+    @pytest.mark.parametrize("k", [11, 12, 13])
+    def test_convergence_takes_the_mode_of_the_next_level(self, k):
+        assert check_convergence(k) == check_convergence(k, "exact" if k + 1 <= K_EXACT else "float")
 
 
 class TestPiecedMemory:
@@ -410,6 +427,24 @@ class TestSuite:
         assert all(r.passed for r in verify_suite(22, trials=5))
         assert per_pass == [1] * 22
         assert len(built) == 44
+
+    def test_unallocatable_top_spectrum_is_refused_before_any_check(self, monkeypatch):
+        # an address-space limit refuses the level-13 spectrum (8 * 2^13
+        # bytes) that the physical memory would hold: no row is checked
+        empty = np.empty
+
+        def refusing(shape, dtype=float, *args, **kwargs):
+            if shape == 1 << 13 and np.dtype(dtype) == np.float64:
+                raise MemoryError
+            return empty(shape, dtype, *args, **kwargs)
+
+        checked = []
+        monkeypatch.setattr(np, "empty", refusing)
+        monkeypatch.setattr(ferro, "_row_pass", lambda *args, **kwargs: checked.append(args) or ([], None, None))
+        message = "the level-13 spectrum needs 65536 bytes, more than this process could allocate"
+        with pytest.raises(farey.RowMemoryError, match=message):
+            verify_suite(13, trials=5)
+        assert checked == []
 
     def test_cli_max_level_reaches_every_spectrum(self, monkeypatch, capsys):
         monkeypatch.setattr(farey, "DEFAULT_MAX_LEVEL", 13)
