@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Raise ValueError on a usage error; set the resolved ``mode`` (spectrum) and ``s`` (partition)."""
+    """Raise ValueError on a usage error; set the resolved ``s`` (partition)."""
     if args.level < 0:
         raise ValueError("level must be nonnegative")
     if args.max_level is not None and args.max_level < 0:
@@ -71,8 +71,6 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.level > top:
         raise ValueError(f"{args.command} is int64-exact only up to level {top}")
     if args.command == "spectrum":
-        if args.mode is None:
-            args.mode = spectral._default_mode(args.level)
         if args.mode == "exact" and args.level > spectral.K_EXACT:
             raise ValueError(
                 f"exact mode supports k <= {spectral.K_EXACT}; rerun with --mode float"
@@ -118,7 +116,10 @@ def _output(path):
             yield fh
         return
     target = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fareyspin-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".fareyspin-", suffix=".tmp")
+    except OSError as exc:  # named by the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             os.fchmod(fd, stat.S_IMODE(mode))

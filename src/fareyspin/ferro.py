@@ -29,7 +29,7 @@ from .farey import (
 )
 from ._threads import OVERLAP_BITS, run_pieces
 from .report import CheckReport
-from .spectral import K_EXACT, _default_mode, _integer_wht, interaction, rational_wht
+from .spectral import K_EXACT, _integer_wht, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 
@@ -58,7 +58,7 @@ def _values(k, mode, spectrum):
     if k < 1:
         raise ValueError("checks require level >= 1")
     if spectrum is None:
-        spectrum = interaction(k, _default_mode(k) if mode is None else mode)
+        spectrum = interaction(k, mode)
     elif spectrum.level != k:
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
     if spectrum.mode == "exact":
@@ -469,7 +469,7 @@ def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEE
     tail: list[CheckReport] = []  # level k-1's reports after its increment
     for k in range(1, k_max + 1):
         rows, agree, total = _row_pass(k, routes=k <= 16, reciprocal=k <= 18)
-        sp = interaction(k, _default_mode(k))
+        sp = interaction(k)
         if k > 1:
             reports.append(check_convergence(k - 1, next_spectrum=sp))
         reports += tail + rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])

@@ -6,15 +6,16 @@ partition's JSON, a single object rather than an array, is written by
 json.dump).  It takes the records in blocks of at most CHUNK rows, one
 sequence per field, and turns each column of a block into a byte slot: a
 uint8 matrix with one row per record, the text of each cell right-aligned in
-its row, and the per-row lengths.  An integer array becomes its decimal
+its row, and the per-row lengths.  A signed integer array becomes its decimal
 digits, a finite float64 array the shortest round-trip digits of ``repr``
 (Schubfach, below), a bytes array its bytes, each in a few numpy passes; a
 Coded column gathers the slot of its Table; any other column is formatted
 one value at a time.  The blocks' slots are formed on the workers of
 ``_threads.run_pieces``, which also writes them in block order: each block's
 separators and slots are joined and compacted _PIECE rows at a time and
-written, as bytes where the stream has a binary buffer.  The text is what
-``csv.writer`` or ``json.dump(records, indent=2)`` writes for the same rows.
+written to the one sink of the call, the stream's binary buffer where it has
+a UTF-8 one, else the text stream.  The text is what ``csv.writer`` or
+``json.dump(records, indent=2)`` writes for the same rows.
 """
 from __future__ import annotations
 
@@ -242,15 +243,11 @@ def _digits(m: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _int_slot(column: np.ndarray):
-    """An integer array as its decimal digits, a '-' before negatives."""
-    if column.dtype.kind == "u":
-        negative = np.zeros(len(column), bool)
-        magnitude = column.astype(_U64)
-    else:
-        signed = column.astype(np.int64)
-        negative = signed < 0
-        magnitude = signed.view(_U64).copy()
-        np.negative(magnitude, out=magnitude, where=negative)  # wraps, so int64 min is 2^63
+    """A signed integer array as its decimal digits, a '-' before negatives."""
+    signed = column.astype(np.int64)
+    negative = signed < 0
+    magnitude = signed.view(_U64).copy()
+    np.negative(magnitude, out=magnitude, where=negative)  # wraps, so int64 min is 2^63
     lengths = (np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1) + negative).astype(np.uint8)
     width = int(lengths.max())
     slot = _digits(magnitude, np.empty((len(column), -(-width // 4)), np.uint32)).view(np.uint8)[:, -width:]
@@ -350,8 +347,8 @@ def _bytes_slot(column: np.ndarray, fmt):
 
 
 def _text_slot(texts: list[str]):
-    """Formatted cells as their UTF-8 bytes; a lone surrogate passes through."""
-    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    """Formatted cells as their UTF-8 bytes; a lone surrogate raises UnicodeEncodeError."""
+    data = [text.encode() for text in texts]
     lengths = np.fromiter(map(len, data), np.intp, len(data))
     width = int(lengths.max(initial=0))
     slot = np.zeros((len(data), width), np.uint8)
@@ -392,7 +389,7 @@ def _slot(column, fmt, lone: bool):
         slot, lengths = column.table.slot(fmt, lone)
         return slot.take(column.codes, axis=0), lengths.take(column.codes)
     if isinstance(column, np.ndarray):
-        if column.dtype.kind in "iu":
+        if column.dtype.kind == "i":
             return _int_slot(column)
         if column.dtype == np.float64 and np.isfinite(column).all():
             return _float_slot(column)
@@ -447,28 +444,20 @@ def _binary(stream):
     return buffer
 
 
-def _holds_no_str(column) -> bool:
-    """Whether a column's cells come from no str, so its text holds no lone surrogate."""
-    if isinstance(column, Coded):
-        column = column.table.values
-    return isinstance(column, np.ndarray) and column.dtype.kind in "biufS"
-
-
 def write_columns(fields, blocks, stream, fmt) -> None:
     """Write blocks of records as CSV under a header, or as a JSON array.
 
     A block is one sequence per field, all of one length (at most CHUNK
-    rows keeps the text of a block small), or a Coded column.  Integer,
-    finite float64 and bytes arrays (ASCII text) take the byte kernels; other
-    columns are formatted per value.  The workers of ``run_pieces`` form the
-    blocks' slots and, in block order, join and write each block _PIECE rows
-    at a time, so a worker holds at most one block's slots.  Into a UTF-8
-    text stream with a binary ``buffer`` (a file, stdout) a block of arrays
-    goes out as bytes.  A block with a column of Python values, where a str
-    may hold a lone surrogate, is decoded and written through the text
-    stream and its error handler, as is every block into a stream without a
-    buffer.  The text equals csv.writer's for the same rows, or
-    json.dump([dict(zip(fields, row)) ...], indent=2) plus a newline.
+    rows keeps the text of a block small), or a Coded column.  Signed
+    integer, finite float64 and bytes arrays (ASCII text) take the byte
+    kernels; other columns are formatted per value, a str strictly encoded
+    as UTF-8.  The workers of ``run_pieces`` form the blocks' slots and, in
+    block order, join and write each block _PIECE rows at a time, so a
+    worker holds at most one block's slots.  Every block goes to one sink,
+    chosen once: the binary ``buffer`` of a UTF-8 text stream (a file,
+    stdout), else the text stream itself.  The text equals csv.writer's for
+    the same rows, or json.dump([dict(zip(fields, row)) ...], indent=2) plus
+    a newline.
     """
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerow(fields)
@@ -483,27 +472,22 @@ def write_columns(fields, blocks, stream, fmt) -> None:
 
     def work(block):
         lone = fmt == "csv" and len(block) == 1
-        as_bytes = binary is not None and all(map(_holds_no_str, block))
-        return [_slot(column, fmt, lone) for column in block], as_bytes
+        return [_slot(column, fmt, lone) for column in block]
 
-    def write(n, formatted):
-        slots, as_bytes = formatted
+    def write(n, slots):
         for lo in range(0, len(slots[0][1]), _PIECE):
             piece = [(slot[lo : lo + _PIECE], lengths[lo : lo + _PIECE]) for slot, lengths in slots]
             text = _join(separators, piece)
             if fmt == "json" and n == lo == 0:
                 text[:2] = np.frombuffer(b"[\n", np.uint8)
-            if as_bytes:
+            if binary is None:
+                stream.write(str(text.data, "utf-8"))
+            else:
                 text = memoryview(text)
                 while text:  # a raw buffer, as of unbuffered stdout, may take a part
                     text = text[binary.write(text) :]
-            else:
-                stream.write(str(text.data, "utf-8", "surrogatepass"))
             del text  # before the next piece is joined
-        if binary is not None and not as_bytes:
-            stream.flush()
 
     count = _threads.run_pieces((block for block in blocks if block and len(block[0])), work, write)
     if fmt == "json":
         stream.write("[]\n" if count == 0 else "\n]\n")
-

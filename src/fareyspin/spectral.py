@@ -39,11 +39,6 @@ SPECTRUM_FIELDS = ("tau_index", "tau_bits", "j_value", "decay_bound")
 BLOCK_BITS = 16
 
 
-def _default_mode(k: int) -> str:
-    """The mode of level k when none is given: exact through K_EXACT, float above."""
-    return "exact" if k <= K_EXACT else "float"
-
-
 def _check_power_of_two(n: int) -> int:
     if n <= 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
@@ -247,14 +242,17 @@ class Spectrum:
         return self.values[mask]
 
 
-def interaction(k: int, mode: str = "exact") -> Spectrum:
+def interaction(k: int, mode: str | None = None) -> Spectrum:
     """Interaction coefficients: the negated normalized transform of the level-k values.
 
+    With no mode, levels through K_EXACT are exact and higher levels float.
     Both read the blocks of ``farey._row_blocks`` that ``verify_row`` checks:
     exact mode its one block, the whole row (k <= K_EXACT < ROW_BLOCK_BITS),
     float mode all of them (``_row_values``), which refuses a spectrum past
     memory before any row is built.
     """
+    if mode is None:
+        mode = "exact" if k <= K_EXACT else "float"
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and k > K_EXACT:
@@ -330,7 +328,7 @@ def limit_estimate(tau, k: int, mode: str | None = None) -> LimitEstimate:
     """Evaluate the level-k coefficient at the projection of tau, with tail bound."""
     positions = tuple(sorted({int(p) for p in tau}))
     mask = tau_mask(positions, k)
-    spectrum = interaction(k, _default_mode(k) if mode is None else mode)
+    spectrum = interaction(k, mode)
     return LimitEstimate(positions, k, spectrum[mask], 2.0**-k)
 
 

@@ -10,10 +10,10 @@ zero bits changes neither value nor denominator, so the level-k sum is an
 exact partial sum of the limiting series and the truncation error is bounded
 by a closed-form tail.  The sum streams the row in chunks of 2^20 entries,
 each refined on demand, 2^15 entries at a time, from two neighbours of a
-coarser row into buffers that each worker reuses, so it never holds the full
-level-k row or even a whole chunk.  Each chunk is summed exactly, by
-extraction in numpy calls that release the GIL, and rounded once, which gives
-the bits of math.fsum over the chunk.  At t = 0 a term depends on its
+coarser row into buffers of its chunk, so it never holds the full level-k row
+or even a whole chunk.  Each chunk is summed exactly, by extraction in numpy
+calls that release the GIL, and rounded once, which gives the bits of
+math.fsum over the chunk.  At t = 0 a term depends on its
 denominator alone, so there Z_k(s, 0) is the Dirichlet series of the level-k
 denominator counts: a chunk is summed as its counts times one table of terms,
 the same exact real.  The chunks are summed on one thread per available CPU,
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,8 +41,8 @@ from .report import CheckReport
 _CHUNK_LEVEL = 20
 # At t = 0 a term depends on its denominator alone, so each chunk is summed as
 # its denominator counts times one table of terms, through the level at which
-# the largest denominator Fibonacci(k+2) is still at most 2^20: a worker's
-# counts then have no more entries than the chunk they count.  Above it, and at
+# the largest denominator Fibonacci(k+2) is still at most 2^20: a chunk's
+# counts then have no more entries than the chunk itself.  Above it, and at
 # every other t, the chunks are summed term by term.
 _CLASS_LEVEL = 28
 # clears the low 32 bits of the significand of a float64
@@ -123,7 +122,8 @@ def zeta_oracle(s, tol: float = 1e-12) -> complex:
     The truncation remainder after q correction terms is bounded by
     |s + 2q + 1| / (Re(s) + 2q + 1) times the first omitted term; N and q are
     raised until that bound is at most tol/2, leaving the other half of the
-    budget for double-precision roundoff.
+    budget for double-precision roundoff.  The bound is formed in logarithms,
+    as its rising factorial |s|...|s + 2q + 1| overflows for a large s.
     """
     s = complex(s)
     sigma = s.real
@@ -133,20 +133,14 @@ def zeta_oracle(s, tol: float = 1e-12) -> complex:
         raise ValueError("tol must be positive")
     for n_cut in (8, 16, 32, 64, 128, 256, 512, 1024):
         for q in range(1, 15):
-            rising = 1.0
-            for i in range(2 * q + 1):
-                rising *= abs(s + i)
-                if rising > 1e280:
-                    break
-            else:
-                first_omitted = (
-                    float(abs(_bernoulli(2 * q + 2)) / math.factorial(2 * q + 2))
-                    * rising
-                    * n_cut ** -(sigma + 2 * q + 1)
-                )
-                remainder = abs(s + 2 * q + 1) / (sigma + 2 * q + 1) * first_omitted
-                if remainder <= tol / 2:
-                    return _zeta_euler_maclaurin(s, n_cut, q)
+            log_remainder = (
+                math.log(abs(_bernoulli(2 * q + 2)) / math.factorial(2 * q + 2))
+                + sum(math.log(abs(s + i)) for i in range(2 * q + 2))
+                - math.log(sigma + 2 * q + 1)
+                - (sigma + 2 * q + 1) * math.log(n_cut)
+            )
+            if log_remainder <= math.log(tol / 2):
+                return _zeta_euler_maclaurin(s, n_cut, q)
     raise ValueError(f"tolerance {tol} not reachable for s = {s}")
 
 
@@ -261,8 +255,7 @@ def _class_terms(top: int, s: complex, t: float) -> np.ndarray:
 
 def _class_pieces(table: np.ndarray, counts: np.ndarray, out: np.ndarray):
     """counts * lo and counts * hi for the terms of ``table``, in pieces of len(out)
-    classes formed in ``out``; a piece of counts is zeroed once both are summed,
-    and a piece of zero counts is skipped.
+    classes formed in ``out``; a piece of zero counts is skipped.
 
     hi is a term with the low 32 bits of each part's significand cleared, which
     leaves at most 21, and lo = term - hi is exact with at most 32, subnormals
@@ -281,7 +274,6 @@ def _class_pieces(table: np.ndarray, counts: np.ndarray, out: np.ndarray):
         np.bitwise_and(terms.view(np.uint64), _HI_BITS, out=part.view(np.uint64))
         np.multiply(parts, c[:, None], out=parts)
         yield part
-        c[:] = 0
 
 
 def partition_sum(k: int, s, t: float) -> PartitionEval:
@@ -291,12 +283,12 @@ def partition_sum(k: int, s, t: float) -> PartitionEval:
     exact level-k partial sum of the limiting series, up to double-precision
     roundoff.  A term that is not finite (Im(s) * log(den) can overflow)
     raises ValueError.  The chunks are summed on one thread per available CPU,
-    each worker in buffers of its own that it reuses from chunk to chunk; each
-    chunk sum is rounded once and their math.fsum is correctly rounded, so the
-    bits do not depend on the thread count.  Through level _CLASS_LEVEL a chunk
-    at t = 0 (either sign) is summed as its denominator counts times one table of
-    terms formed per call; every other chunk, 2^15 terms at a time.  Both give
-    the same exact sum of the same term bits.
+    each in buffers of its own; each chunk sum is rounded once and their
+    math.fsum is correctly rounded, so the bits do not depend on the thread
+    count.  Through level _CLASS_LEVEL a chunk at t = 0 (either sign) is summed
+    as its denominator counts times one table of terms formed per call; every
+    other chunk, 2^15 terms at a time.  Both give the same exact sum of the same
+    term bits.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -310,24 +302,19 @@ def partition_sum(k: int, s, t: float) -> PartitionEval:
     size = min((1 << k) // count, 1 << OVERLAP_BITS)
     sums = [None] * (count // per_chunk)
     table = _class_terms(_fibonacci(k + 2), s, t) if t == 0 and k <= _CLASS_LEVEL else None
-    mine = threading.local()  # each worker's buffers, made for its first chunk
 
     def work(c: int) -> None:
         blocks = range(c * per_chunk, (c + 1) * per_chunk)
         if table is not None:
-            if not hasattr(mine, "buffers"):
-                # until the chunk is counted, the scratch also holds its denominators
-                scratch = np.empty((2, 1 << OVERLAP_BITS))
-                mine.buffers = np.zeros(len(table)), scratch, np.empty(1 << (OVERLAP_BITS - 1), np.complex128)
-            counts, scratch, out = mine.buffers
+            # until the chunk is counted, the scratch also holds its denominators
+            counts, scratch = np.zeros(len(table)), np.empty((2, 1 << OVERLAP_BITS))
             for b in blocks:
                 _count_denominators(block, b, counts, scratch.view(np.int64))
+            out = np.empty(1 << (OVERLAP_BITS - 1), np.complex128)
             sums[c] = _exact_sum(_class_pieces(table, counts, out), scratch)
             return
-        if not hasattr(mine, "buffers"):
-            # until a piece is summed, the scratch also holds its h, num/h and s*log(h)
-            mine.buffers = np.empty((2, 2 * size)), np.empty((3, size), np.int64), np.empty(size, np.complex128)
-        scratch, ints, z = mine.buffers
+        # until a piece is summed, the scratch also holds its h, num/h and s*log(h)
+        scratch, ints, z = np.empty((2, 2 * size)), np.empty((3, size), np.int64), np.empty(size, np.complex128)
         buffers = *scratch[1].reshape(2, size), z, scratch[0].view(np.complex128)
         pieces = (piece for b in blocks for piece in block(b, ints))
         sums[c] = _exact_sum((_terms(*piece, s, t, *buffers) for piece in pieces), scratch)

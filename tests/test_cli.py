@@ -1,10 +1,12 @@
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
 import re
 import select
+import signal
 import stat
 import subprocess
 import sys
@@ -12,6 +14,11 @@ import threading
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from fareyspin import cli, report
 from fareyspin.report import CHUNK, CheckReport
@@ -192,6 +199,14 @@ class TestPartition:
         assert code == 0
         assert record["discrepancy"] <= record["tail_bound"] + 1e-10
 
+    @pytest.mark.parametrize("s_re, t", [("1e95", "0"), ("1e300", "1")])
+    def test_reference_at_a_large_real_part(self, s_re, t, capsys):
+        # the Euler-Maclaurin bound of zeta there overflows a float unless
+        # it is formed in logarithms; every Dirichlet term past 1 underflows
+        code, out = run(["partition", "-k", "3", "--s-re", s_re, "--t", t], capsys)
+        assert code == 0
+        assert json.loads(out)["reference_value"] == [1.0, 0.0]
+
     def test_domain_boundary_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["partition", "-k", "4", "--s-re", "2.0", "--t", "0"])
@@ -367,6 +382,45 @@ class TestOutFile:
         else:
             assert target.read_bytes() == earlier
             assert list(tmp_path.iterdir()) == [target]
+
+    def test_missing_directory_is_named_as_given(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "row.csv"
+        assert cli.main(["generate", "-k", "2", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"fareyspin: error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert ".fareyspin-" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-k", "8"],
+            ["spectrum", "-k", "8", "--format", "csv"],
+            ["generate", "-k", "12"],
+            ["spectrum", "-k", "14", "--mode", "float", "--format", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_write_that_fails_midway(self, tmp_path, argv):
+        # a file-size limit of 4 KiB fails a write with EFBIG partway through
+        # the output; SIGXFSZ is ignored so that the write returns the error
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fareyspin.cli", *argv, "--out", str(out / "result")],
+            env=fresh_env(PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True,
+            timeout=120,
+            preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"fareyspin: error: [Errno {errno.EFBIG}] File too large\n".encode()
+        assert list(out.iterdir()) == []
 
     def test_success_replaces_existing_file(self, tmp_path, capsys):
         target = tmp_path / "row.csv"

@@ -432,8 +432,9 @@ def test_many_small_blocks_stay_in_order(monkeypatch):
     # more workers than cores and a short switch interval, so that workers
     # are preempted between taking a block, waiting for their turn and
     # writing it: a lost or doubled block, or a worker left waiting, shows.
-    # Blocks alternate between a str column (written through the text
-    # stream) and a bytes column (written to its buffer).
+    # Blocks alternate between a str column, formatted per value, and a
+    # bytes column, which takes the byte kernel; every block goes to the
+    # stream's buffer.
     rows = [(i, f"r{i}", i / 7) for i in range(2000)]
     blocks = [
         [np.arange(lo, lo + 4), texts if lo % 8 else np.array(texts, "S"), np.arange(lo, lo + 4) / 7]
@@ -496,10 +497,10 @@ def test_partition_on_every_worker_count(capsys, monkeypatch):
         assert lines(run([*argv, "--format", "csv"], capsys)) == want
 
 
-# A str cell may hold a lone surrogate.  It is formatted per value and its
-# block is written through the text stream, whose encoder decides: a
-# StringIO keeps it, and the UTF-8 stream of --out refuses it.  json escapes
-# it as \udc80 first, so only CSV text carries it.
+# A str cell may hold a lone surrogate.  It is formatted per value and
+# encoded strictly, so CSV text refuses it whatever the stream: a StringIO
+# and the UTF-8 file of --out alike.  json escapes it as \udc80 first, so
+# JSON text carries no surrogate and is written.
 LONE = "lone \udc80"
 SURROGATE_NAMES = [f"check {i}" for i in range(CHUNK)] + [LONE]  # in the second block
 
@@ -510,9 +511,13 @@ def test_lone_surrogate_passes_into_a_string_stream(fmt, workers, monkeypatch):
     pin_workers(monkeypatch, workers)
     rows = list(enumerate(SURROGATE_NAMES))
     stream = io.StringIO()
+    if fmt == "csv":
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            write_columns(("i", "s"), tuple_blocks(rows), stream, fmt)
+        return
     write_columns(("i", "s"), tuple_blocks(rows), stream, fmt)
     assert stream.getvalue() == reference_text(("i", "s"), rows, fmt)
-    assert (LONE in stream.getvalue()) == (fmt == "csv")
+    assert LONE not in stream.getvalue()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

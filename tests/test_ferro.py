@@ -151,6 +151,13 @@ class TestDefaultMode:
     def test_convergence_takes_the_mode_of_the_next_level(self, k):
         assert check_convergence(k) == check_convergence(k, "exact" if k + 1 <= K_EXACT else "float")
 
+    @pytest.mark.parametrize("k", [K_EXACT, K_EXACT + 1])
+    def test_interaction(self, k):
+        mode = "exact" if k <= K_EXACT else "float"
+        spectrum = interaction(k)
+        assert spectrum.mode == mode
+        assert np.array_equal(spectrum.values, interaction(k, mode).values)
+
 
 class TestPiecedMemory:
     """On level-20 spectra, a float sign check or a transform holds one piece's
@@ -390,7 +397,7 @@ class TestSuite:
         def alive():
             return [(sp.level, sp.mode) for sp in (ref() for ref in built) if sp is not None]
 
-        def spy_interaction(k, mode):
+        def spy_interaction(k, mode=None):
             alive_at_builds.append(alive())
             spectrum = transform(k, mode)
             built.append(weakref.ref(spectrum))

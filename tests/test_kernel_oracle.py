@@ -945,9 +945,18 @@ class TestIntSlots:
             fits = [v for v in values if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
             assert slot_texts(report._int_slot(np.array(fits, dtype=dtype))) == list(map(str, fits))
 
-    def test_unsigned_like_str(self):
-        values = [0, 9, 10, 2**63, 2**64 - 1, 10**19 - 1, 10**19]
-        assert slot_texts(report._int_slot(np.array(values, dtype=np.uint64))) == list(map(str, values))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unsigned_column_written_like_str(self, fmt):
+        # an unsigned column takes the per-value path, past int64 too
+        values = [0, 9, 10, 2**63 - 1, 2**63, 2**64 - 1, 10**19 - 1, 10**19]
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        write_columns(("u",), [[np.array(values, dtype=np.uint64)]], stream, fmt)
+        stream.flush()
+        if fmt == "csv":
+            expected = "u\n" + "".join(f"{v}\n" for v in values)
+        else:
+            expected = json.dumps([{"u": v} for v in values], indent=2) + "\n"
+        assert stream.buffer.getvalue().decode() == expected
 
 
 TEXTS = ["nul\x00inside", "\x00", "é", "日本語", "a,b", 'q"uote', "", "line\nbreak", "\u2028", "tab\tx"]
