@@ -40,6 +40,8 @@ DEFAULT_MAX_LEVEL = 26
 # products formed by verify_row stay below 2^63 for k <= 44.
 INT64_MAX_LEVEL = 90
 INT64_PRODUCT_MAX_LEVEL = 44
+# Highest level at which float64 holds the row exactly: Fibonacci(k+2) < 2^53.
+FLOAT64_MAX_LEVEL = 76
 # Every reader of a level's row takes its blocks, of 2^_block_bits(k) entries, from
 # ``_row_blocks``, so verify checks the values that are transformed, summed and
 # emitted.  Through k = 32 they have 2^min(k, ROW_BLOCK_BITS) entries and read a
@@ -222,16 +224,23 @@ def _block_bits(k: int) -> int:
     return min(k, ROW_BLOCK_BITS) if k <= 32 else min((k + 1) // 2, 20)
 
 
-def _row_blocks(k: int, piece: int | None = None):
+def _row_blocks(k: int, piece: int | None = None, dtype=np.int64):
     """The level-k row as 2^(k-j) blocks of 2^j entries, j = ``_block_bits(k)``:
     (count, block, nums, dens) where block(c) is a new iterator over the
     (numerators, denominators) of block c in index order, 0 <= c < count (with
     ``piece``, as its consecutive pieces of 2^min(piece, j) entries), and nums
     and dens are the level-(k-j) row, whose entry c starts block c and whose
     last is the right endpoint.  block(c, out) forms each piece in place in
-    ``out``, a triple of int64 arrays (numerators, denominators, scratch) of at
-    least the piece length, and yields views of them that the next piece
-    overwrites; with None for the numerators it yields None and forms only the denominators.
+    ``out``, a triple of arrays of ``dtype`` (numerators, denominators,
+    scratch) of at least the piece length, and yields views of them that the
+    next piece overwrites; with None for the numerators it yields None and
+    forms only the denominators.
+
+    The pieces are int64, or with ``dtype`` float64 the same integers formed
+    in float64 from float64 copies of the level-j numerators and the coarse
+    row (nums and dens stay int64): every product and sum is a nonnegative
+    integer at most the level-k denominator it builds, so below 2^53 through
+    FLOAT64_MAX_LEVEL, where each is exact; a higher level raises ValueError.
 
     The j-fold mediant refinement between the neighbours x/y and x'/y' at
     entries c and c+1 of the level-(k-j) row is the level-j row with
@@ -246,23 +255,26 @@ def _row_blocks(k: int, piece: int | None = None):
     threads may iterate separate blocks.
     """
     _check_level(k)
+    if np.dtype(dtype) == np.float64 and k > FLOAT64_MAX_LEVEL:
+        raise ValueError(f"float64 holds the row exactly only up to level {FLOAT64_MAX_LEVEL}, got {k}")
     j = _block_bits(k)
     # both views of an extended_row share its buffer a(0..2^(level+1))
     stern = extended_row(max(j, k - j + 1) - 1).numerators.base
-    head, tail = stern[: 1 << j], stern[1 << j : 0 : -1]
     nums, dens = stern[: (1 << (k - j)) + 1], stern[1 << (k - j) : (2 << (k - j)) + 1]
+    low, x, y = (a.astype(dtype, copy=False) for a in (stern[: (1 << j) + 1], nums, dens))
+    head, tail = low[: 1 << j], low[1 << j : 0 : -1]
     size = 1 << (j if piece is None else min(piece, j))
 
     def block(c: int, out=None):
         for lo in range(0, 1 << j, size):
             t, h = tail[lo : lo + size], head[lo : lo + size]
             if out is None:
-                yield nums[c] * t + nums[c + 1] * h, dens[c] * t + dens[c + 1] * h
+                yield x[c] * t + x[c + 1] * h, y[c] * t + y[c + 1] * h
                 continue
             num, den, scratch = (None if a is None else a[:size] for a in out)
             if num is not None:
-                np.add(np.multiply(t, nums[c], out=num), np.multiply(h, nums[c + 1], out=scratch), out=num)
-            yield num, np.add(np.multiply(t, dens[c], out=den), np.multiply(h, dens[c + 1], out=scratch), out=den)
+                np.add(np.multiply(t, x[c], out=num), np.multiply(h, x[c + 1], out=scratch), out=num)
+            yield num, np.add(np.multiply(t, y[c], out=den), np.multiply(h, y[c + 1], out=scratch), out=den)
 
     return 1 << (k - j), block, nums, dens
 

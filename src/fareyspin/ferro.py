@@ -6,12 +6,17 @@ the extreme masks, the support-decay bound, the level-increment bound, the
 reciprocal-sum identity, and the cone argument (a bounded observable whose
 transform is nonnegative everywhere, which forces the off-zero signs).
 A float verdict must clear the rounding bound of the transform (``_values``).
+The sign checks read a spectrum as parts (``_Part``): a whole spectrum is
+one, and ``verify_suite`` reads each float level as its even and odd halves,
+formed one after the other in one buffer, so it never holds more than half
+a spectrum.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from math import factorial, inf, lcm, nextafter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +34,35 @@ from .farey import (
 )
 from ._threads import OVERLAP_BITS, run_pieces
 from .report import CheckReport
-from .spectral import K_EXACT, _integer_wht, interaction, rational_wht
+from .spectral import K_EXACT, _integer_wht, _row_values, _transformed, interaction, rational_wht
 
 DEFAULT_SEED = 1729
 
 
+class _Part(NamedTuple):
+    """Coefficients of one level at the masks offset + stride * i, i = 0, 1, ...:
+    a whole spectrum's numerators (offset 0, stride 1), or the even or odd
+    half of a float spectrum (offset 0 or 1, stride 2)."""
+
+    values: np.ndarray
+    offset: int = 0
+    stride: int = 1
+
+    def index(self, mask: int) -> int:
+        """The index of the part's first mask at or above ``mask``."""
+        return max(-(-(mask - self.offset) // self.stride), 0)
+
+    def odd(self):
+        """The part's odd masks: the odd-mask view of a whole spectrum, an odd
+        half itself, and None for an even half."""
+        if self.stride == 1:
+            return _Part(self.values[1::2], 1, 2)
+        return self if self.offset else None
+
+
 def _values(k, mode, spectrum):
-    """The level-k coefficients as numerators over a unit D, and their rounding bound.
+    """The level-k coefficients as one part (``_Part``) of numerators over a
+    unit D, and their rounding bound.
 
     The spectrum is ``spectrum`` if given, else built in ``mode``, or with no
     mode in the level's default one (exact through K_EXACT, float above), as
@@ -62,8 +89,8 @@ def _values(k, mode, spectrum):
     elif spectrum.level != k:
         raise ValueError(f"spectrum is for level {spectrum.level}, expected {k}")
     if spectrum.mode == "exact":
-        return np.array(spectrum.numerators, dtype=object), spectrum.denominator, 0
-    return spectrum.numerators, spectrum.denominator, _rounding_bound(k)
+        return _Part(np.array(spectrum.numerators, dtype=object)), spectrum.denominator, 0
+    return _Part(spectrum.numerators), spectrum.denominator, _rounding_bound(k)
 
 
 def _rounding_bound(k) -> float:
@@ -82,63 +109,179 @@ def _margin(x, unit):
     return Fraction(int(x), unit) if isinstance(unit, int) else x
 
 
-def _first_minima(n, slacks, starts):
-    """The first minimum of each slack(lo, hi) of ``slacks``, an array of its
-    values at masks lo..hi-1, over the masks starts[j]..n-1 for slacks[j], as
-    a list of (mask, value).
+def _first_minima(part, slacks, starts):
+    """The first minimum of each slack of ``slacks`` (see ``_Scan``) over the
+    masks of ``part`` from starts[j] on, for slacks[j]: a list per slack of
+    (mask, value), the first minimum of each piece that reads one, in mask
+    order, for ``_first_of``.
 
-    The masks from min(starts) run in pieces of 2^OVERLAP_BITS, aligned at its
-    multiples, on one thread per available CPU (a float slack holds 256 KiB a
-    piece), so one pass reads each piece for all the slacks, formed one after
-    another; each piece takes its first minimum of each slack, and the first
-    of those in mask order is np.argmin's pick over the whole range, the first
-    NaN if there is one.  np.argmin copies a read-only array whole, so a slack
-    that is a view of a spectrum is copied a piece at a time.
+    The part's indices from the first start run in pieces of 2^OVERLAP_BITS,
+    aligned at its multiples, on one thread per available CPU (a float slack
+    holds 256 KiB a piece), so one pass reads each piece for all the slacks,
+    formed one after another.  np.argmin copies a read-only array whole, so a
+    slack that is a view of a spectrum is copied a piece at a time.
     """
-    size = 1 << OVERLAP_BITS
-    first = min(starts)
+    n, size = len(part.values), 1 << OVERLAP_BITS
+    starts = [part.index(mask) for mask in starts]
+    first = min(starts, default=n)
     edges = [first, *range((first // size + 1) * size, n, size), n]
     found = [[None] * (len(edges) - 1) for _ in starts]
 
     def work(c: int) -> None:
         lo = edges[c]
         for slack, start, minima in zip(slacks, starts, found):
-            values = slack(lo, edges[c + 1])
+            values = slack(part, lo, edges[c + 1])
             skip = max(start - lo, 0)
             if skip < len(values):
                 i = skip + int(np.argmin(values[skip:]))
                 # kept as a one-entry array of the slack's dtype, not as a view of it
-                minima[c] = lo + i, values[i : i + 1].copy()
+                minima[c] = part.offset + part.stride * (lo + i), values[i : i + 1].copy()
             del values  # before the next slack is formed
 
     run_pieces(range(len(edges) - 1), work)
-    result = []
-    for minima in found:
-        minima = [m for m in minima if m is not None]
-        values = np.concatenate([value for _, value in minima])
-        c = int(np.argmin(values))
-        result.append((minima[c][0], values[c]))
-    return result
+    return [[m for m in minima if m is not None] for minima in found]
 
 
-def _first_min(n, slack, start=0):
-    """The first minimum of one slack over the masks start..n-1; see _first_minima."""
-    return _first_minima(n, (slack,), (start,))[0]
+def _first_of(candidates):
+    """The first minimum over the candidates (mask, value) of any pieces and
+    parts: the lowest value, on a tie the one at the smaller mask, and the
+    first NaN in mask order if there is one, as np.argmin picks it over all
+    the masks in order."""
+    candidates = sorted(candidates, key=lambda candidate: candidate[0])
+    values = np.concatenate([value for _, value in candidates])
+    c = int(np.argmin(values))
+    return candidates[c][0], values[c]
+
+
+class _Scan:
+    """One check read from the parts of a spectrum, fed to it one at a time in
+    any order (``_feed``): slack(part, lo, hi) for each of ``slacks`` is the
+    array of its values at the part's indices lo..hi-1, read from the mask in
+    ``starts`` on, and ``verdict`` makes the CheckReport from their first
+    minima over all the parts, a (mask, value) each."""
+
+    def __init__(self, verdict, slacks=(), starts=()):
+        self.verdict, self.slacks, self.starts = verdict, slacks, starts
+        self.found = [[] for _ in slacks]
+
+    def report(self) -> CheckReport:
+        return self.verdict(*map(_first_of, self.found))
+
+
+def _feed(part: _Part, scans) -> None:
+    """Feed one part to every scan of ``scans``, in one pass over its pieces."""
+    found = iter(_first_minima(part, [f for scan in scans for f in scan.slacks], [m for scan in scans for m in scan.starts]))
+    for scan in scans:
+        for minima in scan.found:
+            minima += next(found)
+
+
+def _run(part: _Part, scan: _Scan) -> CheckReport:
+    """The report of a scan that reads one part."""
+    _feed(part, [scan])
+    return scan.report()
+
+
+def _at_least(name, k, unit, bound, slack, start=1, witness=int) -> _Scan:
+    """The check ``name`` that one slack's first minimum reaches ``bound``,
+    reported with the witness(mask) of that minimum."""
+
+    def verdict(first):
+        mask, worst = first
+        return CheckReport(name, k, worst >= bound, margin=_margin(worst, unit), witness=witness(mask))
+
+    return _Scan(verdict, (slack,), (start,))
+
+
+def _coefficients(part, lo, hi):
+    return part.values[lo:hi]
+
+
+# The sign checks of a level: the zero coefficient and the extremes read
+# masks 0 and 2^(k-1) from ``part``, the one part that holds both.
+
+def _zero_coefficient(k, unit, bound, part) -> _Scan:
+    closed = -(_pow2(-1, unit) - _pow2(-(k + 1), unit))
+    error = abs(part.values[0] - closed)
+    return _Scan(lambda: CheckReport("zero_coefficient", k, error <= bound, margin=_margin(error, unit), witness=0))
+
+
+def _nonnegativity(k, unit, bound) -> _Scan:
+    return _at_least("off_zero_nonnegative", k, unit, bound, _coefficients)
+
+
+def _extremes(k, unit, bound, part) -> _Scan:
+    top_mask = 1 << (k - 1)
+    low, high = part.values[0], part.values[part.index(top_mask)]
+
+    def above_min(part, lo, hi):  # the gaps above the minimum candidate, from tau = 1
+        return part.values[lo:hi] - low
+
+    def below_max(part, lo, hi):  # the gaps below the maximum candidate, from tau = 0
+        gaps = high - part.values[lo:hi]
+        i = part.index(top_mask)
+        if lo <= i < hi and part.offset + part.stride * i == top_mask:
+            gaps[i - lo] = np.inf  # the maximum candidate itself is not a competitor
+        return gaps
+
+    def verdict(first_min, first_max):
+        (i_min, min_slack), (i_max, max_slack) = first_min, first_max
+        passed = min_slack > 2 * bound and max_slack >= 2 * bound
+        if min_slack <= max_slack:
+            margin, witness = min_slack, i_min
+        else:
+            margin, witness = max_slack, i_max
+        return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
+
+    return _Scan(verdict, (above_min, below_max), (1, 0))
+
+
+def _decay(k, unit, bound) -> _Scan:
+    # A mask with t trailing zeros has the bound 2^(t-k).  An odd mask has
+    # none.  A mask stride * i has those of i and log2(stride) more, and in a
+    # piece aligned at a multiple of its size, i = lo + r has those of r, for
+    # 0 < r; the first mask of every piece but the first has its own.
+    bounds = np.array([_pow2(t - k, unit) for t in range(k)], dtype=object if isinstance(unit, int) else np.float64)
+    size = 1 << OVERLAP_BITS
+    trailing = np.zeros(size, dtype=np.intp)
+    for t in range(OVERLAP_BITS):
+        trailing[1 << t :: 2 << t] = t
+
+    def slack(part, lo, hi):
+        if part.offset:
+            return np.subtract(bounds[0], part.values[lo:hi])
+        at = lo % size
+        s = bounds[part.stride.bit_length() - 1 :][trailing[at : at + hi - lo]]
+        if at == 0:
+            mask = part.stride * lo
+            s[0] = bounds[(mask & -mask).bit_length() - 1]
+        return np.subtract(s, part.values[lo:hi], out=s)
+
+    return _at_least("support_decay", k, unit, bound, slack)
+
+
+def _increment(k, unit, bound) -> _Scan:
+    """Level k's increment check, read from the odd masks 2 tau + 1 of level
+    k+1 (``check_convergence``); its witness is tau."""
+    increment = _pow2(-(k + 1), unit)
+
+    def slack(part, lo, hi):
+        s = np.abs(part.values[lo:hi])
+        return np.subtract(increment, s, out=s)
+
+    return _at_least("level_increment", k, unit, bound, slack, witness=lambda mask: mask >> 1)
 
 
 def check_zero_coefficient(k, mode=None, *, spectrum=None) -> CheckReport:
     """The tau = 0 coefficient equals -(1 - 2^-k)/2 (the negated mean of the values)."""
-    vals, unit, bound = _values(k, mode, spectrum)
-    closed = -(_pow2(-1, unit) - _pow2(-(k + 1), unit))
-    error = abs(vals[0] - closed)
-    return CheckReport("zero_coefficient", k, error <= bound, margin=_margin(error, unit), witness=0)
+    part, unit, bound = _values(k, mode, spectrum)
+    return _run(part, _zero_coefficient(k, unit, bound, part))
 
 
 def check_nonnegativity(k, mode=None, *, spectrum=None) -> CheckReport:
     """Every coefficient off tau = 0 is nonnegative; margin is the spectrum minimum off zero."""
-    vals, unit, bound = _values(k, mode, spectrum)
-    i, worst = _first_min(len(vals), lambda lo, hi: vals[lo:hi], start=1)
-    return CheckReport("off_zero_nonnegative", k, worst >= bound, margin=_margin(worst, unit), witness=i)
+    part, unit, bound = _values(k, mode, spectrum)
+    return _run(part, _nonnegativity(k, unit, bound))
 
 
 def check_extremes(k, mode=None, *, spectrum=None) -> CheckReport:
@@ -148,48 +291,14 @@ def check_extremes(k, mode=None, *, spectrum=None) -> CheckReport:
     below the maximum); ties with the maximum are allowed, ties with the
     minimum are not.
     """
-    vals, unit, bound = _values(k, mode, spectrum)
-    top_mask = 1 << (k - 1)
-
-    def above_min(lo, hi):  # the gaps above the minimum candidate, from tau = 1
-        return vals[lo:hi] - vals[0]
-
-    def below_max(lo, hi):  # the gaps below the maximum candidate, from tau = 0
-        gaps = vals[top_mask] - vals[lo:hi]
-        if lo <= top_mask < hi:
-            gaps[top_mask - lo] = np.inf  # the maximum candidate itself is not a competitor
-        return gaps
-
-    (i_min, min_slack), (i_max, max_slack) = _first_minima(len(vals), (above_min, below_max), (1, 0))
-    passed = min_slack > 2 * bound and max_slack >= 2 * bound
-    if min_slack <= max_slack:
-        margin, witness = min_slack, i_min
-    else:
-        margin, witness = max_slack, i_max
-    return CheckReport("extreme_masks", k, passed, margin=_margin(margin, unit), witness=witness)
+    part, unit, bound = _values(k, mode, spectrum)
+    return _run(part, _extremes(k, unit, bound, part))
 
 
 def check_decay(k, mode=None, *, spectrum=None) -> CheckReport:
     """Each off-zero coefficient is at most 2^-max(supp(tau)); margin is the worst slack."""
-    vals, unit, bound = _values(k, mode, spectrum)
-    # A mask with t trailing zeros has the bound 2^(t-k).  In a piece aligned
-    # at a multiple of its size, mask lo + i has the trailing zeros of i, for
-    # 0 < i; the first mask of every piece but the first has its own.
-    bounds = np.array([_pow2(t - k, unit) for t in range(k)], dtype=vals.dtype)
-    size = min(1 << OVERLAP_BITS, len(vals))
-    trailing = np.zeros(size, dtype=np.intp)
-    for t in range(size.bit_length() - 1):
-        trailing[1 << t :: 2 << t] = t
-
-    def slack(lo, hi):
-        at = lo % size
-        s = bounds[trailing[at : at + hi - lo]]
-        if at == 0:
-            s[0] = bounds[(lo & -lo).bit_length() - 1]
-        return np.subtract(s, vals[lo:hi], out=s)
-
-    witness, worst = _first_min(len(vals), slack, start=1)
-    return CheckReport("support_decay", k, worst >= bound, margin=_margin(worst, unit), witness=witness)
+    part, unit, bound = _values(k, mode, spectrum)
+    return _run(part, _decay(k, unit, bound))
 
 
 def check_convergence(k, mode=None, *, next_spectrum=None) -> CheckReport:
@@ -205,16 +314,8 @@ def check_convergence(k, mode=None, *, next_spectrum=None) -> CheckReport:
     """
     if k < 1:
         raise ValueError("checks require level >= 1")
-    odd, unit, bound = _values(k + 1, mode, next_spectrum)
-    odd = odd[1::2]
-    increment = _pow2(-(k + 1), unit)
-
-    def slack(lo, hi):
-        s = np.abs(odd[lo:hi])
-        return np.subtract(increment, s, out=s)
-
-    i, worst = _first_min(len(odd), slack)
-    return CheckReport("level_increment", k, worst >= bound, margin=_margin(worst, unit), witness=i)
+    part, unit, bound = _values(k + 1, mode, next_spectrum)
+    return _run(part.odd(), _increment(k, unit, bound))
 
 
 def reciprocal_sum(k: int) -> Fraction:
@@ -265,8 +366,7 @@ def check_cone_membership(k, *, cone=None) -> CheckReport:
     if k > K_EXACT:
         raise ValueError(f"cone membership is an exact check; level capped at {K_EXACT}")
     ints, unit = _cone_transform(k) if cone is None else cone
-    i, worst = _first_min(len(ints), lambda lo, hi: ints[lo:hi])
-    return CheckReport("cone_membership", k, worst >= 0, margin=_margin(worst, unit), witness=i)
+    return _run(_Part(ints), _at_least("cone_membership", k, unit, 0, _coefficients, start=0))
 
 
 def check_spectrum_decomposition(k, *, spectrum=None, cone=None) -> CheckReport:
@@ -276,7 +376,7 @@ def check_spectrum_decomposition(k, *, spectrum=None, cone=None) -> CheckReport:
     twice the identity, multiplied by M, is an identity of integers.
     ``cone`` is ``_cone_transform(k)`` if already at hand; it is not changed.
     """
-    vals, unit, _ = _values(k, "exact", spectrum)
+    (vals, _, _), unit, _ = _values(k, "exact", spectrum)
     if not isinstance(unit, int):
         raise ValueError("decomposition is an exact check")
     cone, cone_unit = _cone_transform(k) if cone is None else cone
@@ -442,6 +542,36 @@ def check_seed_identities(trials: int = 1000, seed: int = DEFAULT_SEED) -> Check
     )
 
 
+def _halves(k):
+    """The level-k float spectrum as two parts in one buffer of 2^(k-1)
+    entries: the even half, transformed from the sums v(2s) + v(2s+1), then,
+    once that is read, the odd half, transformed from the differences
+    v(2s) - v(2s+1) in the same buffer (``spectral._transformed``)."""
+    half = _row_values(k, 0)
+    yield _Part(_transformed(k, half), 0, 2)
+    yield _Part(_transformed(k, _row_values(k, 1, half)), 1, 2)
+
+
+def _level_reports(k, parts, unit, bound):
+    """Level k-1's increment report (None at k = 1) and level k's four sign
+    reports, read from the parts of the level-k spectrum as ``parts`` gives
+    them, the first being the one that holds masks 0 and 2^(k-1).  Each part
+    is fed to every check before the next is taken."""
+    increment = _increment(k - 1, unit, bound) if k > 1 else None
+    for part in parts:
+        if part.offset == 0:
+            scans = [
+                _zero_coefficient(k, unit, bound, part),
+                _nonnegativity(k, unit, bound),
+                _extremes(k, unit, bound, part),
+                _decay(k, unit, bound),
+            ]
+        _feed(part, scans)
+        if increment is not None and part.odd() is not None:
+            _feed(part.odd(), [increment])
+    return None if increment is None else increment.report(), [scan.report() for scan in scans]
+
+
 def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Run every check for k = 1..k_max plus the level-free checks.
 
@@ -450,31 +580,43 @@ def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEE
     capped at their verification envelopes: reciprocal sums at level 18 and
     the dual-route row comparison at level 16.  Each level's row is read once
     for both and the row checks, as its spectrum reads it (``_row_pass``),
-    then its spectrum is built once from its level.  The level-k spectrum
-    holds the level-(k-1) increments at its odd masks,
+    then its spectrum is read by the sign checks as parts (``_Part``): an
+    exact level's whole spectrum, built once, and a float level's even half,
+    then its odd half, in one buffer of 2^(k-1) coefficients (``_halves``).
+    The part that holds masks 0 and 2^(k-1), the whole or the even half,
+    gives the zero coefficient and the extremes' candidates.  The level-k
+    spectrum holds the level-(k-1) increments at its odd masks,
     j_(k-1)(tau) - j_k(2 tau) = j_k(2 tau + 1) (``check_convergence``), so
-    level k-1's increment is read from it, and level K_EXACT's from the float
-    spectrum of level K_EXACT + 1.  One spectrum is held at a time: each is
-    dropped before the next row pass.  The level-k_max spectrum is the
-    sweep's largest allocation, so it is allocated and released first
-    (``farey._empty``; untouched pages cost no memory): a k_max past physical
-    memory or the address space is refused before any check runs.  The seeded route runs in int64 (``seed_values``),
-    which raises rather than overflows; for the row seeds (0,1) and (1,1) it
-    is exact through INT64_MAX_LEVEL.
+    level k-1's increment is read from them, and level K_EXACT's from the
+    odd half of level K_EXACT + 1.  Half the level-k_max spectrum above
+    K_EXACT, or the whole one up to it, is the sweep's largest allocation, so
+    it is allocated and released first (``farey._empty``; untouched pages
+    cost no memory): a k_max past physical memory or the address space is
+    refused before any check runs.  The seeded route runs in int64
+    (``seed_values``), which raises rather than overflows; for the row seeds
+    (0,1) and (1,1) it is exact through INT64_MAX_LEVEL.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _empty(1 << k_max, np.float64, f"the level-{k_max} spectrum")
+    if k_max > K_EXACT:
+        _empty(1 << (k_max - 1), np.float64, f"half the level-{k_max} spectrum")
+    else:
+        _empty(1 << k_max, np.float64, f"the level-{k_max} spectrum")
     reports: list[CheckReport] = []
     tail: list[CheckReport] = []  # level k-1's reports after its increment
     for k in range(1, k_max + 1):
         rows, agree, total = _row_pass(k, routes=k <= 16, reciprocal=k <= 18)
-        sp = interaction(k)
-        if k > 1:
-            reports.append(check_convergence(k - 1, next_spectrum=sp))
+        if k <= K_EXACT:
+            sp = interaction(k)
+            whole, unit, bound = _values(k, None, sp)
+            parts = [whole]
+        else:
+            sp, unit, bound = None, 1.0, _rounding_bound(k)
+            parts = _halves(k)
+        increment, signs = _level_reports(k, parts, unit, bound)
+        reports += [increment] if k > 1 else []
         reports += tail + rows + ([] if agree is None else [CheckReport("dual_route_agreement", k, agree)])
-        for check in (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay):
-            reports.append(check(k, spectrum=sp))
+        reports += signs
         # reported after level k's increment, run now: the cone checks read level k's spectrum
         tail = [] if total is None else [_reciprocal_report(k, total)]
         if k <= K_EXACT:
@@ -484,7 +626,7 @@ def verify_suite(k_max: int = 12, *, trials: int = 1000, seed: int = DEFAULT_SEE
                 check_spectrum_decomposition(k, spectrum=sp, cone=cone),
                 check_cone_map_identities(k),
             ]
-        sp = None  # dropped before the next level's row pass and spectrum
+        sp = parts = whole = None  # dropped before the next level's row pass and spectrum
     reports += tail
     reports.append(check_cone_map_series())
     reports.append(check_seed_identities(trials, seed))

@@ -330,16 +330,29 @@ def _float_slot(column: np.ndarray):
     return slot, lengths
 
 
-# bytes a bytes column may hold to be written as is, in CSV and in a JSON string
+# bytes a bytes column may hold to be written as is, in CSV and in a JSON
+# string: printable ASCII but the special bytes
+_SPECIAL = b'",\\'
 _PLAIN = np.zeros(256, bool)
 _PLAIN[0x20:0x7F] = True
-_PLAIN[[ord(","), ord('"'), ord("\\")]] = False
+_PLAIN[list(_SPECIAL)] = False
+
+
+def _plain(slot: np.ndarray) -> bool:
+    """Whether every byte of a uint8 array is _PLAIN.  Its range settles most
+    columns in two passes: bytes from 0x20..0x7E whose range holds none of
+    the special ones are all plain.  Any other array is looked up byte by byte."""
+    if slot.size:
+        low, high = int(slot.min()), int(slot.max())
+        if 0x20 <= low and high <= 0x7E and not any(low <= b <= high for b in _SPECIAL):
+            return True
+    return bool(_PLAIN[slot].all())
 
 
 def _bytes_slot(column: np.ndarray, fmt):
     """A bytes array that needs no quoting or escaping as its bytes, None otherwise."""
     slot = np.ascontiguousarray(column).view(np.uint8).reshape(len(column), column.dtype.itemsize)
-    if not _PLAIN[slot].all():
+    if not _plain(slot):
         return None
     if fmt == "json":
         slot = np.pad(slot, ((0, 0), (1, 1)), constant_values=ord('"'))

@@ -6,7 +6,9 @@ Interaction coefficients are the negated normalized transform of the fraction
 values.  Exact mode runs the butterfly on integers over one common
 denominator and keeps the spectrum as integer numerators over it; float mode
 is double precision with a fixed butterfly order, so outputs are
-bit-identical across runs.
+bit-identical across runs.  A float spectrum can also be built as its even
+and odd halves, each with the bits it has in the whole one (``_transformed``),
+so a reader of the halves holds half a spectrum.
 """
 from __future__ import annotations
 
@@ -262,31 +264,60 @@ def interaction(k: int, mode: str | None = None) -> Spectrum:
         (num, den), = block(0)
         ints, common = _integer_wht((-num).tolist(), den.tolist())
         return Spectrum(k, "exact", ints, common << k)
-    values = _row_values(k)
-    fwht(values)
-    values *= -(2.0**-k)  # normalization and negation in one exact scaling
+    values = _transformed(k, _row_values(k))
     values.setflags(write=False)
     return Spectrum(k, "float", values)
 
 
-def _row_values(k: int) -> np.ndarray:
-    """The level-k values n/d without the right endpoint, as a new float64 array.
+def _transformed(k: int, values: np.ndarray) -> np.ndarray:
+    """Level-k float coefficients from row values, in place: all of them from
+    ``_row_values(k)``, and from ``_row_values(k, parity)`` the 2^(k-1) at the
+    masks 2i + parity, each with the bits it has in the whole spectrum.
 
-    The blocks of ``farey._row_blocks`` are divided into their part of the
-    array on one thread per available CPU, the same ints into the same
-    quotients as the whole row gives.  The array is allocated (``farey._empty``)
-    before any row is built.
+    The first butterfly stage splits the transform by decimation (Fino and
+    Algazi, IEEE Trans. Computers C-25(11), 1976): it turns each pair v(2s),
+    v(2s+1) into v(2s) + v(2s+1) at index 2s and v(2s) - v(2s+1) at 2s + 1,
+    and the later stages never mix even indices with odd ones, so the even
+    masks are the transform of the sums and the odd masks of the differences,
+    with the same operands in the same order.  The scaling by -2^-k, which
+    normalizes and negates, is exact.
     """
-    values = _empty(1 << k, np.float64, f"the level-{k} spectrum")
-    count, block, _, _ = _row_blocks(k, OVERLAP_BITS)
+    fwht(values)
+    values *= -(2.0**-k)
+    return values
+
+
+def _row_values(k: int, parity: int | None = None, values: np.ndarray | None = None) -> np.ndarray:
+    """The level-k values v(s) = n/d without the right endpoint as a float64
+    array, or with ``parity`` 0 or 1 the 2^(k-1) values v(2s) + v(2s+1) or
+    v(2s) - v(2s+1): written into ``values`` if given, else into a new array,
+    allocated (``farey._empty``) before any row is built.
+
+    The blocks of ``farey._row_blocks`` are formed in float64, which holds
+    their integers exactly, and divided piece by piece on one thread per
+    available CPU: the same integers into the same quotients as the whole row
+    gives.  A piece has an even length and starts at an even index, so its
+    pairs are its own.
+    """
+    if values is None:
+        size, what = (1 << k, "the") if parity is None else (1 << (k - 1), "half the")
+        values = _empty(size, np.float64, f"{what} level-{k} spectrum")
+    count, block, _, _ = _row_blocks(k, OVERLAP_BITS, np.float64)
     parts = values.reshape(count, -1)
+    pair = np.subtract if parity else np.add
 
     def fill(c: int) -> None:
-        ints = np.empty((3, 1 << OVERLAP_BITS), np.int64)  # each piece is divided before the next
+        rows = np.empty((3, 1 << OVERLAP_BITS))  # each piece is divided before the next
+        quotients = None if parity is None else np.empty(1 << OVERLAP_BITS)
         lo = 0
-        for num, den in block(c, ints):
-            np.divide(num, den, out=parts[c, lo : lo + len(num)])
-            lo += len(num)
+        for num, den in block(c, rows):
+            out = parts[c, lo : lo + (len(num) if parity is None else len(num) // 2)]
+            if parity is None:
+                np.divide(num, den, out=out)
+            else:
+                q = np.divide(num, den, out=quotients[: len(num)])
+                pair(q[0::2], q[1::2], out=out)
+            lo += len(out)
 
     run_pieces(range(count), fill)
     return values

@@ -134,10 +134,10 @@ class TestVerify:
     def test_injected_failure_sets_exit_code(self, capsys, monkeypatch):
         broken = CheckReport("off_zero_nonnegative", 2, False, margin=-1.0, witness=3)
 
-        def fake_check(k, mode="exact", **kwargs):
-            return broken
+        def fake_check(k, unit, bound):  # the sweep's nonnegativity check, reading no slack
+            return cli.ferro._Scan(lambda: broken)
 
-        monkeypatch.setattr(cli.ferro, "check_nonnegativity", fake_check)
+        monkeypatch.setattr(cli.ferro, "_nonnegativity", fake_check)
         code, out = run(["verify", "-k", "2"], capsys)
         reports = json.loads(out)
         assert code == 1
@@ -628,8 +628,11 @@ class TestHighLevels:
                 ["spectrum", "-k", "28", "--mode", "float", "--max-level", "28"],
                 "the level-28 spectrum needs 2147483648",
             ),
+            # and half the level-29 spectrum, the largest buffer of verify's
+            # sweep, which it allocates before any check
+            (["verify", "-k", "29", "--max-level", "29"], "half the level-29 spectrum needs 2147483648"),
         ],
-        ids=["generate", "spectrum"],
+        ids=["generate", "spectrum", "verify"],
     )
     def test_allocation_past_the_address_space_is_usage_error(self, argv, what):
         argv = [sys.executable, "-c", LIMITED, *argv]

@@ -347,6 +347,36 @@ def test_pieces_formed_in_buffers_like_new_ones(monkeypatch, k, j, piece, numera
         assert num is None if not numerators else np.array_equal(num, num_want)
 
 
+@pytest.mark.parametrize("buffers", [True, False])
+@pytest.mark.parametrize("k, j, piece", [(0, 0, 0), (5, 3, 1), (14, 10, 3), (22, None, 15), (36, None, 15)])
+def test_float64_pieces_hold_the_int64_integers(monkeypatch, k, j, piece, buffers):
+    # formed in float64 buffers or as new arrays; j None keeps the rule of
+    # farey._block_bits, and at level 36 four of its 2^18 blocks are read
+    if j is not None:
+        pin_block_bits(monkeypatch, j)
+    count, block, _, _ = _row_blocks(k, piece)
+    _, float_block, nums, dens = _row_blocks(k, piece, np.float64)
+    assert nums.dtype == dens.dtype == np.int64
+    out = np.full((3, (1 << 15) + 5), -7.0) if buffers else None
+    for c in sorted({0, 1 % count, count // 2, count - 1}):
+        for (num, den), (x, y) in zip(block(c), float_block(c, out), strict=True):
+            assert x.dtype == y.dtype == np.float64
+            assert np.array_equal(x, num) and np.array_equal(y, den)
+
+
+def test_float64_pieces_past_their_exact_level_are_refused(monkeypatch):
+    # the level-k denominators reach Fibonacci(k+2), which float64 holds exactly below 2^53
+    top = farey.FLOAT64_MAX_LEVEL
+    assert farey._fibonacci(top + 2) < 2**53 <= farey._fibonacci(top + 3)
+
+    def refuse(k):
+        raise RuntimeError("row allocation attempted")
+
+    monkeypatch.setattr(farey, "extended_row", refuse)
+    with pytest.raises(ValueError, match=f"float64 holds the row exactly only up to level {top}"):
+        _row_blocks(top + 1, dtype=np.float64)
+
+
 @pytest.mark.parametrize(
     "k, j, level",
     [(0, 0, 0), (4, 4, 3), (6, 2, 4), (24, 20, 19), (32, None, 16), (40, None, 20), (44, None, 24), (48, None, 28)],

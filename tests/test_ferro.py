@@ -391,36 +391,49 @@ class TestSuite:
             verify_suite(0)
 
     def test_holds_only_the_spectra_later_checks_read(self, monkeypatch):
-        built, alive_at_rows, alive_at_builds = [], [], []
-        transform, row_pass = ferro.interaction, ferro._row_pass
+        built, buffers, alive_at_rows, alive_at_builds = [], [], [], []
+        transform, transformed, row_pass = ferro.interaction, ferro._transformed, ferro._row_pass
 
         def alive():
-            return [(sp.level, sp.mode) for sp in (ref() for ref in built) if sp is not None]
+            return [name for name, ref in built if ref() is not None]
 
         def spy_interaction(k, mode=None):
             alive_at_builds.append(alive())
             spectrum = transform(k, mode)
-            built.append(weakref.ref(spectrum))
+            built.append(((k, spectrum.mode), weakref.ref(spectrum)))
             return spectrum
+
+        def spy_transformed(k, values):
+            alive_at_builds.append(alive())
+            built.append(((k, len(values)), weakref.ref(values)))
+            buffers.append(id(values))
+            return transformed(k, values)
 
         def spy_row_pass(k, *args, **kwargs):
             alive_at_rows.append(alive())
             return row_pass(k, *args, **kwargs)
 
         monkeypatch.setattr(ferro, "interaction", spy_interaction)
+        monkeypatch.setattr(ferro, "_transformed", spy_transformed)
         monkeypatch.setattr(ferro, "_row_pass", spy_row_pass)
         verify_suite(15, trials=5)
-        # every spectrum is built once, in the mode of its level: level
-        # K_EXACT's increment is read from the float spectrum of K_EXACT + 1
-        assert len(built) == 15
-        # a level's row is checked, and its spectrum built, once the spectrum
-        # of the level below is dropped: at most one spectrum is alive
+        # every exact spectrum is built once, and every float level is
+        # transformed as its even half, then its odd half, of 2^(k-1) entries
+        # each: level K_EXACT's increment is read from the odd half of K_EXACT + 1
+        exact = [(k, "exact") for k in range(1, K_EXACT + 1)]
+        halves = [(k, 1 << (k - 1)) for k in range(K_EXACT + 1, 16) for _ in (0, 1)]
+        assert [name for name, _ in built] == exact + halves
+        # a level's row is checked, and its spectrum or its first half built,
+        # once the one before is dropped; the odd half is formed in the even
+        # half's buffer, the only one alive: at most one half is
         assert alive_at_rows == [[]] * 15
-        assert alive_at_builds == [[]] * 15
+        assert alive_at_builds == [[]] * K_EXACT + [h for k in range(K_EXACT + 1, 16) for h in ([], [(k, 1 << (k - 1))])]
+        assert buffers[0::2] == buffers[1::2]
 
     def test_reads_each_row_once(self, monkeypatch):
         # the row checks, the dual route and the reciprocal sum of a level read
-        # one Stern buffer; the other 22 are the spectra's
+        # one Stern buffer; the other 32 are the spectra's, one per exact
+        # level and one per half of a float level
         built, per_pass = row_levels(monkeypatch), []
         row_pass = ferro._row_pass
 
@@ -433,22 +446,23 @@ class TestSuite:
         monkeypatch.setattr(ferro, "_row_pass", spy)
         assert all(r.passed for r in verify_suite(22, trials=5))
         assert per_pass == [1] * 22
-        assert len(built) == 44
+        assert len(built) == 54
 
     def test_unallocatable_top_spectrum_is_refused_before_any_check(self, monkeypatch):
-        # an address-space limit refuses the level-13 spectrum (8 * 2^13
-        # bytes) that the physical memory would hold: no row is checked
+        # an address-space limit refuses half the level-13 spectrum (8 * 2^12
+        # bytes), the sweep's largest buffer, that the physical memory would
+        # hold: no row is checked
         empty = np.empty
 
         def refusing(shape, dtype=float, *args, **kwargs):
-            if shape == 1 << 13 and np.dtype(dtype) == np.float64:
+            if shape == 1 << 12 and np.dtype(dtype) == np.float64:
                 raise MemoryError
             return empty(shape, dtype, *args, **kwargs)
 
         checked = []
         monkeypatch.setattr(np, "empty", refusing)
         monkeypatch.setattr(ferro, "_row_pass", lambda *args, **kwargs: checked.append(args) or ([], None, None))
-        message = "the level-13 spectrum needs 65536 bytes, more than this process could allocate"
+        message = "half the level-13 spectrum needs 32768 bytes, more than this process could allocate"
         with pytest.raises(farey.RowMemoryError, match=message):
             verify_suite(13, trials=5)
         assert checked == []
@@ -459,8 +473,9 @@ class TestSuite:
         assert '"level": 14' in capsys.readouterr().out
 
     def test_peak_memory_of_a_float_sweep(self):
-        # At k = 20 the traced peak comes with the spectrum: the level-20
-        # spectrum (8 MiB) and the transform's scratch, 10.7 MiB measured.
+        # At k = 20 the traced peak comes with the spectrum: half the level-20
+        # spectrum (4 MiB) and the transform's scratch, 9.2 MiB measured
+        # (10.7 MiB with the whole spectrum).
         # Checking the row in whole-row temporaries takes it past the bound
         # (41.4 MiB); keeping every spectrum, with the level-20 Stern buffer
         # held under them, stays under it (35.2 MiB).
@@ -469,15 +484,26 @@ class TestSuite:
         assert peak < 40 * 2**20
 
     def test_peak_memory_without_the_row_under_the_spectra(self):
-        # 10.7 MiB measured; the level-20 Stern buffer (16 MiB) made 22.0 MiB
+        # 9.2 MiB measured; the level-20 Stern buffer (16 MiB) made 22.0 MiB
         # when the row checks read it before the spectra were built, and
         # 30.4 MiB when it was held while they were built
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)
         assert peak < 18 * 2**20
 
+    def test_peak_memory_of_half_a_spectrum_at_a_time(self, monkeypatch):
+        # 19.7 MiB measured on two workers, with half the level-22 spectrum
+        # (16 MiB) alive at a time; the whole level-22 spectrum made 34.7 MiB,
+        # and writing the even half's sums in the row pass, which holds its
+        # blocks over the half, 22.9 MiB
+        pin_workers(monkeypatch, 2)
+        reports, peak = traced_peak(lambda: verify_suite(22, trials=5))
+        assert all(r.passed for r in reports)
+        assert peak < 24 * 2**20
+
     def test_peak_memory_of_one_spectrum_at_a_time(self):
-        # 10.7 MiB measured, under 1.5 times the level-20 spectrum (8 MiB);
+        # 9.2 MiB measured (10.7 MiB with whole spectra), under 1.5 times the
+        # level-20 spectrum (8 MiB);
         # carrying the level-19 spectrum to level 19's increment made 15.0 MiB
         reports, peak = traced_peak(lambda: verify_suite(20, trials=5))
         assert all(r.passed for r in reports)

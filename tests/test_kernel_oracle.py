@@ -16,7 +16,9 @@ replaced a radix-2 kernel with one pass per stage: its threaded blocks and
 column strips, on any number of workers, and the transposed low stages of a
 block must give the bits of that kernel, and so must the negated float
 spectrum of a level, now divided block by block from the streamed row, of the
-values divided from the whole row.  Exact spectra, now integers over one
+values divided from the whole row; and so must each half of it by parity,
+which verify now forms in its place, and the sign reports read from the
+two halves must be those read from the whole spectrum.  Exact spectra, now integers over one
 denominator, must read back the Fractions of the former rational path.  The
 list fwht, now that kernel on an object array, must give the integers,
 Fractions and float bits of the Python loop it replaced.  The emitter's byte
@@ -45,7 +47,12 @@ from fareyspin import (
     K_EXACT,
     Spectrum,
     check_cone_map_identities,
+    check_convergence,
+    check_decay,
+    check_extremes,
+    check_nonnegativity,
     check_reciprocal_sum,
+    check_zero_coefficient,
     cone_observable,
     cross_check_routes,
     extended_row,
@@ -774,6 +781,71 @@ class TestStreamedSpectrum:
         assert sizes == [8, 8]
 
 
+def report_fields(report):
+    """A report's name, level, pass flag, witness, and its float margin's bits."""
+    return report.name, report.level, report.passed, report.witness, float(report.margin).hex()
+
+
+def whole_reports(k, spectrum):
+    """Level k-1's increment (None at k = 1) and level k's four sign reports,
+    each read by its public check from the whole level-k spectrum."""
+    increment = check_convergence(k - 1, next_spectrum=spectrum) if k > 1 else None
+    checks = (check_zero_coefficient, check_nonnegativity, check_extremes, check_decay)
+    return increment, [check(k, spectrum=spectrum) for check in checks]
+
+
+def halves_reports(k, values):
+    """The same reports as verify reads them from the even, then the odd half of ``values``."""
+    parts = (ferro._Part(values[parity::2], parity, 2) for parity in (0, 1))
+    return ferro._level_reports(k, parts, 1.0, ferro._rounding_bound(k))
+
+
+class TestHalfSpectra:
+    """verify's float levels form each spectrum as its even and odd halves in
+    one buffer (ferro._halves) and read the sign checks from them: the halves
+    have the bits of the whole spectrum's masks of their parity, and the
+    reports are those of the whole spectrum."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", [13, 17, 20, 22])
+    def test_halves_have_the_bits_of_the_whole_spectrum(self, monkeypatch, k, workers):
+        pin_workers(monkeypatch, workers)
+        whole = interaction(k, "float").numerators
+        for parity in (0, 1):
+            half = spectral._transformed(k, spectral._row_values(k, parity))
+            assert bits_digest(half) == bits_digest(whole[parity::2])
+        parts = [(part.offset, part.stride, bits_digest(part.values)) for part in ferro._halves(k)]
+        assert parts == [(parity, 2, bits_digest(whole[parity::2])) for parity in (0, 1)]
+
+    @pytest.mark.parametrize("k", range(13, 17))
+    def test_reports_like_the_whole_spectrum(self, k):
+        # margins to the bit
+        increment, signs = ferro._level_reports(k, ferro._halves(k), 1.0, ferro._rounding_bound(k))
+        whole_increment, whole_signs = whole_reports(k, interaction(k, "float"))
+        assert list(map(report_fields, [increment, *signs])) == list(map(report_fields, [whole_increment, *whole_signs]))
+
+    # pairs of masks in opposite halves, the smaller one first: neighbours,
+    # and masks in different pieces of 2^15 of their halves
+    PLANTED = [(100, 101), (101, 102), (4, 70001), (3, 70000)]
+
+    @pytest.mark.parametrize("masks", PLANTED)
+    @pytest.mark.parametrize("value", [-0.25, 0.75, np.nan], ids=["minimum", "maximum", "nan"])
+    def test_planted_in_both_halves(self, masks, value):
+        # the same value at two masks of level 17 (two pieces a half): the
+        # smaller mask must win, and of two NaNs the first in mask order
+        k = 17
+        values = interaction(k, "float").numerators.copy()
+        values[list(masks)] = value
+        increment, signs = halves_reports(k, values)
+        whole_increment, whole_signs = whole_reports(k, Spectrum(k, "float", values))
+        got = list(map(report_fields, [increment, *signs]))
+        assert got == list(map(report_fields, [whole_increment, *whole_signs]))
+        if value != 0.75:  # a new minimum or a NaN: nonnegativity fails at the smaller mask
+            assert not signs[1].passed and signs[1].witness == masks[0]
+        if np.isnan(value):
+            assert not increment.passed and increment.witness == [m for m in masks if m % 2][0] >> 1
+
+
 def ref_fwht_list(values, normalize=False):
     # the former list kernel: a Python loop per radix-2 stage, in place
     n = len(values)
@@ -964,6 +1036,41 @@ TEXTS = ["nul\x00inside", "\x00", "é", "日本語", "a,b", 'q"uote', "", "line\
 # escaping or is empty (a NUL in a bytes array)
 PLAIN_BYTES = ["0101", "plain", "x y", "~!#$%&'()*+-./:;<=>?@[]^_`{|}"]
 OTHER_BYTES = ["a,b", 'q"uote', "back\\slash", "", "0101"]
+
+
+# bytes columns by the range of their bytes: inside 0x20..0x7E and clear of
+# the special bytes '"', ',' and '\\', straddling one without holding it,
+# holding one, or leaving 0x20..0x7E (below, above, non-ASCII, or a NUL that
+# pads a shorter entry)
+RANGED_BYTES = {
+    "digits": ["0101", "1100"],
+    "straddles-quote": ["!#", "#!"],
+    "straddles-comma": ["+-", "-+"],
+    "straddles-backslash": ["[]", "]["],
+    "spans-printable": [" ~", "AZ"],
+    "holds-quote": ['!"#'],
+    "holds-comma": ["+,-"],
+    "holds-backslash": ["[\\]"],
+    "below": ["\x1f0"],
+    "above": ["~\x7f"],
+    "non-ascii": ["\u00e9"],
+    "padded": ["01", "0"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("texts", RANGED_BYTES.values(), ids=list(RANGED_BYTES))
+def test_bytes_slot_like_the_byte_lookup(texts, fmt):
+    # written as is exactly when every byte is printable ASCII other than the special ones
+    column = np.array([text.encode() for text in texts])
+    plain = all(0x20 <= b <= 0x7E and b not in b'",\\' for b in column.tobytes())
+    got = report._bytes_slot(column, fmt)
+    assert (got is not None) == plain
+    if plain:
+        slot, lengths = got
+        quote = b'"' if fmt == "json" else b""
+        assert [bytes(row) for row in slot] == [quote + text.encode() + quote for text in texts]
+        assert lengths.tolist() == [slot.shape[1]] * len(texts)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,6 +1,9 @@
 import cmath
 import functools
+import json
 import math
+import subprocess
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -22,7 +25,7 @@ from fareyspin import (
     zeta_oracle,
 )
 
-from conftest import physical_memory, pin_block_bits, pin_workers, row_levels, traced_peak
+from conftest import fresh_env, physical_memory, pin_block_bits, pin_workers, row_levels, traced_peak
 
 APERY = 1.2020569031595942854  # zeta(3), classical reference value
 
@@ -297,6 +300,46 @@ class TestStreamedPartitionSum:
         levels = row_levels(monkeypatch)
         partition_sum(21, 3, 0.0)
         assert sorted(levels) == [15]
+
+
+# the partition points of the SIMD test: (Re s, Im s) and t
+SIMD_POINTS = [((3, 0), 0.0), ((4, 0), 1.0), ((3.5, 2), 0.37), ((5, 0), 0.5)]
+# a fresh interpreter that takes the JSON [names, points] and prints, as JSON,
+# the CPU features of names that numpy dispatches to and the bits of
+# partition_sum(20, s, t) at the points; a name that numpy rejects makes its
+# import fail
+SIMD_CHILD = """
+import json, sys, warnings
+warnings.simplefilter("error", ImportWarning)
+from numpy._core._multiarray_umath import __cpu_features__
+from fareyspin import partition_sum
+names, points = json.loads(sys.argv[1])
+values = [partition_sum(20, complex(*s), t).value for s, t in points]
+print(json.dumps([[n for n in names if __cpu_features__.get(n)], [[v.real.hex(), v.imag.hex()] for v in values]]))
+"""
+
+
+def test_partition_bits_without_avx512():
+    """numpy's SIMD kernels for np.log and np.exp may round differently with
+    AVX512 switched off (NPY_DISABLE_CPU_FEATURES); the partition sum must
+    keep its bits either way."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("numpy does not report its CPU dispatch here")
+    names = [name for name in __cpu_dispatch__ if name == "X86_V4" or name.startswith("AVX512")]
+    if not names or not all(__cpu_features__.get(name) for name in names):
+        pytest.skip("numpy dispatches to no AVX512 kernels on this CPU")
+    argv = [sys.executable, "-c", SIMD_CHILD, json.dumps([names, SIMD_POINTS])]
+    env = fresh_env(NPY_DISABLE_CPU_FEATURES=" ".join(names))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    if "ImportWarning" in proc.stderr and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(f"numpy rejects the names {names}")
+    assert proc.returncode == 0, proc.stderr
+    on, bits = json.loads(proc.stdout)
+    assert on == []  # the child ran without them
+    values = [partition_sum(20, complex(*s), t).value for s, t in SIMD_POINTS]
+    assert bits == [[v.real.hex(), v.imag.hex()] for v in values]
 
 
 class TestBlockSize:
